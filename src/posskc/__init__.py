@@ -9,23 +9,16 @@ and a benchmark harness compares encoding sizes across the pipelines.
 """
 
 from .bench import (
+    METHODS,
     GenConfig,
+    Pipeline,
     baseline_counts,
     compare_network,
     cross_validate,
     random_network,
     run_comparison,
 )
-from .circuits import (
-    PfEncoding,
-    PfPipeline,
-    PossCircuit,
-    build_circuit,
-    encode_pf,
-    evaluate_fmin,
-    indicator_weights,
-    query_pf,
-)
+from .circuits import PfEncoding, PfPipeline, encode_pf, indicator_weights
 from .cnf import Clause, CnfFormula, cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement, min_condition, parse_degree
@@ -38,10 +31,13 @@ from .errors import (
     QueryError,
     SizeGuardError,
 )
-from .logical import LogicalEncoding, LogicalPipeline, encode_logical, explore, query_logical
+from .logical import LogicalEncoding, LogicalPipeline, encode_logical, explore
 from .network import (
+    Conditional,
     PossNetwork,
     chain_rule_joint,
+    conditional,
+    conflicts,
     enumerate_worlds,
     oracle_conditional,
     oracle_possibility,
@@ -68,7 +64,6 @@ from .pkb import (
     encode_pkb,
     parse_base,
     pi_sigma,
-    query_pkb,
     serialize_base,
     to_possibilistic_base,
 )

@@ -19,10 +19,10 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Protocol, Sequence
 
 from .circuits import PfPipeline, encode_pf
-from .cnf import cnf_stats
+from .cnf import CnfFormula, cnf_stats
 from .compiler import DEFAULT_NODE_BUDGET
 from .degrees import Degree, ONE, SCALE, ZERO
 from .errors import CompileBudgetError
@@ -34,7 +34,7 @@ from .network import (
     oracle_conditional,
     serialize_network,
 )
-from .nnf import nnf_stats
+from .nnf import NnfDag, nnf_stats
 from .pkb import PkbPipeline, encode_pkb, to_possibilistic_base
 
 MASK64 = (1 << 64) - 1
@@ -214,17 +214,30 @@ class ComparisonRow:
 
 CSV_HEADER = "seed,n_nodes,method,cnf_vars,cnf_clauses,nnf_nodes,nnf_edges,compile_ms,query_ms,status"
 
-_METHOD_ENCODERS = {
-    "pf": lambda net: encode_pf(net, local_structure=True).cnf,
-    "logical": lambda net: encode_logical(net).cnf,
-    "pkb": lambda net: encode_pkb(to_possibilistic_base(net)),
-}
 
-_METHOD_PIPELINES = {
-    "pf": PfPipeline,
-    "logical": LogicalPipeline,
-    "pkb": PkbPipeline,
+class Pipeline(Protocol):
+    """What every method offers once built on a network: its CNF, the DAG
+    compiled from it, Pi(term) and Pi(x|e)."""
+
+    cnf: CnfFormula
+    dag: NnfDag
+
+    def possibility(self, term: EventTerm) -> Degree: ...
+
+    def query(self, x: EventTerm, e: EventTerm) -> Degree: ...
+
+
+METHODS: dict[str, tuple[Callable[..., Pipeline], Callable[..., CnfFormula]]] = {
+    "pf": (PfPipeline, lambda net, local: encode_pf(net, local).cnf),
+    "logical": (LogicalPipeline, lambda net, local: encode_logical(net).cnf),
+    "pkb": (PkbPipeline, lambda net, local: encode_pkb(to_possibilistic_base(net))),
 }
+"""Method name -> (pipeline class, CNF encoder), in the paper's order.
+
+Every pipeline class takes the network and a ``node_budget`` keyword.
+The encoder's flag selects pf's local-structure mode; the other two
+methods have one encoding and ignore it.
+"""
 
 
 def default_query(net: PossNetwork, seed: int) -> tuple[dict, dict]:
@@ -257,13 +270,13 @@ def compare_network(
     """
     x, e = query if query is not None else default_query(net, seed)
     rows = []
-    for method in ("pf", "logical", "pkb"):
+    for method, (build, encode) in METHODS.items():
         t0 = time.perf_counter()
         try:
-            pipeline = _METHOD_PIPELINES[method](net, node_budget=node_budget)
+            pipeline = build(net, node_budget=node_budget)
         except CompileBudgetError:
             elapsed = (time.perf_counter() - t0) * 1000.0
-            stats = cnf_stats(_METHOD_ENCODERS[method](net))
+            stats = cnf_stats(encode(net, True))
             rows.append(
                 ComparisonRow(
                     seed, len(net.variables), method,
@@ -275,9 +288,7 @@ def compare_network(
         t1 = time.perf_counter()
         pipeline.query(x, e)
         query_ms = (time.perf_counter() - t1) * 1000.0
-        cnf = pipeline.cnf if method == "pkb" else pipeline.encoding.cnf
-        dag = pipeline.circuit.dag if method == "pf" else pipeline.dag
-        cstats, nstats = cnf_stats(cnf), nnf_stats(dag)
+        cstats, nstats = cnf_stats(pipeline.cnf), nnf_stats(pipeline.dag)
         rows.append(
             ComparisonRow(
                 seed, len(net.variables), method,
@@ -402,7 +413,7 @@ def cross_validate(
             binary_only=binary_only,
         )
         net = random_network(cfg)
-        pipelines = {m: _METHOD_PIPELINES[m](net) for m in ("pf", "logical", "pkb")}
+        pipelines = {m: build(net) for m, (build, _) in METHODS.items()}
         qrng = SplitMix64(inst_seed ^ _QUERY_SALT)
         for qi in range(queries):
             xv = qrng.choice(net.variables)

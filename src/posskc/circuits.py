@@ -20,20 +20,9 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula, Indicator, Parameter
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import Degree, ONE, ZERO, min_condition
-from .errors import SizeGuardError
-from .network import (
-    EventTerm,
-    PossNetwork,
-    check_event,
-    chain_rule_joint,
-    enumerate_worlds,
-    world_consistent,
-)
-from .nnf import NnfDag, WeightMap, pi_evaluate
-
-FMIN_WORLD_GUARD = 1 << 20
-"""evaluate_fmin enumerates instantiations; refuse beyond this many."""
+from .degrees import Degree, ONE, ZERO
+from .network import EventTerm, PossNetwork, check_event, conditional
+from .nnf import WeightMap, pi_evaluate
 
 
 @dataclass
@@ -42,42 +31,7 @@ class PfEncoding:
 
     cnf: CnfFormula
     weight_map: WeightMap
-    local_structure: bool
     indicators: dict  # (variable name, value) -> variable id
-
-
-@dataclass
-class PossCircuit:
-    """Compiled circuit: decomposable DAG plus base parameter weights."""
-
-    dag: NnfDag
-    base_weights: WeightMap
-
-
-def evaluate_fmin(net: PossNetwork, e: EventTerm) -> Degree:
-    """The possibilistic function itself, by explicit enumeration.
-
-    Max over complete instantiations of the min of indicator values
-    (1 when the instantiation agrees with e, else 0) and the selected
-    table degrees.  Equals the oracle possibility; used as a bridge
-    check, not an inference engine.
-    """
-    check_event(net, e)
-    count = 1
-    for v in net.variables:
-        count *= len(v.domain)
-        if count > FMIN_WORLD_GUARD:
-            raise SizeGuardError(f"f_min enumeration beyond {FMIN_WORLD_GUARD} worlds")
-    best = ZERO
-    for w in enumerate_worlds(net):
-        if not world_consistent(w, e):
-            continue
-        d = chain_rule_joint(net, w)
-        if d > best:
-            best = d
-            if best == ONE:
-                break
-    return best
 
 
 def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
@@ -148,12 +102,7 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
                     f.add_clause([-theta, lam])
                     for p, pv in zip(pnames, cfg):
                         f.add_clause([-theta, indicators[(p, pv)]])
-    return PfEncoding(f, weight_map, local_structure, indicators)
-
-
-def build_circuit(enc: PfEncoding, node_budget: int = DEFAULT_NODE_BUDGET) -> PossCircuit:
-    """Compile the encoding; budget failures propagate loudly."""
-    return PossCircuit(compile_cnf(enc.cnf, node_budget=node_budget), dict(enc.weight_map))
+    return PfEncoding(f, weight_map, indicators)
 
 
 def indicator_weights(enc: PfEncoding, term: EventTerm) -> WeightMap:
@@ -179,29 +128,14 @@ class PfPipeline:
     ):
         self.net = net
         self.encoding = encode_pf(net, local_structure)
-        self.circuit = build_circuit(self.encoding, node_budget=node_budget)
+        self.cnf = self.encoding.cnf
+        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
 
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term) in one evaluation pass over the circuit."""
         check_event(self.net, term)
-        return pi_evaluate(self.circuit.dag, indicator_weights(self.encoding, term))
+        return pi_evaluate(self.dag, indicator_weights(self.encoding, term))
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) from two evaluation passes and min-conditioning."""
-        check_event(self.net, x)
-        check_event(self.net, e)
-        if any(var in e and e[var] != val for var, val in x.items()):
-            joint = ZERO
-        else:
-            joint = self.possibility({**e, **x})
-        return min_condition(joint, self.possibility(e))
-
-
-def query_pf(
-    net: PossNetwork,
-    x: EventTerm,
-    e: EventTerm,
-    local_structure: bool = True,
-) -> Degree:
-    """One-shot convenience wrapper around PfPipeline."""
-    return PfPipeline(net, local_structure).query(x, e)
+        return conditional(self.net, self.possibility, x, e).degree

@@ -17,28 +17,22 @@ import json
 import sys
 import time
 
-from .bench import cross_validate, run_comparison
-from .circuits import PfPipeline
+from .bench import METHODS, cross_validate, run_comparison
 from .cnf import cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import Degree
 from .errors import (
     CompileBudgetError,
     PosskcError,
     QueryError,
     SizeGuardError,
 )
-from .logical import LogicalPipeline, encode_logical
-from .network import PossNetwork, oracle_conditional, parse_network
-from .nnf import nnf_stats, parse_nnf, smooth, validate_properties, write_nnf
-from .pkb import PkbPipeline, encode_pkb, to_possibilistic_base
+from .network import PossNetwork, conditional, oracle_conditional, parse_network
+from .nnf import nnf_stats, smooth, validate_properties, write_nnf
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 64
-
-_PIPELINES = {"pf": PfPipeline, "logical": LogicalPipeline, "pkb": PkbPipeline}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,41 +110,29 @@ def _cmd_query(args) -> int:
     x = parse_term(args.target)
     e = parse_term(args.evidence)
     t0 = time.perf_counter()
-    pipeline = _PIPELINES[args.method](net)
+    pipeline = METHODS[args.method][0](net)
     compile_ms = (time.perf_counter() - t0) * 1000.0
+    if not args.json:
+        print(pipeline.query(x, e))
+        return EXIT_OK
     t1 = time.perf_counter()
-    degree = pipeline.query(x, e)
+    answer = conditional(net, pipeline.possibility, x, e)
     query_ms = (time.perf_counter() - t1) * 1000.0
-    if args.json:
-        conflict = any(var in e and e[var] != val for var, val in x.items())
-        joint = Degree(0) if conflict else pipeline.possibility({**e, **x})
-        payload = {
-            "degree": str(degree),
-            "joint": str(joint),
-            "evidence": str(pipeline.possibility(e)),
-            "method": args.method,
-            "compile_ms": round(compile_ms, 3),
-            "query_ms": round(query_ms, 3),
-        }
-        print(json.dumps(payload))
-    else:
-        print(degree)
+    payload = {
+        "degree": str(answer.degree),
+        "joint": str(answer.joint),
+        "evidence": str(answer.evidence),
+        "method": args.method,
+        "compile_ms": round(compile_ms, 3),
+        "query_ms": round(query_ms, 3),
+    }
+    print(json.dumps(payload))
     return EXIT_OK
-
-
-def _encode(net: PossNetwork, method: str, local_structure: bool):
-    if method == "pf":
-        from .circuits import encode_pf
-
-        return encode_pf(net, local_structure=local_structure).cnf
-    if method == "logical":
-        return encode_logical(net).cnf
-    return encode_pkb(to_possibilistic_base(net))
 
 
 def _cmd_encode(args) -> int:
     net = _load_network(args.network)
-    cnf = _encode(net, args.method, not args.no_local_structure)
+    cnf = METHODS[args.method][1](net, not args.no_local_structure)
     _write_out(args.output, to_dimacs(cnf))
     return EXIT_OK
 
@@ -174,23 +156,14 @@ def _cmd_stats(args) -> int:
     net = _load_network(args.network)
     header = f"{'method':<8} {'cnf_vars':>8} {'cnf_clauses':>11} {'nnf_nodes':>9} {'nnf_edges':>9}"
     print(header)
-    for method, cls in _PIPELINES.items():
+    for method, (build, _) in METHODS.items():
         try:
-            pipeline = cls(net, node_budget=args.node_budget)
+            pipeline = build(net, node_budget=args.node_budget)
         except CompileBudgetError:
             print(f"{method:<8} {'budget exceeded':>40}")
             continue
-        if method == "pf":
-            cnf = pipeline.encoding.cnf
-            dag = pipeline.circuit.dag
-        elif method == "logical":
-            cnf = pipeline.encoding.cnf
-            dag = pipeline.dag
-        else:
-            cnf = pipeline.cnf
-            dag = pipeline.dag
-        c = cnf_stats(cnf)
-        n = nnf_stats(dag)
+        c = cnf_stats(pipeline.cnf)
+        n = nnf_stats(pipeline.dag)
         print(
             f"{method:<8} {c['vars']:>8} {c['clauses']:>11} "
             f"{n['nodes']:>9} {n['edges']:>9}"
@@ -204,8 +177,8 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not sizes:
-        print("bench: no sizes given", file=sys.stderr)
+    if not sizes or min(sizes) < 1:
+        print("bench: give one or more sizes, each at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.output is None:
         rows, _ = run_comparison(
@@ -222,6 +195,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.max_vars < 2:
+        print("check: --max-vars must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
     report = cross_validate(
         nets=args.nets,
         max_vars=args.max_vars,
@@ -251,15 +227,15 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("query", help="answer a conditional query by compilation")
     sp.add_argument("network")
-    sp.add_argument("--method", required=True, choices=sorted(_PIPELINES))
+    sp.add_argument("--method", required=True, choices=sorted(METHODS))
     sp.add_argument("--target", required=True, help="VAR=val[,VAR=val...]")
     sp.add_argument("--evidence", default="", help="VAR=val[,VAR=val...]")
-    sp.add_argument("--json", action="store_true", help="emit a JSON record")
+    sp.add_argument("--json", action="store_true", help="emit a JSON record, with the two marginals")
     sp.set_defaults(fn=_cmd_query)
 
     sp = sub.add_parser("encode", help="write a CNF encoding in DIMACS form")
     sp.add_argument("network")
-    sp.add_argument("--method", required=True, choices=sorted(_PIPELINES))
+    sp.add_argument("--method", required=True, choices=sorted(METHODS))
     sp.add_argument(
         "--no-local-structure",
         action="store_true",

@@ -1,11 +1,13 @@
 """Pipeline 2: logical encoding explored by condition, forget, evaluate.
 
 The network becomes a CNF over instance propositions and one global
-parameter proposition per distinct degree strictly between 0 and 1:
-every table entry with such a degree d contributes the single clause
-(not u1 or ... or not um or not x or theta_d), degree-0 entries
-contribute the hard clause without the parameter, and degree-1 entries
-contribute nothing.  After compiling once, Pi(term) is answered by
+parameter proposition theta_d per distinct degree d strictly between 0
+and 1.  It is read off the network's possibilistic base: each weighted
+clause of weight w below 1 (a table entry of degree d = 1 - w, written
+not u1 or ... or not um or not x) gains theta_d, hard clauses (degree-0
+entries) pass through, and degree-1 entries contribute nothing.  So the
+logical CNF is the knowledge-base CNF with each level variable of weight
+w renamed to theta_{1-w}.  After compiling once, Pi(term) is answered by
 conditioning on the term's instance literals, forgetting every instance
 variable, and evaluating the remaining parameter structure with max-min.
 """
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula, Parameter
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import Degree, ONE, ZERO, min_condition
+from .degrees import Degree, complement
 from .encodings import InstanceMap
-from .network import EventTerm, PossNetwork, check_event
+from .network import EventTerm, PossNetwork, check_event, conditional
 from .nnf import NnfDag, WeightMap, condition, forget, pi_evaluate
+from .pkb import tagged_cnf, to_possibilistic_base
 
 
 @dataclass
@@ -34,33 +37,10 @@ class LogicalEncoding:
 
 def encode_logical(net: PossNetwork) -> LogicalEncoding:
     """Build the logical CNF; parameter ids run by descending degree."""
-    f = CnfFormula()
-    imap = InstanceMap(net, f)
-    distinct = sorted(
-        {d for v in net.variables for d in net.cpt[v.name].values() if ZERO < d < ONE},
-        reverse=True,
-    )
-    theta: dict[Degree, int] = {}
-    weights: WeightMap = {}
-    for d in distinct:
-        vid = f.new_var(Parameter("*", d))
-        theta[d] = vid
-        weights[vid] = d
-    for v in net.variables:
-        pnames = net.parents[v.name]
-        for cfg in net.parent_configs(v.name):
-            neg_parents = [-imap.literal(p, pv) for p, pv in zip(pnames, cfg)]
-            for val in v.domain:
-                d = net.cpt[v.name][(val, cfg)]
-                if d == ONE:
-                    continue
-                head = [*neg_parents, -imap.literal(v.name, val)]
-                if d == ZERO:
-                    f.add_clause(head)
-                else:
-                    f.add_clause([*head, theta[d]])
-    for c in imap.exactly_one_clauses():
-        f.add_clause(c)
+    base = to_possibilistic_base(net)
+    thetas = [(w, Parameter("*", complement(w))) for w in reversed(base.levels)]
+    f, imap, theta = tagged_cnf(base, thetas)
+    weights: WeightMap = {theta[w]: p.degree for w, p in thetas}
     return LogicalEncoding(f, imap, frozenset(imap.all_vars()), weights)
 
 
@@ -79,21 +59,11 @@ class LogicalPipeline:
     def __init__(self, net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET):
         self.net = net
         self.encoding = encode_logical(net)
-        self.dag = compile_cnf(self.encoding.cnf, node_budget=node_budget)
+        self.cnf = self.encoding.cnf
+        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
 
     def possibility(self, term: EventTerm) -> Degree:
         return explore(self.dag, self.encoding, term)
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
-        check_event(self.net, x)
-        check_event(self.net, e)
-        if any(var in e and e[var] != val for var, val in x.items()):
-            joint = ZERO
-        else:
-            joint = self.possibility({**e, **x})
-        return min_condition(joint, self.possibility(e))
-
-
-def query_logical(net: PossNetwork, x: EventTerm, e: EventTerm) -> Degree:
-    """One-shot convenience wrapper around LogicalPipeline."""
-    return LogicalPipeline(net).query(x, e)
+        return conditional(self.net, self.possibility, x, e).degree

@@ -12,12 +12,13 @@ possibilities by explicit maximization over worlds.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .degrees import Degree, ONE, ZERO, min_condition, parse_degree
-from .errors import DegreeError, FormatError, NetworkValidationError, QueryError
+from .errors import DegreeError, FormatError, NetworkValidationError, QueryError, SizeGuardError
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -25,6 +26,9 @@ World = dict  # variable name -> domain value, total over the network
 EventTerm = Mapping  # variable name -> domain value, partial (possibly empty)
 
 CptKey = tuple  # (own value, tuple of parent values in parents order)
+
+ORACLE_WORLD_GUARD = 1 << 20
+"""oracle_possibility enumerates worlds; it refuses beyond this many."""
 
 
 @dataclass(frozen=True)
@@ -213,8 +217,14 @@ def world_consistent(w: World, e: EventTerm) -> bool:
 
 
 def oracle_possibility(net: PossNetwork, e: EventTerm) -> Degree:
-    """Pi(e) by explicit maximization of the chain rule over worlds."""
+    """Pi(e) by explicit maximization of the chain rule over worlds.
+
+    Raises SizeGuardError when the network has more than
+    ORACLE_WORLD_GUARD worlds.
+    """
     check_event(net, e)
+    if math.prod(len(v.domain) for v in net.variables) > ORACLE_WORLD_GUARD:
+        raise SizeGuardError(f"oracle enumeration beyond {ORACLE_WORLD_GUARD} worlds")
     best = ZERO
     for w in enumerate_worlds(net):
         if world_consistent(w, e):
@@ -226,20 +236,41 @@ def oracle_possibility(net: PossNetwork, e: EventTerm) -> Degree:
     return best
 
 
-def oracle_conditional(net: PossNetwork, x: EventTerm, e: EventTerm) -> Degree:
-    """Pi(x|e) by min-conditioning the oracle marginals.
+def conflicts(x: EventTerm, e: EventTerm) -> bool:
+    """Whether x and e assign some variable two different values."""
+    return any(var in e and e[var] != val for var, val in x.items())
+
+
+class Conditional(NamedTuple):
+    """Pi(x|e) with the two marginals it was conditioned from."""
+
+    degree: Degree
+    joint: Degree
+    evidence: Degree
+
+
+def conditional(
+    net: PossNetwork,
+    possibility: Callable[[EventTerm], Degree],
+    x: EventTerm,
+    e: EventTerm,
+) -> Conditional:
+    """Pi(x|e) by min-conditioning Pi(x, e) on Pi(e), both asked of
+    ``possibility``.
 
     Conflicting assignments between x and e make the joint impossible
-    (degree 0) rather than an error.
+    (degree 0, without asking) rather than an error.
     """
     check_event(net, x)
     check_event(net, e)
-    conflict = any(var in e and e[var] != val for var, val in x.items())
-    if conflict:
-        joint = ZERO
-    else:
-        joint = oracle_possibility(net, {**e, **x})
-    return min_condition(joint, oracle_possibility(net, e))
+    joint = ZERO if conflicts(x, e) else possibility({**e, **x})
+    evidence = possibility(e)
+    return Conditional(min_condition(joint, evidence), joint, evidence)
+
+
+def oracle_conditional(net: PossNetwork, x: EventTerm, e: EventTerm) -> Degree:
+    """Pi(x|e) by min-conditioning the oracle marginals."""
+    return conditional(net, lambda term: oracle_possibility(net, term), x, e).degree
 
 
 def parse_network(text: str) -> PossNetwork:

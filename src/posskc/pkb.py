@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause, CnfFormula, Level
+from .cnf import Clause, CnfFormula, Level, Role
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, ONE, ZERO, complement, parse_degree
 from .encodings import InstanceMap
 from .errors import DegreeError, FormatError
-from .network import EventTerm, PossNetwork, World, check_event
+from .network import EventTerm, PossNetwork, World, check_event, conflicts
 from .nnf import NnfDag, condition, entails_clause, is_consistent
 
 
@@ -89,26 +89,32 @@ def pi_sigma(base: PossibilisticBase, w: World) -> Degree:
     return ONE if worst is None else complement(worst)
 
 
-def encode_pkb(base: PossibilisticBase) -> CnfFormula:
-    """Level-variable CNF of the base.
-
-    One level variable per distinct sub-1 weight (rank by descending
-    weight); each weighted clause is disjoined with its level variable,
-    hard clauses pass through, exactly-one clauses append as hard ones.
-    """
+def tagged_cnf(
+    base: PossibilisticBase, tags: list[tuple[Degree, Role]]
+) -> tuple[CnfFormula, InstanceMap, dict[Degree, int]]:
+    """The base as CNF: instance variables, then one tag variable per
+    ``(weight, role)`` of ``tags`` in that order; each weighted clause is
+    disjoined with its weight's tag variable, hard clauses pass through,
+    exactly-one clauses append as hard ones.  Returns the formula, its
+    instance map and the weight -> tag id map."""
     f = CnfFormula()
     imap = InstanceMap(base.imap.net, f)
-    level_var: dict[Degree, int] = {}
-    for rank, weight in enumerate(base.levels, start=1):
-        level_var[weight] = f.new_var(Level(rank, weight))
+    tag = {weight: f.new_var(role) for weight, role in tags}
     for wf in base.formulas:
         if wf.weight == ONE:
             f.add_clause(wf.clause)
         else:
-            f.add_clause([*wf.clause.literals, level_var[wf.weight]])
+            f.add_clause([*wf.clause.literals, tag[wf.weight]])
     for c in imap.exactly_one_clauses():
         f.add_clause(c)
-    return f
+    return f, imap, tag
+
+
+def encode_pkb(base: PossibilisticBase) -> CnfFormula:
+    """Level-variable CNF of the base: one level variable per distinct
+    sub-1 weight, ranked by descending weight."""
+    levels = [(w, Level(rank, w)) for rank, w in enumerate(base.levels, start=1)]
+    return tagged_cnf(base, levels)[0]
 
 
 def serialize_base(base: PossibilisticBase) -> str:
@@ -209,8 +215,7 @@ class PkbPipeline:
         not_x = Clause([-l for l in x_lits])
         if not is_consistent(condition(self.dag, e_lits)):
             return ONE, 0
-        conflict = any(var in e and e[var] != val for var, val in x.items())
-        if conflict or not is_consistent(condition(self.dag, sorted(set(e_lits + x_lits)))):
+        if conflicts(x, e) or not is_consistent(condition(self.dag, sorted(set(e_lits + x_lits)))):
             return ZERO, 0
         k = self.dag
         iterations = 0
@@ -229,8 +234,3 @@ class PkbPipeline:
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term), as the conditional against empty evidence."""
         return self.query(term, {})
-
-
-def query_pkb(net: PossNetwork, x: EventTerm, e: EventTerm) -> Degree:
-    """One-shot convenience wrapper around PkbPipeline."""
-    return PkbPipeline(net).query(x, e)

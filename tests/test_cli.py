@@ -245,6 +245,17 @@ class TestBenchAndCheck:
         assert code == EXIT_USAGE
         assert "size" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("bench", "--sizes", "0"), ("bench", "--sizes", "0:2"), ("check", "--max-vars", "1")],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_check_clean_run(self, capsys, tmp_path):
         report = tmp_path / "report.txt"
         code, stdout, _ = run(

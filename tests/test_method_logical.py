@@ -3,15 +3,14 @@
 import pytest
 
 from posskc.bench import GenConfig, random_network
-from posskc.cnf import Clause, Instance, Parameter, cnf_stats
+from posskc.cnf import Clause, Instance, Level, Parameter, cnf_stats
 from posskc.compiler import compile_cnf
-from posskc.degrees import parse_degree
+from posskc.degrees import SCALE, Degree, complement, parse_degree
 from posskc.errors import QueryError
 from posskc.logical import (
     LogicalPipeline,
     encode_logical,
     explore,
-    query_logical,
 )
 from posskc.network import (
     chain_rule_joint,
@@ -128,16 +127,16 @@ class TestExplore:
 
 class TestQueryLogical:
     def test_example_conditional(self, alarm):
-        assert query_logical(alarm, {"F": "f2"}, {"D": "d1"}) == D("0.4")
+        assert LogicalPipeline(alarm).query({"F": "f2"}, {"D": "d1"}) == D("0.4")
 
     def test_example_conditional_complement(self, alarm):
-        assert query_logical(alarm, {"F": "f1"}, {"D": "d1"}) == D("1")
+        assert LogicalPipeline(alarm).query({"F": "f1"}, {"D": "d1"}) == D("1")
 
     def test_marginal(self, alarm):
-        assert query_logical(alarm, {"B": "b2"}, {}) == D("0.4")
+        assert LogicalPipeline(alarm).query({"B": "b2"}, {}) == D("0.4")
 
     def test_contradicting_target_and_evidence(self, alarm):
-        assert query_logical(alarm, {"D": "d1"}, {"D": "d2"}) == D("0")
+        assert LogicalPipeline(alarm).query({"D": "d1"}, {"D": "d2"}) == D("0")
 
     def test_matches_oracle_on_random_nets(self):
         for net in small_nets(15, 8, seed=211):
@@ -190,3 +189,36 @@ class TestSizeParity:
         base = baseline_counts(alarm, "logical")
         assert got["vars"] < base["vars"]
         assert got["clauses"] < base["clauses"]
+
+    def test_same_formula_as_base_encoding_up_to_renaming(self, alarm):
+        """The logical CNF is the base CNF with each level variable of
+        weight w renamed to theta_{1-w}: same instance variables, same
+        clauses in the same order."""
+        coarse = frozenset(Degree(k * SCALE // 10) for k in range(1, 10))
+        nets = [alarm] + small_nets(12, 9, seed=401) + small_nets(
+            8, 6, seed=409, binary_only=False
+        )
+        for i in range(8):
+            cfg = GenConfig(
+                n_nodes=3 + i, seed=419 + i, binary_only=i % 2 == 0, degree_pool=coarse
+            )
+            nets.append(random_network(cfg))
+        for net in nets:
+            logical = encode_logical(net).cnf
+            kb = encode_pkb(to_possibilistic_base(net))
+            level_of = {
+                v.role.weight: v.id for v in kb.variables if isinstance(v.role, Level)
+            }
+            rename = {}
+            for v in logical.variables:
+                if isinstance(v.role, Parameter):
+                    rename[v.id] = level_of[complement(v.role.degree)]
+                else:
+                    assert kb.var(v.id).role == v.role
+                    rename[v.id] = v.id
+            assert len(rename) == kb.num_vars
+            renamed = [
+                Clause(rename[abs(l)] * (1 if l > 0 else -1) for l in c)
+                for c in logical.clauses
+            ]
+            assert renamed == list(kb.clauses)

@@ -3,19 +3,13 @@
 import pytest
 
 from posskc.bench import GenConfig, random_network
-from posskc.circuits import (
-    FMIN_WORLD_GUARD,
-    PfPipeline,
-    build_circuit,
-    encode_pf,
-    evaluate_fmin,
-    indicator_weights,
-    query_pf,
-)
+from posskc.circuits import PfEncoding, PfPipeline, encode_pf, indicator_weights
 from posskc.cnf import CnfFormula, Indicator, Parameter, cnf_stats
 from posskc.degrees import parse_degree
 from posskc.errors import QueryError, SizeGuardError
+from posskc.compiler import compile_cnf
 from posskc.network import (
+    ORACLE_WORLD_GUARD,
     chain_rule_joint,
     enumerate_worlds,
     oracle_conditional,
@@ -40,26 +34,21 @@ def small_nets(count, max_nodes, seed, binary_only=True):
 
 
 class TestEvaluateFmin:
+    """The possibilistic function the circuits compile is the oracle
+    possibility: anchors on the fixture and the oracle's world guard."""
+
     def test_example_partial_term(self, alarm):
-        assert evaluate_fmin(alarm, {"D": "d1", "B": "b1"}) == D("0.7")
+        assert oracle_possibility(alarm, {"D": "d1", "B": "b1"}) == D("0.7")
 
     def test_complete_world(self, alarm):
-        assert evaluate_fmin(alarm, {"F": "f2", "B": "b1", "D": "d2"}) == D("1")
+        assert oracle_possibility(alarm, {"F": "f2", "B": "b1", "D": "d2"}) == D("1")
 
     def test_empty_term_is_one_for_normalized_net(self, alarm):
-        assert evaluate_fmin(alarm, {}) == D("1")
-
-    def test_matches_oracle_on_random_nets(self):
-        for net in small_nets(12, 7, seed=41):
-            for w in enumerate_worlds(net):
-                assert evaluate_fmin(net, w) == oracle_possibility(net, w)
-            some_var = net.variables[0]
-            term = {some_var.name: some_var.domain[-1]}
-            assert evaluate_fmin(net, term) == oracle_possibility(net, term)
+        assert oracle_possibility(alarm, {}) == D("1")
 
     def test_rejects_unknown_value(self, alarm):
         with pytest.raises(QueryError):
-            evaluate_fmin(alarm, {"F": "nope"})
+            oracle_possibility(alarm, {"F": "nope"})
 
     def test_world_guard(self):
         lines = ["network wide"]
@@ -69,8 +58,10 @@ class TestEvaluateFmin:
             lines += [f"cpt X{i}", "a : 1", "b : 1"]
         net = parse_network("\n".join(lines))
         with pytest.raises(SizeGuardError):
-            evaluate_fmin(net, {})
-        assert 2**21 > FMIN_WORLD_GUARD
+            oracle_possibility(net, {})
+        with pytest.raises(SizeGuardError):
+            oracle_conditional(net, {"X0": "a"}, {"X1": "b"})
+        assert 2**21 > ORACLE_WORLD_GUARD
 
 
 class TestEncodePf:
@@ -136,20 +127,16 @@ class TestEncodePf:
 
 class TestCircuit:
     def test_all_ones_evaluates_to_one(self, alarm):
-        enc = encode_pf(alarm)
-        circ = build_circuit(enc)
-        assert pi_evaluate(circ.dag, indicator_weights(enc, {})) == D("1")
+        p = PfPipeline(alarm)
+        assert pi_evaluate(p.dag, indicator_weights(p.encoding, {})) == D("1")
 
     def test_inconsistent_encoding_evaluates_to_zero(self):
         f = CnfFormula()
         v = f.new_var(Indicator("X", "x1"))
         f.add_clause([v])
         f.add_clause([-v])
-        from posskc.circuits import PfEncoding
-
-        enc = PfEncoding(f, {}, True, {("X", "x1"): v})
-        circ = build_circuit(enc)
-        assert pi_evaluate(circ.dag, indicator_weights(enc, {})) == D("0")
+        enc = PfEncoding(f, {}, {("X", "x1"): v})
+        assert pi_evaluate(compile_cnf(enc.cnf), indicator_weights(enc, {})) == D("0")
 
     def test_indicator_weights_respect_term(self, alarm):
         enc = encode_pf(alarm)
@@ -173,26 +160,26 @@ class TestCircuit:
 
 class TestQueryPf:
     def test_example_conditional(self, alarm):
-        assert query_pf(alarm, {"F": "f2"}, {"D": "d1"}) == D("0.4")
+        assert PfPipeline(alarm).query({"F": "f2"}, {"D": "d1"}) == D("0.4")
 
     def test_example_conditional_complement(self, alarm):
-        assert query_pf(alarm, {"F": "f1"}, {"D": "d1"}) == D("1")
+        assert PfPipeline(alarm).query({"F": "f1"}, {"D": "d1"}) == D("1")
 
     def test_marginal_with_empty_evidence(self, alarm):
-        assert query_pf(alarm, {"D": "d1"}, {}) == D("0.7")
+        assert PfPipeline(alarm).query({"D": "d1"}, {}) == D("0.7")
 
     def test_contradicting_target_and_evidence(self, alarm):
-        assert query_pf(alarm, {"F": "f1"}, {"F": "f2"}) == D("0")
+        assert PfPipeline(alarm).query({"F": "f1"}, {"F": "f2"}) == D("0")
 
     def test_local_modes_agree(self, alarm):
+        local = PfPipeline(alarm, local_structure=True)
+        plain = PfPipeline(alarm, local_structure=False)
         for x, e in [
             ({"F": "f2"}, {"D": "d1"}),
             ({"B": "b2"}, {}),
             ({"D": "d2"}, {"F": "f2", "B": "b1"}),
         ]:
-            assert query_pf(alarm, x, e, local_structure=True) == query_pf(
-                alarm, x, e, local_structure=False
-            )
+            assert local.query(x, e) == plain.query(x, e)
 
     def test_matches_oracle_on_random_nets(self):
         for net in small_nets(15, 8, seed=113):

@@ -20,7 +20,6 @@ from posskc.pkb import (
     encode_pkb,
     parse_base,
     pi_sigma,
-    query_pkb,
     serialize_base,
     to_possibilistic_base,
 )
@@ -182,9 +181,6 @@ class TestQueryPkb:
     def test_evidence_equals_target(self, alarm):
         kb = PkbPipeline(alarm)
         assert kb.query({"D": "d1"}, {"D": "d1"}) == D("1")
-
-    def test_one_shot_wrapper(self, alarm):
-        assert query_pkb(alarm, {"F": "f2"}, {"D": "d1"}) == D("0.4")
 
     def test_outputs_range_over_levels(self, alarm):
         kb = PkbPipeline(alarm)
