@@ -18,6 +18,7 @@ from posskc import (
     encode_pf,
     encode_pkb,
     entails_clause,
+    explore,
     forget,
     nnf_stats,
     parse_network,
@@ -85,10 +86,12 @@ def main() -> None:
     lits = enc.imap.term_literals(term)
     step1 = condition(dag, lits)
     print(f"  condition on {term} -> {nnf_stats(step1)}")
-    step2 = forget(step1, enc.delta_vars)
+    step2 = forget(step1, enc.imap.all_vars())
     print(f"  forget the instance layer -> {nnf_stats(step2)}")
     degree = pi_evaluate(step2, enc.theta_weights)
     print(f"  max-min evaluation -> Pi{tuple(term.items())} = {degree}")
+    one_pass = explore(dag, enc, term)
+    print(f"  the same as one pass over the compiled DAG -> {one_pass}")
     print()
 
     print("=== serialized NNF (first lines) ===")

@@ -4,8 +4,9 @@ networks through knowledge compilation.
 Three pipelines answer Pi(x|e) on the same network: possibilistic
 circuits over an indicator/parameter encoding, logical compilation with
 condition/forget/evaluate, and compilation of an equivalent possibilistic
-knowledge base.  A brute-force chain-rule oracle serves as ground truth,
-and a benchmark harness compares encoding sizes across the pipelines.
+knowledge base, each queried by max-min passes over its compiled DAG.  A
+brute-force chain-rule oracle serves as ground truth, and a benchmark
+harness compares encoding sizes across the pipelines.
 """
 
 from .bench import (

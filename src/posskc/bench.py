@@ -399,6 +399,8 @@ def cross_validate(
     report lists every mismatch verbatim; a clean run ends with
     "0 mismatches".
     """
+    if max_vars < 2:
+        raise ValueError(f"max_vars must be at least 2, got {max_vars}")
     seeder = SplitMix64(seed)
     mismatches: list[str] = []
     total = 0

@@ -131,6 +131,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    if args.no_local_structure and args.method != "pf":
+        print("encode: --no-local-structure applies to --method pf only", file=sys.stderr)
+        return EXIT_USAGE
     net = _load_network(args.network)
     cnf = METHODS[args.method][1](net, not args.no_local_structure)
     _write_out(args.output, to_dimacs(cnf))

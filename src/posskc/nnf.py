@@ -3,10 +3,11 @@ all three pipelines.
 
 A DAG lives in an indexed node pool where children always precede their
 parents, so every traversal here is a single iterative bottom-up pass
-(no recursion, no stack-depth limits).  The same DAG answers classical
-queries (consistency, clausal entailment) and qualitative ones: reading
-And as min and Or as max evaluates the structure over possibility
-degrees, with unlisted literals weighing 1.
+(no recursion, no stack-depth limits).  ``pi_evaluate`` is the one query
+kernel: And is min, Or is max, unlisted literals weigh 1.  On decomposable
+DAGs a literal weighing 0 conditions on its negation and an unlisted
+variable is forgotten, so consistency and clausal entailment are that pass
+too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query does.
 
 Three properties are tracked as flags and checkable from structure:
 decomposability (And children share no variables), determinism (every
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
-from .degrees import Degree, ONE, SCALE, ZERO
+from .degrees import Degree, SCALE, ZERO
 from .errors import FormatError, PosskcError
 from .cnf import Clause
 
@@ -217,16 +218,8 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
 
 
 def is_consistent(d: NnfDag) -> bool:
-    """Satisfiability by one bottom-up pass (valid on decomposable DAGs)."""
-    sat = [False] * len(d.nodes)
-    for i, n in enumerate(d.nodes):
-        if isinstance(n, (LitNode, TrueNode)):
-            sat[i] = True
-        elif isinstance(n, AndNode):
-            sat[i] = all(sat[c] for c in n.children)
-        elif isinstance(n, OrNode):
-            sat[i] = any(sat[c] for c in n.children)
-    return sat[d.root]
+    """Satisfiability by one max-min pass (valid on decomposable DAGs)."""
+    return pi_evaluate(d, {}) != ZERO
 
 
 def condition(d: NnfDag, term: Iterable[int]) -> NnfDag:
@@ -291,14 +284,14 @@ def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
 
 
 def entails_clause(d: NnfDag, c: Clause) -> bool:
-    """d entails the clause iff conditioning on its negation is inconsistent.
+    """d entails the clause iff d evaluates to 0 with each clause literal at 0.
 
     A tautological clause is entailed by anything; the empty clause is
     entailed only by an inconsistent DAG.
     """
     if c.is_tautology():
         return True
-    return not is_consistent(condition(d, [-l for l in c]))
+    return pi_evaluate(d, {l: ZERO for l in c}) == ZERO
 
 
 def node_var_sets(d: NnfDag) -> list[frozenset]:

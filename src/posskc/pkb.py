@@ -6,13 +6,14 @@ degree; the resulting base induces the same joint distribution as the
 network.  The base compiles to CNF by tagging each weighted clause with
 a level variable shared by all clauses of equal weight, and queries run
 level by level on the compiled DAG: activate strata from the strongest
-down by conditioning away their level variables, and stop when the
-evidence plus active strata refute the target.
+down, and stop when the evidence plus active strata refute the target.
+Each step is one entailment pass over the compiled DAG, with the active
+level variables added to the checked clause; the DAG is never rebuilt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cnf import Clause, CnfFormula, Level, Role
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
@@ -20,7 +21,8 @@ from .degrees import Degree, ONE, ZERO, complement, parse_degree
 from .encodings import InstanceMap
 from .errors import DegreeError, FormatError
 from .network import EventTerm, PossNetwork, World, check_event, conflicts
-from .nnf import NnfDag, condition, entails_clause, is_consistent
+# condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
+from .nnf import condition, entails_clause, is_consistent
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,19 @@ class WeightedFormula:
 class PossibilisticBase:
     """Weighted clauses plus their descending ladder of distinct weights.
 
-    Weight-1 formulas are hard knowledge and stay outside the ladder.
-    The instance map ties clause literals back to network values.
+    The ladder is derived from the formulas; weight-1 formulas are hard
+    knowledge and stay outside it.  The instance map ties clause literals
+    back to network values.
     """
 
     formulas: tuple[WeightedFormula, ...]
-    levels: tuple[Degree, ...]
     imap: InstanceMap
+    levels: tuple[Degree, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.levels = tuple(
+            sorted({wf.weight for wf in self.formulas if wf.weight < ONE}, reverse=True)
+        )
 
     def hard_formulas(self) -> tuple[WeightedFormula, ...]:
         return tuple(wf for wf in self.formulas if wf.weight == ONE)
@@ -66,10 +74,7 @@ def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
                     continue
                 clause = Clause([-imap.literal(v.name, val), *neg_parents])
                 formulas.append(WeightedFormula(clause, complement(d)))
-    levels = tuple(
-        sorted({wf.weight for wf in formulas if wf.weight < ONE}, reverse=True)
-    )
-    return PossibilisticBase(tuple(formulas), levels, imap)
+    return PossibilisticBase(tuple(formulas), imap)
 
 
 def pi_sigma(base: PossibilisticBase, w: World) -> Degree:
@@ -174,10 +179,7 @@ def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
             formulas.append(WeightedFormula(Clause(lits), weight))
         except ValueError as exc:
             raise FormatError(str(exc), ln) from exc
-    levels = tuple(
-        sorted({wf.weight for wf in formulas if wf.weight < ONE}, reverse=True)
-    )
-    return PossibilisticBase(tuple(formulas), levels, imap)
+    return PossibilisticBase(tuple(formulas), imap)
 
 
 class PkbPipeline:
@@ -205,28 +207,25 @@ class PkbPipeline:
         then activates strata from the strongest weight down; entering
         stratum i means the evidence stays possible there, and if the
         target is refuted by the activated knowledge the answer is one
-        minus that stratum's weight.
+        minus that stratum's weight.  Each check is one ``entails_clause``
+        pass, with the activated level variables in the clause.
         """
         check_event(self.net, x)
         check_event(self.net, e)
-        e_lits = self.imap.term_literals(e)
-        x_lits = self.imap.term_literals(x)
-        not_e = [-l for l in e_lits]
-        not_x = Clause([-l for l in x_lits])
-        if not is_consistent(condition(self.dag, e_lits)):
+        not_e = [-l for l in self.imap.term_literals(e)]
+        not_ex = [*not_e, *(-l for l in self.imap.term_literals(x))]
+        if entails_clause(self.dag, Clause(not_e)):
             return ONE, 0
-        if conflicts(x, e) or not is_consistent(condition(self.dag, sorted(set(e_lits + x_lits)))):
+        if conflicts(x, e) or entails_clause(self.dag, Clause(not_ex)):
             return ZERO, 0
-        k = self.dag
-        iterations = 0
+        active: list[int] = []
         for level_id, weight in self.level_vars:
-            iterations += 1
-            if entails_clause(k, Clause([level_id, *not_e])):
-                return ONE, iterations
-            k = condition(k, [-level_id])
-            if entails_clause(condition(k, e_lits), not_x):
-                return complement(weight), iterations
-        return ONE, iterations
+            active.append(level_id)
+            if entails_clause(self.dag, Clause([*active, *not_e])):
+                return ONE, len(active)
+            if entails_clause(self.dag, Clause([*active, *not_ex])):
+                return complement(weight), len(active)
+        return ONE, len(active)
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         return self.query_detail(x, e)[0]

@@ -2,7 +2,9 @@
 
 Everything here works by definition (explicit enumeration or per-literal
 subcube masks) so it can serve as an independent oracle for the compiled
-structures under test.
+structures under test.  The query references answer the logical and pkb
+queries the rebuilding way (condition, forget, then a boolean or max-min
+pass over the new DAG), as a cross-check of the one-pass query kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import itertools
 import random
 
 from posskc.cnf import Clause, CnfFormula
+from posskc.degrees import ONE, ZERO, complement
+from posskc.network import check_event, conflicts
+from posskc.nnf import condition, forget, pi_evaluate
 
 
 def all_assignments(n: int):
@@ -140,3 +145,62 @@ def clause_holds_on(models: set, clause: Clause, n_vars: int) -> bool:
         if not any(m[abs(l) - 1] == (l > 0) for l in clause):
             return False
     return True
+
+
+def boolean_consistent(dag) -> bool:
+    """Satisfiability by a bottom-up and/or pass over booleans (valid on
+    decomposable DAGs); independent of the max-min kernel."""
+    from posskc.nnf import AndNode, LitNode, OrNode, TrueNode
+
+    sat = [False] * len(dag.nodes)
+    for i, node in enumerate(dag.nodes):
+        if isinstance(node, (LitNode, TrueNode)):
+            sat[i] = True
+        elif isinstance(node, AndNode):
+            sat[i] = all(sat[c] for c in node.children)
+        elif isinstance(node, OrNode):
+            sat[i] = any(sat[c] for c in node.children)
+    return sat[dag.root]
+
+
+def _rebuild_entails(dag, clause: Clause) -> bool:
+    if clause.is_tautology():
+        return True
+    return not boolean_consistent(condition(dag, [-l for l in clause]))
+
+
+def reference_explore(compiled, enc, term):
+    """Logical Pi(term) by rebuilding: condition the DAG on the term,
+    forget the instance layer, then evaluate the theta weights."""
+    check_event(enc.imap.net, term)
+    conditioned = condition(compiled, enc.imap.term_literals(term))
+    projected = forget(conditioned, enc.imap.all_vars())
+    return pi_evaluate(projected, enc.theta_weights)
+
+
+def reference_query_detail(kb, x, e):
+    """The pkb stratum descent by rebuilding: each activated stratum
+    conditions its level variable away in a new DAG, and each check
+    conditions that DAG again.  Returns (degree, iterations)."""
+    check_event(kb.net, x)
+    check_event(kb.net, e)
+    e_lits = kb.imap.term_literals(e)
+    x_lits = kb.imap.term_literals(x)
+    not_e = [-l for l in e_lits]
+    not_x = Clause([-l for l in x_lits])
+    if not boolean_consistent(condition(kb.dag, e_lits)):
+        return ONE, 0
+    if conflicts(x, e) or not boolean_consistent(
+        condition(kb.dag, sorted(set(e_lits + x_lits)))
+    ):
+        return ZERO, 0
+    k = kb.dag
+    iterations = 0
+    for level_id, weight in kb.level_vars:
+        iterations += 1
+        if _rebuild_entails(k, Clause([level_id, *not_e])):
+            return ONE, iterations
+        k = condition(k, [-level_id])
+        if _rebuild_entails(condition(k, e_lits), not_x):
+            return complement(weight), iterations
+    return ONE, iterations

@@ -255,3 +255,8 @@ class TestCrossValidate:
             nets=3, max_vars=5, queries=2, seed=21, binary_only=False
         )
         assert "0 mismatches" in report
+
+    @pytest.mark.parametrize("max_vars", [1, 0, -3])
+    def test_rejects_max_vars_below_two(self, max_vars):
+        with pytest.raises(ValueError, match="max_vars must be at least 2"):
+            cross_validate(nets=1, max_vars=max_vars)

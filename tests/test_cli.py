@@ -170,6 +170,16 @@ class TestEncodeAndCompile:
         assert "p cnf 12 12" in local.read_text()
         assert "p cnf 18 46" in plain.read_text()
 
+    @pytest.mark.parametrize("method", ["logical", "pkb"])
+    def test_no_local_structure_outside_pf_is_usage_error(self, capsys, method):
+        code, out, err = run(
+            capsys, "encode", ALARM, "--method", method, "--no-local-structure"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "--no-local-structure" in err
+
     def test_compile_round_trip(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
         nnf = tmp_path / "f.nnf"

@@ -1,4 +1,4 @@
-"""Pipeline 2: logical encoding queried by condition, forget, evaluate."""
+"""Pipeline 2: logical encoding queried by one max-min pass."""
 
 import pytest
 
@@ -47,12 +47,14 @@ class TestEncodeLogical:
         assert [t.degree for t in thetas] == [D("0.8"), D("0.7"), D("0.4"), D("0.2")]
         assert all(t.owner == "*" for t in thetas)
 
-    def test_delta_vars_are_the_instance_layer(self, alarm):
+    def test_imap_vars_are_the_instance_layer(self, alarm):
+        # explore forgets exactly these by leaving them out of the weight map
         enc = encode_logical(alarm)
         inst_ids = {
             v.id for v in enc.cnf.variables if isinstance(v.role, Instance)
         }
-        assert enc.delta_vars == frozenset(inst_ids)
+        assert enc.imap.all_vars() == frozenset(inst_ids)
+        assert not inst_ids & {abs(l) for l in enc.theta_weights}
 
     def test_theta_weights_map_parameter_ids(self, alarm):
         enc = encode_logical(alarm)
