@@ -2,7 +2,7 @@
 
 Walks one network through all three CNF encodings, compiles each to a
 decomposable NNF DAG, and then pulls the DAGs apart: statistics,
-structural property validation, conditioning, forgetting, max-min
+structural properties, conditioning, forgetting, max-min
 evaluation, and clause entailment against the compiled knowledge base.
 """
 
@@ -24,9 +24,9 @@ from posskc import (
     parse_network,
     pi_evaluate,
     serialize_base,
+    structural_properties,
     to_dimacs,
     to_possibilistic_base,
-    validate_properties,
     write_nnf,
 )
 
@@ -55,7 +55,7 @@ def main() -> None:
     for name, cnf in encodings.items():
         dag = compile_cnf(cnf)
         s = nnf_stats(dag)
-        props = validate_properties(dag)["structure"]
+        props = structural_properties(dag)
         tags = ",".join(k for k, v in props.items() if v)
         print(f"  {name:<30} {s['nodes']:>4} nodes {s['edges']:>4} edges  [{tags}]")
     print()

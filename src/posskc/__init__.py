@@ -55,7 +55,7 @@ from .nnf import (
     parse_nnf,
     pi_evaluate,
     smooth,
-    validate_properties,
+    structural_properties,
     write_nnf,
 )
 from .pkb import (

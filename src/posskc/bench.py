@@ -401,6 +401,8 @@ def cross_validate(
     """
     if max_vars < 2:
         raise ValueError(f"max_vars must be at least 2, got {max_vars}")
+    if nets < 1 or queries < 1:
+        raise ValueError(f"nets and queries must be at least 1, got {nets} and {queries}")
     seeder = SplitMix64(seed)
     mismatches: list[str] = []
     total = 0

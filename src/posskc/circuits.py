@@ -106,14 +106,13 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
 
 
 def indicator_weights(enc: PfEncoding, term: EventTerm) -> WeightMap:
-    """Per-query weights: an indicator weighs 1 when its value is
-    consistent with the conditioning term, 0 when the term excludes it."""
+    """Per-query weights: the parameter degrees, plus weight 0 on each
+    indicator the term excludes; the other indicators are unlisted, so
+    they weigh 1."""
     w: WeightMap = dict(enc.weight_map)
     for (var, val), vid in enc.indicators.items():
         if var in term and term[var] != val:
             w[vid] = ZERO
-        else:
-            w[vid] = ONE
     return w
 
 

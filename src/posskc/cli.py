@@ -27,7 +27,7 @@ from .errors import (
     SizeGuardError,
 )
 from .network import PossNetwork, conditional, oracle_conditional, parse_network
-from .nnf import nnf_stats, smooth, validate_properties, write_nnf
+from .nnf import nnf_stats, smooth, structural_properties, write_nnf
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -147,8 +147,7 @@ def _cmd_compile(args) -> int:
     if args.smooth:
         dag = smooth(dag)
     if args.assert_deterministic:
-        props = validate_properties(dag)
-        if not props["structure"]["deterministic"]:
+        if not structural_properties(dag)["deterministic"]:
             print("compiled DAG is not deterministic", file=sys.stderr)
             return EXIT_RUNTIME
     _write_out(args.output, write_nnf(dag))
@@ -183,14 +182,13 @@ def _cmd_bench(args) -> int:
     if not sizes or min(sizes) < 1:
         print("bench: give one or more sizes, each at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.output is None:
-        rows, _ = run_comparison(
-            sizes, per_size=args.per_size, seed=args.seed, out=sys.stdout
-        )
-    else:
-        rows, _ = run_comparison(
-            sizes, per_size=args.per_size, seed=args.seed, out=args.output
-        )
+    if args.per_size < 1:
+        print("bench: --per-size must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    rows, _ = run_comparison(
+        sizes, per_size=args.per_size, seed=args.seed, out=args.output or sys.stdout
+    )
+    if args.output:
         busted = sum(r.status != "ok" for r in rows)
         note = f" ({busted} over budget)" if busted else ""
         print(f"wrote {len(rows)} rows to {args.output}{note}")
@@ -200,6 +198,9 @@ def _cmd_bench(args) -> int:
 def _cmd_check(args) -> int:
     if args.max_vars < 2:
         print("check: --max-vars must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.nets < 1 or args.queries < 1:
+        print("check: --nets and --queries must each be at least 1", file=sys.stderr)
         return EXIT_USAGE
     report = cross_validate(
         nets=args.nets,

@@ -175,6 +175,4 @@ def compile_cnf(
             root = solve(start)
         finally:
             sys.setrecursionlimit(old_limit)
-    return builder.freeze(
-        root, f.num_vars, decomposable=True, deterministic=True, smooth=False
-    )
+    return builder.freeze(root, f.num_vars)

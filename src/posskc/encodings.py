@@ -3,7 +3,7 @@
 Binary variables collapse to a single proposition whose positive literal
 is the first domain value and whose negation is the second.  Variables
 with larger domains get one proposition per value plus hard exactly-one
-clauses; those families are also reported as groups for smoothing.
+clauses.
 """
 
 from __future__ import annotations
@@ -42,19 +42,14 @@ class InstanceMap:
             raise KeyError(f"unknown value {value!r} for {var}")
         return self._valued[(var, value)]
 
-    def groups(self) -> list[tuple[int, ...]]:
-        """Multi-valued families (variable ids), for grouped smoothing."""
-        out: list[tuple[int, ...]] = []
-        for v in self.net.variables:
-            if len(v.domain) > 2:
-                out.append(tuple(self._valued[(v.name, val)] for val in v.domain))
-        return out
-
     def exactly_one_clauses(self) -> list[list[int]]:
         """Hard clauses forcing one value per multi-valued variable."""
         out: list[list[int]] = []
-        for fam in self.groups():
-            out.append(list(fam))
+        for v in self.net.variables:
+            if len(v.domain) <= 2:
+                continue
+            fam = [self._valued[(v.name, val)] for val in v.domain]
+            out.append(fam)
             for i in range(len(fam)):
                 for j in range(i + 1, len(fam)):
                     out.append([-fam[i], -fam[j]])

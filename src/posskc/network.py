@@ -70,7 +70,6 @@ class PossNetwork:
             v.name: dict(cpt.get(v.name, {})) for v in self.variables
         }
         self._validate(name)
-        self.topo_order: tuple[str, ...] = self._topological_order()
 
     def variable(self, name: str) -> NetVariable:
         try:
@@ -154,21 +153,6 @@ class PossNetwork:
         if seen != len(self.variables):
             cyclic = sorted(n for n, d in indeg.items() if d > 0)
             raise NetworkValidationError(f"parent relation has a cycle through {cyclic}")
-
-    def _topological_order(self) -> tuple[str, ...]:
-        order: list[str] = []
-        placed: set[str] = set()
-        pending = list(self.var_names)
-        while pending:
-            rest = []
-            for n in pending:
-                if all(p in placed for p in self.parents[n]):
-                    order.append(n)
-                    placed.add(n)
-                else:
-                    rest.append(n)
-            pending = rest
-        return tuple(order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PossNetwork):

@@ -9,33 +9,25 @@ DAGs a literal weighing 0 conditions on its negation and an unlisted
 variable is forgotten, so consistency and clausal entailment are that pass
 too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query does.
 
-Three properties are tracked as flags and checkable from structure:
-decomposability (And children share no variables), determinism (every
-Or is a binary decision on one variable), and smoothness (Or children
-mention identical variable sets).
+There are three node kinds: literal, And and Or.  As in the c2d format,
+True is the empty And (``A 0``) and False the empty Or (``O 0 0``).  A DAG
+stores no property flags; ``structural_properties`` reads decomposability
+(And children share no variables), determinism (every Or is a binary
+decision on one variable) and smoothness (Or children mention identical
+variable sets) off the structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 from .degrees import Degree, SCALE, ZERO
-from .errors import FormatError, PosskcError
+from .errors import FormatError
 from .cnf import Clause
 
 WeightMap = Dict[int, Degree]
 """Literal -> Degree; literals not listed weigh 1 (True maps to 1, False to 0)."""
-
-
-@dataclass(frozen=True, slots=True)
-class TrueNode:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class FalseNode:
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +46,7 @@ class OrNode:
     decision: int | None = None
 
 
-Node = object
+Node = LitNode | AndNode | OrNode
 
 
 @dataclass(frozen=True)
@@ -69,17 +61,12 @@ class NnfDag:
     nodes: tuple[Node, ...]
     root: int
     num_vars: int
-    decomposable: bool = False
-    deterministic: bool = False
-    smooth: bool = False
 
     def node_count(self) -> int:
         return len(self.nodes)
 
     def edge_count(self) -> int:
-        return sum(
-            len(n.children) for n in self.nodes if isinstance(n, (AndNode, OrNode))
-        )
+        return sum(len(n.children) for n in self.nodes if not isinstance(n, LitNode))
 
 
 def nnf_stats(d: NnfDag) -> dict:
@@ -91,14 +78,16 @@ class NnfBuilder:
 
     Simplifications applied on construction: And drops True children and
     collapses on False; Or drops False children and collapses on True;
-    empty And is True, empty Or is False; single-child nodes collapse to
-    the child; duplicate children merge.  And children are kept sorted
-    so shared conjunctions intern to one node.
+    single-child nodes collapse to the child; duplicate children merge.
+    And children are kept sorted so shared conjunctions intern to one
+    node.  True and False are interned once, so a child is a constant
+    exactly when its id is one of theirs.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self._intern: dict = {}
+        self._true = self._false = -1
 
     @property
     def size(self) -> int:
@@ -113,10 +102,12 @@ class NnfBuilder:
         return idx
 
     def true(self) -> int:
-        return self._make(("T",), TrueNode())
+        self._true = self._make(("A", ()), AndNode(()))
+        return self._true
 
     def false(self) -> int:
-        return self._make(("F",), FalseNode())
+        self._false = self._make(("O", (), None), OrNode(()))
+        return self._false
 
     def literal(self, lit: int) -> int:
         if lit == 0:
@@ -126,11 +117,11 @@ class NnfBuilder:
     def conj(self, children: Iterable[int]) -> int:
         out: list[int] = []
         seen: set[int] = set()
+        true, false = self._true, self._false
         for c in children:
-            node = self.nodes[c]
-            if isinstance(node, TrueNode):
+            if c == true:
                 continue
-            if isinstance(node, FalseNode):
+            if c == false:
                 return self.false()
             if c not in seen:
                 seen.add(c)
@@ -145,11 +136,11 @@ class NnfBuilder:
     def disj(self, children: Iterable[int], decision: int | None = None) -> int:
         out: list[int] = []
         seen: set[int] = set()
+        true, false = self._true, self._false
         for c in children:
-            node = self.nodes[c]
-            if isinstance(node, FalseNode):
+            if c == false:
                 continue
-            if isinstance(node, TrueNode):
+            if c == true:
                 return self.true()
             if c not in seen:
                 seen.add(c)
@@ -162,20 +153,13 @@ class NnfBuilder:
         key = ("O", tuple(out), decision)
         return self._make(key, OrNode(tuple(out), decision))
 
-    def freeze(
-        self,
-        root: int,
-        num_vars: int,
-        decomposable: bool = False,
-        deterministic: bool = False,
-        smooth: bool = False,
-    ) -> NnfDag:
+    def freeze(self, root: int, num_vars: int) -> NnfDag:
         """Compact to the nodes reachable from root, preserving order."""
         reachable = {root}
         stack = [root]
         while stack:
             n = self.nodes[stack.pop()]
-            if isinstance(n, (AndNode, OrNode)):
+            if not isinstance(n, LitNode):
                 for c in n.children:
                     if c not in reachable:
                         reachable.add(c)
@@ -190,16 +174,14 @@ class NnfBuilder:
             elif isinstance(n, OrNode):
                 n = OrNode(tuple(remap[c] for c in n.children), n.decision)
             nodes.append(n)
-        return NnfDag(
-            tuple(nodes), remap[root], num_vars, decomposable, deterministic, smooth
-        )
+        return NnfDag(tuple(nodes), remap[root], num_vars)
 
 
 def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
     """Max-min evaluation: And is min, Or is max, leaves read the map.
 
-    Unlisted literals weigh 1, True weighs 1, False weighs 0; empty And
-    yields 1 and empty Or yields 0.  One bottom-up pass.
+    Unlisted literals weigh 1; the empty And (True) yields 1 and the
+    empty Or (False) yields 0.  One bottom-up pass.
     """
     weights = {lit: deg.num for lit, deg in w.items()}
     val = [0] * len(d.nodes)
@@ -208,12 +190,8 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
             val[i] = weights.get(n.lit, SCALE)
         elif isinstance(n, AndNode):
             val[i] = min((val[c] for c in n.children), default=SCALE)
-        elif isinstance(n, OrNode):
-            val[i] = max((val[c] for c in n.children), default=0)
-        elif isinstance(n, TrueNode):
-            val[i] = SCALE
         else:
-            val[i] = 0
+            val[i] = max((val[c] for c in n.children), default=0)
     return Degree(val[d.root])
 
 
@@ -225,8 +203,7 @@ def is_consistent(d: NnfDag) -> bool:
 def condition(d: NnfDag, term: Iterable[int]) -> NnfDag:
     """Replace each term literal by True and its negation by False.
 
-    Property flags carry over: conditioning preserves decomposability,
-    determinism, and smoothness.
+    Conditioning preserves decomposability, determinism and smoothness.
     """
     lits = set(term)
     for l in lits:
@@ -236,17 +213,14 @@ def condition(d: NnfDag, term: Iterable[int]) -> NnfDag:
     for l in lits:
         assign[l] = True
         assign[-l] = False
-    out = _rewrite(d, assign, drop_decisions=frozenset())
-    return NnfDag(
-        out.nodes, out.root, d.num_vars, d.decomposable, d.deterministic, d.smooth
-    )
+    return _rewrite(d, assign, drop_decisions=frozenset())
 
 
 def forget(d: NnfDag, variables: Iterable[int]) -> NnfDag:
     """Existentially quantify the variables: both literals become True.
 
     Valid on decomposable DAGs.  Decomposability and smoothness survive;
-    determinism does not in general, so its flag is cleared.
+    determinism does not in general.
     """
     vs = set(variables)
     if not vs:
@@ -255,19 +229,14 @@ def forget(d: NnfDag, variables: Iterable[int]) -> NnfDag:
     for v in vs:
         assign[v] = True
         assign[-v] = True
-    out = _rewrite(d, assign, drop_decisions=frozenset(vs))
-    return NnfDag(out.nodes, out.root, d.num_vars, d.decomposable, False, d.smooth)
+    return _rewrite(d, assign, drop_decisions=frozenset(vs))
 
 
 def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
     b = NnfBuilder()
     new_id = [0] * len(d.nodes)
     for i, n in enumerate(d.nodes):
-        if isinstance(n, TrueNode):
-            new_id[i] = b.true()
-        elif isinstance(n, FalseNode):
-            new_id[i] = b.false()
-        elif isinstance(n, LitNode):
+        if isinstance(n, LitNode):
             v = assign.get(n.lit)
             if v is None:
                 new_id[i] = b.literal(n.lit)
@@ -300,7 +269,7 @@ def node_var_sets(d: NnfDag) -> list[frozenset]:
     for i, n in enumerate(d.nodes):
         if isinstance(n, LitNode):
             out[i] = frozenset((abs(n.lit),))
-        elif isinstance(n, (AndNode, OrNode)):
+        else:
             acc: set = set()
             for c in n.children:
                 acc |= out[c]
@@ -323,7 +292,7 @@ def _top_literal_sets(d: NnfDag) -> list[frozenset]:
 
 
 def structural_properties(d: NnfDag) -> dict:
-    """Recompute the three properties from structure alone."""
+    """Decomposability, determinism and smoothness, read off the structure."""
     var_sets = node_var_sets(d)
     top_lits = _top_literal_sets(d)
     decomposable = True
@@ -356,121 +325,47 @@ def structural_properties(d: NnfDag) -> dict:
     return {"decomposable": decomposable, "deterministic": deterministic, "smooth": smooth}
 
 
-def validate_properties(d: NnfDag) -> dict:
-    """Report structural properties next to the stored flags.
-
-    Raises when a stored flag claims a property the structure does not
-    have; a structure exceeding its flags is fine (flags are conservative).
-    """
-    actual = structural_properties(d)
-    flags = {
-        "decomposable": d.decomposable,
-        "deterministic": d.deterministic,
-        "smooth": d.smooth,
-    }
-    for prop, claimed in flags.items():
-        if claimed and not actual[prop]:
-            raise PosskcError(f"flag claims {prop} but the structure is not")
-    return {"structure": actual, "flags": flags, "flags_match": actual == flags}
-
-
-def smooth(d: NnfDag, var_groups: Sequence[Iterable[int]] | None = None) -> NnfDag:
+def smooth(d: NnfDag) -> NnfDag:
     """Make every Or node's children mention the same variable set.
 
-    Missing variables are covered by tautology gadgets: a lone variable v
-    gets (v or not v); when an entire listed group is missing from a
-    child it gets the disjunction of the group's positive literals, which
-    is tautologous relative to the group's exactly-one constraint
-    (instance families).  Grouped gadgets are not binary decisions, so
-    determinism is kept only when no grouped gadget was needed.
+    Each child missing a variable v gains the gadget (v or not v), a binary
+    decision on v, so smoothing keeps decomposability and determinism.
     """
-    groups: dict[int, tuple[int, ...]] = {}
-    if var_groups:
-        for g in var_groups:
-            members = tuple(sorted(set(g)))
-            for v in members:
-                if v in groups:
-                    raise ValueError(f"variable {v} appears in two groups")
-                groups[v] = members
-
     b = NnfBuilder()
     new_id = [0] * len(d.nodes)
-    var_sets = node_var_sets(d)
-    used_group_gadget = False
-
-    def gadget(v: int, still_missing: set) -> tuple[int, frozenset]:
-        """Gadget covering v: the whole-family disjunction when the entire
-        family is missing (safe for var sets and decomposability), else
-        the exact tautology (v or not v)."""
-        nonlocal used_group_gadget
-        fam = groups.get(v)
-        if fam is not None and len(fam) > 1 and set(fam) <= still_missing:
-            used_group_gadget = True
-            gid = b.disj([b.literal(m) for m in fam])
-            return gid, frozenset(fam)
-        gid = b.disj([b.literal(v), b.literal(-v)], decision=v)
-        return gid, frozenset((v,))
-
     new_vars: list[frozenset] = [frozenset()] * len(d.nodes)
     for i, n in enumerate(d.nodes):
-        if isinstance(n, TrueNode):
-            new_id[i] = b.true()
-        elif isinstance(n, FalseNode):
-            new_id[i] = b.false()
-        elif isinstance(n, LitNode):
+        if isinstance(n, LitNode):
             new_id[i] = b.literal(n.lit)
             new_vars[i] = frozenset((abs(n.lit),))
-        elif isinstance(n, AndNode):
+            continue
+        target: set = set()
+        for c in n.children:
+            target |= new_vars[c]
+        if isinstance(n, AndNode):
             new_id[i] = b.conj([new_id[c] for c in n.children])
-            acc: set = set()
-            for c in n.children:
-                acc |= new_vars[c]
-            new_vars[i] = frozenset(acc)
         else:
-            target: set = set()
-            for c in n.children:
-                target |= new_vars[c]
             grown: list[int] = []
             for c in n.children:
-                still_missing = target - new_vars[c]
-                extras: list[int] = []
-                for v in sorted(target - new_vars[c]):
-                    if v not in still_missing:
-                        continue
-                    gid, gvars = gadget(v, still_missing)
-                    extras.append(gid)
-                    still_missing -= gvars
+                extras = [
+                    b.disj([b.literal(v), b.literal(-v)], decision=v)
+                    for v in sorted(target - new_vars[c])
+                ]
                 grown.append(b.conj([new_id[c], *extras]) if extras else new_id[c])
             new_id[i] = b.disj(grown, decision=n.decision)
-            new_vars[i] = frozenset(target)
-    out = b.freeze(new_id[d.root], d.num_vars)
-    return NnfDag(
-        out.nodes,
-        out.root,
-        d.num_vars,
-        d.decomposable,
-        d.deterministic and not used_group_gadget,
-        True,
-    )
+        new_vars[i] = frozenset(target)
+    return b.freeze(new_id[d.root], d.num_vars)
 
 
 def write_nnf(d: NnfDag) -> str:
     """Serialize in the c2d text layout: header then one node per line."""
     lines = [f"nnf {d.node_count()} {d.edge_count()} {d.num_vars}"]
     for n in d.nodes:
-        if isinstance(n, TrueNode):
-            lines.append("A 0")
-        elif isinstance(n, FalseNode):
-            lines.append("O 0 0")
-        elif isinstance(n, LitNode):
+        if isinstance(n, LitNode):
             lines.append(f"L {n.lit}")
-        elif isinstance(n, AndNode):
-            lines.append("A " + str(len(n.children)) + " " + " ".join(map(str, n.children)))
         else:
-            j = n.decision if n.decision is not None else 0
-            lines.append(
-                f"O {j} " + str(len(n.children)) + " " + " ".join(map(str, n.children))
-            )
+            head = "A" if isinstance(n, AndNode) else f"O {n.decision or 0}"
+            lines.append(" ".join([head, str(len(n.children)), *map(str, n.children)]))
     return "\n".join(lines) + "\n"
 
 
@@ -478,7 +373,7 @@ def parse_nnf(text: str) -> NnfDag:
     """Parse the c2d text layout; the last node is the root.
 
     Nodes are kept exactly as written (no simplification) so stats
-    round-trip; property flags are recomputed from structure.
+    round-trip.
     """
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("c")]
@@ -516,7 +411,7 @@ def parse_nnf(text: str) -> NnfDag:
                     raise FormatError(f"And child count mismatch: {line!r}", ln)
                 if any(not 0 <= k < idx for k in kids):
                     raise FormatError(f"And child out of range: {line!r}", ln)
-                nodes.append(TrueNode() if count == 0 else AndNode(kids))
+                nodes.append(AndNode(kids))
                 edges += count
                 continue
             if toks[0] == "O":
@@ -529,7 +424,7 @@ def parse_nnf(text: str) -> NnfDag:
                     raise FormatError(f"Or child out of range: {line!r}", ln)
                 if j and abs(j) > n_vars:
                     raise FormatError(f"decision variable {j} out of range", ln)
-                nodes.append(FalseNode() if count == 0 else OrNode(kids, j or None))
+                nodes.append(OrNode(kids, j or None))
                 edges += count
                 continue
         except FormatError:
@@ -539,13 +434,4 @@ def parse_nnf(text: str) -> NnfDag:
         raise FormatError(f"malformed NNF node line: {line!r}", ln)
     if edges != n_edges:
         raise FormatError(f"header declares {n_edges} edges, found {edges}")
-    d = NnfDag(tuple(nodes), len(nodes) - 1, n_vars)
-    actual = structural_properties(d)
-    return NnfDag(
-        tuple(nodes),
-        len(nodes) - 1,
-        n_vars,
-        actual["decomposable"],
-        actual["deterministic"],
-        actual["smooth"],
-    )
+    return NnfDag(tuple(nodes), len(nodes) - 1, n_vars)

@@ -80,16 +80,12 @@ def subcube_patterns(n: int):
 
 def dag_model_mask(dag, n_vars: int) -> int:
     """Model set of an NNF DAG as a bitmask, one bottom-up bigint pass."""
-    from posskc.nnf import AndNode, FalseNode, LitNode, OrNode, TrueNode
+    from posskc.nnf import AndNode, LitNode, OrNode
 
     full, pos = subcube_patterns(n_vars)
     val = [0] * len(dag.nodes)
     for i, node in enumerate(dag.nodes):
-        if isinstance(node, TrueNode):
-            val[i] = full
-        elif isinstance(node, FalseNode):
-            val[i] = 0
-        elif isinstance(node, LitNode):
+        if isinstance(node, LitNode):
             v = abs(node.lit)
             val[i] = pos[v] if node.lit > 0 else (full ^ pos[v])
         elif isinstance(node, AndNode):
@@ -120,15 +116,11 @@ def dag_model_set(dag, n_vars: int) -> set:
 
 
 def dag_satisfied_by(dag, assignment: dict) -> bool:
-    from posskc.nnf import AndNode, FalseNode, LitNode, OrNode, TrueNode
+    from posskc.nnf import AndNode, LitNode, OrNode
 
     val: list[bool] = [False] * len(dag.nodes)
     for i, node in enumerate(dag.nodes):
-        if isinstance(node, TrueNode):
-            val[i] = True
-        elif isinstance(node, FalseNode):
-            val[i] = False
-        elif isinstance(node, LitNode):
+        if isinstance(node, LitNode):
             val[i] = assignment[abs(node.lit)] == (node.lit > 0)
         elif isinstance(node, AndNode):
             val[i] = all(val[c] for c in node.children)
@@ -150,11 +142,11 @@ def clause_holds_on(models: set, clause: Clause, n_vars: int) -> bool:
 def boolean_consistent(dag) -> bool:
     """Satisfiability by a bottom-up and/or pass over booleans (valid on
     decomposable DAGs); independent of the max-min kernel."""
-    from posskc.nnf import AndNode, LitNode, OrNode, TrueNode
+    from posskc.nnf import AndNode, LitNode, OrNode
 
     sat = [False] * len(dag.nodes)
     for i, node in enumerate(dag.nodes):
-        if isinstance(node, (LitNode, TrueNode)):
+        if isinstance(node, LitNode):
             sat[i] = True
         elif isinstance(node, AndNode):
             sat[i] = all(sat[c] for c in node.children)

@@ -27,16 +27,14 @@ from posskc.logical import LogicalPipeline, encode_logical
 from posskc.network import chain_rule_joint, enumerate_worlds, oracle_conditional
 from posskc.nnf import (
     AndNode,
-    FalseNode,
     LitNode,
     NnfBuilder,
     OrNode,
-    TrueNode,
     condition,
     entails_clause,
     forget,
     pi_evaluate,
-    validate_properties,
+    structural_properties,
 )
 from posskc.pkb import PkbPipeline, encode_pkb, pi_sigma, to_possibilistic_base
 
@@ -208,8 +206,7 @@ def test_criterion_6_compiler_soundness(acceptance_log):
         f = random_cnf(rng, n, rng.randint(1, 2 * n))
         d = compile_cnf(f)
         model_ok += dag_model_mask(d, n) == _brute_model_mask(f)
-        props = validate_properties(d)
-        props_ok += props["structure"]["decomposable"]
+        props_ok += structural_properties(d)["decomposable"]
         if n <= 12:
             k = rng.randint(1, min(3, n))
             term = [
@@ -256,11 +253,7 @@ def test_criterion_6_compiler_soundness(acceptance_log):
 def _shifted_copy(builder, dag, shift):
     out = []
     for node in dag.nodes:
-        if isinstance(node, TrueNode):
-            out.append(builder.true())
-        elif isinstance(node, FalseNode):
-            out.append(builder.false())
-        elif isinstance(node, LitNode):
+        if isinstance(node, LitNode):
             lit = node.lit
             out.append(builder.literal(lit + shift if lit > 0 else lit - shift))
         elif isinstance(node, AndNode):

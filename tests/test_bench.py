@@ -260,3 +260,8 @@ class TestCrossValidate:
     def test_rejects_max_vars_below_two(self, max_vars):
         with pytest.raises(ValueError, match="max_vars must be at least 2"):
             cross_validate(nets=1, max_vars=max_vars)
+
+    @pytest.mark.parametrize("nets,queries", [(0, 5), (1, 0), (-2, 5)])
+    def test_rejects_no_nets_or_queries(self, nets, queries):
+        with pytest.raises(ValueError, match="nets and queries must be at least 1"):
+            cross_validate(nets=nets, queries=queries)

@@ -257,7 +257,14 @@ class TestBenchAndCheck:
 
     @pytest.mark.parametrize(
         "argv",
-        [("bench", "--sizes", "0"), ("bench", "--sizes", "0:2"), ("check", "--max-vars", "1")],
+        [
+            ("bench", "--sizes", "0"),
+            ("bench", "--sizes", "0:2"),
+            ("check", "--max-vars", "1"),
+            ("check", "--nets", "0"),
+            ("check", "--queries", "0"),
+            ("bench", "--sizes", "3", "--per-size", "0"),
+        ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -14,7 +14,6 @@ from posskc.nnf import (
     is_consistent,
     nnf_stats,
     structural_properties,
-    validate_properties,
     write_nnf,
 )
 
@@ -73,11 +72,8 @@ class TestStructure:
         for _ in range(40):
             n = rng.randint(1, 10)
             f = random_cnf(rng, n, rng.randint(0, 3 * n))
-            d = compile_cnf(f)
-            assert d.decomposable and d.deterministic and not d.smooth
-            props = structural_properties(d)
+            props = structural_properties(compile_cnf(f))
             assert props["decomposable"] and props["deterministic"]
-            validate_properties(d)
 
     def test_component_split_joins_under_and(self):
         """Two variable-disjoint subproblems meet only at the root And."""

@@ -5,7 +5,7 @@ import pytest
 from posskc.bench import GenConfig, random_network
 from posskc.circuits import PfEncoding, PfPipeline, encode_pf, indicator_weights
 from posskc.cnf import CnfFormula, Indicator, Parameter, cnf_stats
-from posskc.degrees import parse_degree
+from posskc.degrees import ONE, parse_degree
 from posskc.errors import QueryError, SizeGuardError
 from posskc.compiler import compile_cnf
 from posskc.network import (
@@ -141,10 +141,10 @@ class TestCircuit:
     def test_indicator_weights_respect_term(self, alarm):
         enc = encode_pf(alarm)
         w = indicator_weights(enc, {"F": "f1"})
-        assert w[enc.indicators[("F", "f1")]] == D("1")
-        assert w[enc.indicators[("F", "f2")]] == D("0")
-        assert w[enc.indicators[("B", "b1")]] == D("1")
-        assert w[enc.indicators[("B", "b2")]] == D("1")
+        assert w.get(enc.indicators[("F", "f1")], ONE) == D("1")
+        assert w.get(enc.indicators[("F", "f2")], ONE) == D("0")
+        assert w.get(enc.indicators[("B", "b1")], ONE) == D("1")
+        assert w.get(enc.indicators[("B", "b2")], ONE) == D("1")
 
     def test_circuit_possibility_equals_chain_rule_on_worlds(self, alarm):
         p = PfPipeline(alarm)

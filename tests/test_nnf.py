@@ -10,7 +10,7 @@ import pytest
 from posskc.cnf import Clause, CnfFormula
 from posskc.compiler import compile_cnf
 from posskc.degrees import Degree, ONE, ZERO, parse_degree
-from posskc.errors import FormatError, PosskcError
+from posskc.errors import FormatError
 from posskc.nnf import (
     AndNode,
     LitNode,
@@ -25,7 +25,6 @@ from posskc.nnf import (
     pi_evaluate,
     smooth,
     structural_properties,
-    validate_properties,
     write_nnf,
 )
 
@@ -200,12 +199,10 @@ class TestConditionForget:
         f.add_clause([1, 2, 3])
         f.add_clause([-2, 4])
         d = compile_cnf(f)
-        c = condition(d, [1])
-        assert c.decomposable and c.deterministic
-        validate_properties(c)
-        g = forget(d, [2])
-        assert g.decomposable and not g.deterministic
-        validate_properties(g)
+        c = structural_properties(condition(d, [1]))
+        assert c["decomposable"] and c["deterministic"]
+        g = structural_properties(forget(d, [2]))
+        assert g["decomposable"] and not g["deterministic"]
 
 
 class TestEntailment:
@@ -245,8 +242,8 @@ class TestSmooth:
         f.add_clause([1, 2])
         d = compile_cnf(f)
         s = smooth(d)
-        assert structural_properties(s)["smooth"]
-        assert s.smooth and s.decomposable
+        props = structural_properties(s)
+        assert props["smooth"] and props["decomposable"]
         assert dag_model_set(s, 2) == dag_model_set(d, 2)
 
     def test_singleton_smoothing_keeps_determinism(self):
@@ -258,8 +255,7 @@ class TestSmooth:
             s = smooth(d)
             props = structural_properties(s)
             assert props["smooth"] and props["decomposable"]
-            assert s.deterministic == d.deterministic
-            validate_properties(s)
+            assert props["deterministic"] == structural_properties(d)["deterministic"]
             assert dag_model_set(s, n) == dag_model_set(d, n)
 
     def test_already_smooth_unchanged(self):
@@ -269,26 +265,6 @@ class TestSmooth:
         s1 = smooth(compile_cnf(f))
         s2 = smooth(s1)
         assert nnf_stats(s2) == nnf_stats(s1)
-
-    def test_group_gadget(self):
-        """Exactly-one family: smoothing with the family group keeps every
-        model that satisfies the family constraint and adds none."""
-        f = CnfFormula()
-        for _ in range(4):
-            f.new_var()
-        f.add_clause([1, 2, 3])
-        f.add_clause([-1, -2])
-        f.add_clause([-1, -3])
-        f.add_clause([-2, -3])
-        f.add_clause([-1, 4])
-        d = compile_cnf(f)
-        s = smooth(d, var_groups=[[1, 2, 3]])
-        assert structural_properties(s)["smooth"]
-        assert structural_properties(s)["decomposable"]
-        before = dag_model_set(d, 4)
-        after = dag_model_set(s, 4)
-        assert after <= before
-        assert {m for m in before if sum(m[:3]) == 1} <= after
 
 
 class TestSerialization:
@@ -302,14 +278,29 @@ class TestSerialization:
             g = parse_nnf(text)
             assert nnf_stats(g) == nnf_stats(d)
             assert dag_model_set(g, n) == dag_model_set(d, n)
-            assert g.decomposable and g.deterministic
+            props = structural_properties(g)
+            assert props["decomposable"] and props["deterministic"]
             assert write_nnf(g) == text
 
-    def test_true_dag(self):
+    @pytest.mark.parametrize(
+        "const,line,value",
+        [("true", "A 0", ONE), ("false", "O 0 0", ZERO)],
+        ids=["true", "false"],
+    )
+    def test_constant_dag(self, const, line, value):
+        """True is the empty And and False the empty Or: they round-trip
+        as c2d writes them, evaluate to 1 and 0, and every transform
+        keeps them."""
         b = NnfBuilder()
-        d = b.freeze(b.true(), num_vars=0)
+        d = b.freeze(getattr(b, const)(), num_vars=2)
+        text = f"nnf 1 0 2\n{line}\n"
         assert nnf_stats(d) == {"nodes": 1, "edges": 0}
-        assert write_nnf(d) == "nnf 1 0 0\nA 0\n"
+        assert write_nnf(d) == text
+        assert write_nnf(parse_nnf(text)) == text
+        assert pi_evaluate(d, {}) == value
+        assert is_consistent(d) == (value == ONE)
+        for g in (condition(d, [1, -2]), forget(d, [1]), smooth(d)):
+            assert write_nnf(g) == text
 
     def test_parse_errors(self):
         with pytest.raises(FormatError):
@@ -329,19 +320,13 @@ class TestValidateProperties:
         f = CnfFormula()
         f.new_var(), f.new_var()
         f.add_clause([1, 2])
-        report = validate_properties(compile_cnf(f))
-        assert report["structure"]["decomposable"]
-        assert report["structure"]["deterministic"]
+        props = structural_properties(compile_cnf(f))
+        assert props["decomposable"]
+        assert props["deterministic"]
 
-    def test_unsound_flag_raises(self):
-        bad = NnfDag(
-            nodes=(LitNode(1), LitNode(-1), AndNode((0, 1))),
-            root=2,
-            num_vars=1,
-            decomposable=True,
-        )
-        with pytest.raises(PosskcError):
-            validate_properties(bad)
+    def test_shared_variable_not_decomposable(self):
+        d = NnfDag(nodes=(LitNode(1), LitNode(-1), AndNode((0, 1))), root=2, num_vars=1)
+        assert not structural_properties(d)["decomposable"]
 
     def test_or_without_decision_not_deterministic(self):
         b = NnfBuilder()
