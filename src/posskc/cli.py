@@ -185,10 +185,10 @@ def _cmd_bench(args) -> int:
     if args.per_size < 1:
         print("bench: --per-size must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    rows, _ = run_comparison(
-        sizes, per_size=args.per_size, seed=args.seed, out=args.output or sys.stdout
-    )
-    if args.output:
+    to_file = args.output not in (None, "-")
+    out = args.output if to_file else sys.stdout
+    rows, _ = run_comparison(sizes, per_size=args.per_size, seed=args.seed, out=out)
+    if to_file:
         busted = sum(r.status != "ok" for r in rows)
         note = f" ({busted} over budget)" if busted else ""
         print(f"wrote {len(rows)} rows to {args.output}{note}")

@@ -11,7 +11,7 @@ negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .degrees import Degree, parse_degree
@@ -28,9 +28,6 @@ class Instance:
     var: str
     value: str
 
-    def label(self) -> str:
-        return f"{self.var}={self.value}"
-
 
 @dataclass(frozen=True)
 class Indicator:
@@ -39,24 +36,18 @@ class Indicator:
     var: str
     value: str
 
-    def label(self) -> str:
-        return f"lambda[{self.var}={self.value}]"
-
 
 @dataclass(frozen=True)
 class Parameter:
     """Weighted parameter carrying a possibility degree into the encoding.
 
     ``owner`` scopes the sharing: a network-variable name when parameters
-    are shared per distribution, an entry key when one parameter stands
-    for a single table entry, or ``*`` when shared across the network.
+    are shared per distribution, or an entry key when one parameter
+    stands for a single table entry.
     """
 
     owner: str
     degree: Degree
-
-    def label(self) -> str:
-        return f"theta[{self.owner}:{self.degree}]"
 
 
 @dataclass(frozen=True)
@@ -66,9 +57,6 @@ class Level:
     rank: int
     weight: Degree
 
-    def label(self) -> str:
-        return f"A{self.rank}"
-
 
 Role = Union[Instance, Indicator, Parameter, Level]
 
@@ -77,9 +65,6 @@ Role = Union[Instance, Indicator, Parameter, Level]
 class PropVariable:
     id: int
     role: Role | None = None
-
-    def label(self) -> str:
-        return self.role.label() if self.role is not None else f"v{self.id}"
 
 
 @dataclass(frozen=True)
@@ -102,9 +87,6 @@ class Clause:
     def is_tautology(self) -> bool:
         seen = set(self.literals)
         return any(-l in seen for l in self.literals)
-
-    def variables(self) -> set[int]:
-        return {abs(l) for l in self.literals}
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals)
@@ -174,14 +156,6 @@ class CnfFormula:
 
 def cnf_stats(f: CnfFormula) -> dict:
     return {"vars": f.num_vars, "clauses": f.num_clauses}
-
-
-def satisfies_clause(clause: Clause, interp: Interpretation) -> bool:
-    return any(interp[abs(l)] == (l > 0) for l in clause)
-
-
-def satisfies(f: CnfFormula, interp: Interpretation) -> bool:
-    return all(satisfies_clause(c, interp) for c in f.clauses)
 
 
 def model_mask(f: CnfFormula) -> int:

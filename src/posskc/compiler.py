@@ -120,7 +120,7 @@ def compile_cnf(
         groups: dict[int, list] = {}
         for c in clauses:
             groups.setdefault(find(abs(c[0])), []).append(c)
-        return [tuple(sorted(set(g))) for _, g in sorted(groups.items())]
+        return [tuple(g) for _, g in sorted(groups.items())]
 
     def solve(clauses: ClauseSet) -> int:
         check_budget()

@@ -3,44 +3,42 @@
 Binary variables collapse to a single proposition whose positive literal
 is the first domain value and whose negation is the second.  Variables
 with larger domains get one proposition per value plus hard exactly-one
-clauses.
+clauses.  The knowledge-base CNF, which the logical method also
+compiles, registers these propositions first, so their ids are the
+map's.
 """
 
 from __future__ import annotations
 
-from .cnf import CnfFormula, Instance
+from .cnf import Instance
 from .network import PossNetwork
 
 
 class InstanceMap:
-    """Registers instance propositions for a network into a formula.
+    """Instance proposition ids for a network.
 
-    Registration order is deterministic (declaration order, domain
-    order), so two maps built over the same network assign identical ids.
+    Ids run 1.. in declaration order, then domain order; ``roles`` lists
+    the proposition roles in id order, for a formula to register first.
     """
 
-    def __init__(self, net: PossNetwork, f: CnfFormula):
+    def __init__(self, net: PossNetwork):
         self.net = net
-        self._binary: dict[str, int] = {}
-        self._valued: dict[tuple[str, str], int] = {}
+        self.roles: list[Instance] = []
+        self._literal: dict[tuple[str, str], int] = {}
         for v in net.variables:
             if len(v.domain) == 2:
-                self._binary[v.name] = f.new_var(Instance(v.name, v.domain[0]))
+                self.roles.append(Instance(v.name, v.domain[0]))
+                vid = len(self.roles)
+                self._literal[(v.name, v.domain[0])] = vid
+                self._literal[(v.name, v.domain[1])] = -vid
             else:
                 for val in v.domain:
-                    self._valued[(v.name, val)] = f.new_var(Instance(v.name, val))
+                    self.roles.append(Instance(v.name, val))
+                    self._literal[(v.name, val)] = len(self.roles)
 
     def literal(self, var: str, value: str) -> int:
-        """Signed literal asserting var = value."""
-        vid = self._binary.get(var)
-        if vid is not None:
-            domain = self.net.domain_of(var)
-            if value == domain[0]:
-                return vid
-            if value == domain[1]:
-                return -vid
-            raise KeyError(f"unknown value {value!r} for {var}")
-        return self._valued[(var, value)]
+        """Signed literal asserting var = value; KeyError if unknown."""
+        return self._literal[(var, value)]
 
     def exactly_one_clauses(self) -> list[list[int]]:
         """Hard clauses forcing one value per multi-valued variable."""
@@ -48,7 +46,7 @@ class InstanceMap:
         for v in self.net.variables:
             if len(v.domain) <= 2:
                 continue
-            fam = [self._valued[(v.name, val)] for val in v.domain]
+            fam = [self._literal[(v.name, val)] for val in v.domain]
             out.append(fam)
             for i in range(len(fam)):
                 for j in range(i + 1, len(fam)):
@@ -56,7 +54,7 @@ class InstanceMap:
         return out
 
     def all_vars(self) -> frozenset:
-        return frozenset(self._binary.values()) | frozenset(self._valued.values())
+        return frozenset(range(1, len(self.roles) + 1))
 
     def term_literals(self, term) -> list[int]:
         """Instance literals asserting an event term, sorted for stability."""

@@ -1,35 +1,33 @@
 """Pipeline 2: logical encoding explored by one max-min pass.
 
-The network becomes a CNF over instance propositions and one global
-parameter proposition theta_d per distinct degree d strictly between 0
-and 1.  It is read off the network's possibilistic base: each weighted
-clause of weight w below 1 (a table entry of degree d = 1 - w, written
-not u1 or ... or not um or not x) gains theta_d, hard clauses (degree-0
-entries) pass through, and degree-1 entries contribute nothing.  So the
-logical CNF is the knowledge-base CNF with each level variable of weight
-w renamed to theta_{1-w}.  After compiling once, Pi(term) is the paper's
-condition / forget / evaluate, done as one ``pi_evaluate`` pass over the
-compiled DAG: each theta_d weighs d, each negated term literal weighs 0
-(conditioning), and every other instance literal weighs 1 (forgetting).
+The logical CNF is the knowledge-base CNF of ``pkb``: instance
+propositions plus one level variable A_i per distinct weight w_i strictly
+between 0 and 1, disjoined with every weighted clause of that weight.
+This method reads A_i as the paper's global parameter theta_{1-w_i}.
+After compiling once, Pi(term) is the paper's condition / forget /
+evaluate, done as one ``pi_evaluate`` pass over the compiled DAG: each
+A_i weighs 1 - w_i, each negated term literal weighs 0 (conditioning),
+and every other instance literal weighs 1 (forgetting).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import CnfFormula, Parameter
+from .cnf import CnfFormula
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import ZERO, Degree, complement
 from .encodings import InstanceMap
 from .network import EventTerm, PossNetwork, check_event, conditional
 # condition, forget: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, WeightMap, condition, forget, pi_evaluate
-from .pkb import tagged_cnf, to_possibilistic_base
+from .pkb import encode_pkb, level_vars, to_possibilistic_base
 
 
 @dataclass
 class LogicalEncoding:
-    """Instance/parameter CNF with the degree map for its parameters."""
+    """The knowledge-base CNF with the degree 1 - w of each level
+    variable of weight w."""
 
     cnf: CnfFormula
     imap: InstanceMap
@@ -37,12 +35,11 @@ class LogicalEncoding:
 
 
 def encode_logical(net: PossNetwork) -> LogicalEncoding:
-    """Build the logical CNF; parameter ids run by descending degree."""
+    """Build the knowledge-base CNF and weigh its level variables."""
     base = to_possibilistic_base(net)
-    thetas = [(w, Parameter("*", complement(w))) for w in reversed(base.levels)]
-    f, imap, theta = tagged_cnf(base, thetas)
-    weights: WeightMap = {theta[w]: p.degree for w, p in thetas}
-    return LogicalEncoding(f, imap, weights)
+    cnf = encode_pkb(base)
+    weights: WeightMap = {vid: complement(w) for vid, w in level_vars(cnf)}
+    return LogicalEncoding(cnf, base.imap, weights)
 
 
 def explore(compiled: NnfDag, enc: LogicalEncoding, term: EventTerm) -> Degree:

@@ -4,9 +4,11 @@ Every table entry with degree below 1 becomes a weighted clause (negate
 the entry's value and its parent values) whose weight is one minus the
 degree; the resulting base induces the same joint distribution as the
 network.  The base compiles to CNF by tagging each weighted clause with
-a level variable shared by all clauses of equal weight, and queries run
-level by level on the compiled DAG: activate strata from the strongest
-down, and stop when the evidence plus active strata refute the target.
+a level variable shared by all clauses of equal weight (the logical
+method compiles this same CNF and weighs its level variables instead),
+and queries run level by level on the compiled DAG: activate strata
+from the strongest down, and stop when the evidence plus active strata
+refute the target.
 Each step is one entailment pass over the compiled DAG, with the active
 level variables added to the checked clause; the DAG is never rebuilt.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cnf import Clause, CnfFormula, Level, Role
+from .cnf import Clause, CnfFormula, Level
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, ONE, ZERO, complement, parse_degree
 from .encodings import InstanceMap
@@ -61,8 +63,7 @@ class PossibilisticBase:
 
 def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
     """Transform a network into its equivalent possibilistic base."""
-    skeleton = CnfFormula()
-    imap = InstanceMap(net, skeleton)
+    imap = InstanceMap(net)
     formulas: list[WeightedFormula] = []
     for v in net.variables:
         pnames = net.parents[v.name]
@@ -94,32 +95,29 @@ def pi_sigma(base: PossibilisticBase, w: World) -> Degree:
     return ONE if worst is None else complement(worst)
 
 
-def tagged_cnf(
-    base: PossibilisticBase, tags: list[tuple[Degree, Role]]
-) -> tuple[CnfFormula, InstanceMap, dict[Degree, int]]:
-    """The base as CNF: instance variables, then one tag variable per
-    ``(weight, role)`` of ``tags`` in that order; each weighted clause is
-    disjoined with its weight's tag variable, hard clauses pass through,
-    exactly-one clauses append as hard ones.  Returns the formula, its
-    instance map and the weight -> tag id map."""
+def encode_pkb(base: PossibilisticBase) -> CnfFormula:
+    """Level-variable CNF of the base: the instance propositions, then one
+    level variable per distinct sub-1 weight, ranked by descending weight.
+    Each weighted clause is disjoined with its weight's level variable,
+    hard clauses pass through, and exactly-one clauses append as hard
+    ones."""
     f = CnfFormula()
-    imap = InstanceMap(base.imap.net, f)
-    tag = {weight: f.new_var(role) for weight, role in tags}
+    for role in base.imap.roles:
+        f.new_var(role)
+    level = {w: f.new_var(Level(rank, w)) for rank, w in enumerate(base.levels, start=1)}
     for wf in base.formulas:
         if wf.weight == ONE:
             f.add_clause(wf.clause)
         else:
-            f.add_clause([*wf.clause.literals, tag[wf.weight]])
-    for c in imap.exactly_one_clauses():
+            f.add_clause([*wf.clause.literals, level[wf.weight]])
+    for c in base.imap.exactly_one_clauses():
         f.add_clause(c)
-    return f, imap, tag
+    return f
 
 
-def encode_pkb(base: PossibilisticBase) -> CnfFormula:
-    """Level-variable CNF of the base: one level variable per distinct
-    sub-1 weight, ranked by descending weight."""
-    levels = [(w, Level(rank, w)) for rank, w in enumerate(base.levels, start=1)]
-    return tagged_cnf(base, levels)[0]
+def level_vars(cnf: CnfFormula) -> tuple[tuple[int, Degree], ...]:
+    """(id, weight) of each level variable of ``cnf``, in rank order."""
+    return tuple((v.id, v.role.weight) for v in cnf.variables if isinstance(v.role, Level))
 
 
 def serialize_base(base: PossibilisticBase) -> str:
@@ -149,8 +147,7 @@ def serialize_base(base: PossibilisticBase) -> str:
 
 def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
     """Parse the base serialization against a known network."""
-    skeleton = CnfFormula()
-    imap = InstanceMap(net, skeleton)
+    imap = InstanceMap(net)
     formulas: list[WeightedFormula] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,12 +187,7 @@ class PkbPipeline:
         self.base = to_possibilistic_base(net)
         self.cnf = encode_pkb(self.base)
         self.dag = compile_cnf(self.cnf, node_budget=node_budget)
-        by_weight = {
-            v.role.weight: v.id for v in self.cnf.variables if isinstance(v.role, Level)
-        }
-        self.level_vars: tuple[tuple[int, Degree], ...] = tuple(
-            (by_weight[w], w) for w in self.base.levels
-        )
+        self.level_vars = level_vars(self.cnf)
         self.imap = self.base.imap
 
     def query_detail(self, x: EventTerm, e: EventTerm) -> tuple[Degree, int]:

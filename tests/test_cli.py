@@ -150,6 +150,12 @@ class TestEncodeAndCompile:
         assert code == EXIT_OK
         assert "p cnf 7 6" in out
 
+    def test_logical_and_pkb_write_the_same_cnf(self, capsys):
+        code, logical, _ = run(capsys, "encode", ALARM, "--method", "logical")
+        assert code == EXIT_OK
+        assert logical == run(capsys, "encode", ALARM, "--method", "pkb")[1]
+        assert "c var 4 level 1 0.8" in logical
+
     def test_encode_pf_modes_differ(self, capsys, tmp_path):
         local = tmp_path / "local.cnf"
         plain = tmp_path / "plain.cnf"
@@ -249,6 +255,14 @@ class TestBenchAndCheck:
         code, stdout, _ = run(capsys, "bench", "--sizes", "3", "--per-size", "1")
         assert code == EXIT_OK
         assert stdout.startswith("# posskc comparison sweep")
+
+    def test_bench_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run(capsys, "bench", "--sizes", "3", "--per-size", "1", "-o", "-")
+        assert code == EXIT_OK
+        assert stdout.startswith("# posskc comparison sweep")
+        assert "wrote" not in stdout
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "9:3")

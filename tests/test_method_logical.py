@@ -3,7 +3,7 @@
 import pytest
 
 from posskc.bench import GenConfig, random_network
-from posskc.cnf import Clause, Instance, Level, Parameter, cnf_stats
+from posskc.cnf import Clause, Instance, Level, cnf_stats
 from posskc.compiler import compile_cnf
 from posskc.degrees import SCALE, Degree, complement, parse_degree
 from posskc.errors import QueryError
@@ -43,9 +43,9 @@ class TestEncodeLogical:
         enc = encode_logical(alarm)
         roles = [v.role for v in enc.cnf.variables]
         assert sum(isinstance(r, Instance) for r in roles) == 3
-        thetas = [r for r in roles if isinstance(r, Parameter)]
-        assert [t.degree for t in thetas] == [D("0.8"), D("0.7"), D("0.4"), D("0.2")]
-        assert all(t.owner == "*" for t in thetas)
+        levels = [r for r in roles if isinstance(r, Level)]
+        assert len(levels) == len(roles) - 3
+        assert [complement(l.weight) for l in levels] == [D("0.2"), D("0.4"), D("0.7"), D("0.8")]
 
     def test_imap_vars_are_the_instance_layer(self, alarm):
         # explore forgets exactly these by leaving them out of the weight map
@@ -57,19 +57,25 @@ class TestEncodeLogical:
         assert not inst_ids & {abs(l) for l in enc.theta_weights}
 
     def test_theta_weights_map_parameter_ids(self, alarm):
+        # the weight map covers exactly the level variables, each at 1 - w
         enc = encode_logical(alarm)
+        level_ids = {v.id for v in enc.cnf.variables if isinstance(v.role, Level)}
+        assert set(enc.theta_weights) == level_ids
         for vid, d in enc.theta_weights.items():
-            role = enc.cnf.var(vid).role
-            assert isinstance(role, Parameter)
-            assert role.degree == d
+            assert d == complement(enc.cnf.var(vid).role.weight)
 
     def test_parameters_shared_across_tables(self, alarm):
-        # degree 0.4 appears in both B's and D's tables but yields one theta
+        # degree 0.4 appears in both B's and D's tables but yields one level
+        # variable, which tags B's clause (over B alone) and D's (over F, B, D)
         enc = encode_logical(alarm)
-        thetas = [
-            v.role for v in enc.cnf.variables if isinstance(v.role, Parameter)
-        ]
-        assert len(thetas) == len({t.degree for t in thetas}) == 4
+        levels = [v.role for v in enc.cnf.variables if isinstance(v.role, Level)]
+        assert len(levels) == len({l.weight for l in levels}) == 4
+        (a,) = [vid for vid, d in enc.theta_weights.items() if d == D("0.4")]
+        scopes = sorted(
+            sorted(abs(l) for l in c if l != a) for c in enc.cnf.clauses if a in c.literals
+        )
+        f, b, d = (abs(enc.imap.literal(*x)) for x in (("F", "f1"), ("B", "b1"), ("D", "d1")))
+        assert scopes == sorted([[b], sorted([f, b, d])])
 
     def test_uniform_single_binary_root(self):
         net = parse_network("network u\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 1")
@@ -193,9 +199,8 @@ class TestSizeParity:
         assert got["clauses"] < base["clauses"]
 
     def test_same_formula_as_base_encoding_up_to_renaming(self, alarm):
-        """The logical CNF is the base CNF with each level variable of
-        weight w renamed to theta_{1-w}: same instance variables, same
-        clauses in the same order."""
+        """The logical CNF is the base CNF itself: the theta of degree d is
+        the level variable of weight 1 - d."""
         coarse = frozenset(Degree(k * SCALE // 10) for k in range(1, 10))
         nets = [alarm] + small_nets(12, 9, seed=401) + small_nets(
             8, 6, seed=409, binary_only=False
@@ -205,22 +210,6 @@ class TestSizeParity:
                 n_nodes=3 + i, seed=419 + i, binary_only=i % 2 == 0, degree_pool=coarse
             )
             nets.append(random_network(cfg))
+        assert len(nets) == 29
         for net in nets:
-            logical = encode_logical(net).cnf
-            kb = encode_pkb(to_possibilistic_base(net))
-            level_of = {
-                v.role.weight: v.id for v in kb.variables if isinstance(v.role, Level)
-            }
-            rename = {}
-            for v in logical.variables:
-                if isinstance(v.role, Parameter):
-                    rename[v.id] = level_of[complement(v.role.degree)]
-                else:
-                    assert kb.var(v.id).role == v.role
-                    rename[v.id] = v.id
-            assert len(rename) == kb.num_vars
-            renamed = [
-                Clause(rename[abs(l)] * (1 if l > 0 else -1) for l in c)
-                for c in logical.clauses
-            ]
-            assert renamed == list(kb.clauses)
+            assert encode_logical(net).cnf == encode_pkb(to_possibilistic_base(net))

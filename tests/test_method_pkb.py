@@ -259,8 +259,16 @@ class TestBaseSerialization:
             parse_base("F=f2 : high", alarm)
 
     def test_parse_rejects_unknown_literal(self, alarm):
-        with pytest.raises(FormatError):
-            parse_base("Q=q1 : 0.5", alarm)
+        multi = parse_network("network m\nvar X a b c\ncpt X\na : 1\nb : 0.5\nc : 0.5")
+        for text, net in [
+            ("Q=q1 : 0.5", alarm),
+            ("F=f9 : 0.5", alarm),
+            ("!F=f9 : 0.5", alarm),
+            ("X=d : 0.5", multi),
+            ("!X=d : 0.5", multi),
+        ]:
+            with pytest.raises(FormatError):
+                parse_base(text, net)
 
     def test_parse_rejects_zero_weight(self, alarm):
         with pytest.raises(FormatError):
