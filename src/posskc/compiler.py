@@ -11,6 +11,11 @@ clauses, ties broken by smallest variable id, which keeps runs fully
 deterministic.  Output DAGs are decomposable and deterministic by
 construction (every Or is a binary decision node).
 
+The search runs without recursion: each subproblem is a generator that
+yields its child clause sets and receives their node ids, and one loop
+drives an explicit stack of them, so compilation depth is bounded by
+memory, not by the interpreter's recursion limit.
+
 Resource discipline: when the node pool would exceed the configured
 budget the run fails loudly with CompileBudgetError; a wrong or
 truncated DAG is never returned.  The subproblem cache is cleared when
@@ -19,7 +24,6 @@ it exceeds its entry cap, which affects speed only.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 from .cnf import CnfFormula
@@ -122,57 +126,59 @@ def compile_cnf(
             groups.setdefault(find(abs(c[0])), []).append(c)
         return [tuple(g) for _, g in sorted(groups.items())]
 
-    def solve(clauses: ClauseSet) -> int:
-        check_budget()
-        hit = cache.get(clauses)
-        if hit is not None:
-            return hit
+    def solve(clauses: ClauseSet):
+        """One subproblem: yields each child clause set, receives its node
+        id, and returns the subproblem's node id."""
         prop = propagate(clauses)
         if prop is None:
-            result = builder.false()
-            cache[clauses] = result
-            return result
+            return builder.false()
         implied, residual = prop
         lit_ids = [builder.literal(l) for l in implied]
         if not residual:
-            result = builder.conj(lit_ids)
-        else:
-            comps = components(residual)
-            if len(comps) > 1:
-                parts = [solve(comp) for comp in comps]
-                result = builder.conj(lit_ids + parts)
-            else:
-                counts: Counter = Counter()
-                for c in residual:
-                    for l in c:
-                        counts[abs(l)] += 1
-                best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-                pos = solve(condition_set(residual, best))
-                neg = solve(condition_set(residual, -best))
-                node = builder.disj(
-                    [
-                        builder.conj([builder.literal(best), pos]),
-                        builder.conj([builder.literal(-best), neg]),
-                    ],
-                    decision=best,
-                )
-                result = builder.conj(lit_ids + [node])
-        if len(cache) >= cache_cap:
-            cache.clear()
-        cache[clauses] = result
-        check_budget()
-        return result
+            return builder.conj(lit_ids)
+        comps = components(residual)
+        if len(comps) > 1:
+            parts = []
+            for comp in comps:
+                parts.append((yield comp))
+            return builder.conj(lit_ids + parts)
+        counts: Counter = Counter()
+        for c in residual:
+            for l in c:
+                counts[abs(l)] += 1
+        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        pos = yield condition_set(residual, best)
+        neg = yield condition_set(residual, -best)
+        node = builder.disj(
+            [
+                builder.conj([builder.literal(best), pos]),
+                builder.conj([builder.literal(-best), neg]),
+            ],
+            decision=best,
+        )
+        return builder.conj(lit_ids + [node])
 
     start = tuple(sorted({c.literals for c in f.clauses}))
     if any(len(c) == 0 for c in start):
-        root = builder.false()
-    else:
-        old_limit = sys.getrecursionlimit()
-        need = 4 * f.num_vars + 1000
+        return builder.freeze(builder.false(), f.num_vars)
+    # reply carries a finished subproblem's id to its parent, and the
+    # root's id once the stack is empty.
+    check_budget()
+    stack = [(start, solve(start))]
+    reply = None
+    while stack:
+        clauses, task = stack[-1]
         try:
-            if old_limit < need:
-                sys.setrecursionlimit(need)
-            root = solve(start)
-        finally:
-            sys.setrecursionlimit(old_limit)
-    return builder.freeze(root, f.num_vars)
+            child = task.send(reply)
+        except StopIteration as done:
+            stack.pop()
+            if len(cache) >= cache_cap:
+                cache.clear()
+            cache[clauses] = reply = done.value
+            check_budget()
+            continue
+        check_budget()
+        reply = cache.get(child)
+        if reply is None:
+            stack.append((child, solve(child)))
+    return builder.freeze(reply, f.num_vars)

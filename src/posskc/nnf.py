@@ -9,12 +9,16 @@ DAGs a literal weighing 0 conditions on its negation and an unlisted
 variable is forgotten, so consistency and clausal entailment are that pass
 too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query does.
 
-There are three node kinds: literal, And and Or.  As in the c2d format,
-True is the empty And (``A 0``) and False the empty Or (``O 0 0``).  A DAG
-stores no property flags; ``structural_properties`` reads decomposability
-(And children share no variables), determinism (every Or is a binary
-decision on one variable) and smoothness (Or children mention identical
-variable sets) off the structure.
+Each node is the tuple of its c2d line, ``(op, arg, children)``:
+``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
+``("O", decision, kids)`` for an Or, with decision 0 for none.  The
+builder interns these tuples as they are, and ``write_nnf``/``parse_nnf``
+print and read them field by field.  As in c2d, True is the empty And
+(``A 0``) and False the empty Or (``O 0 0``).  A DAG stores no property
+flags; ``structural_properties`` reads decomposability (And children
+share no variables), determinism (every Or is a binary decision on one
+variable) and smoothness (Or children mention identical variable sets)
+off the structure.
 """
 
 from __future__ import annotations
@@ -30,23 +34,7 @@ WeightMap = Dict[int, Degree]
 """Literal -> Degree; literals not listed weigh 1 (True maps to 1, False to 0)."""
 
 
-@dataclass(frozen=True, slots=True)
-class LitNode:
-    lit: int
-
-
-@dataclass(frozen=True, slots=True)
-class AndNode:
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class OrNode:
-    children: tuple[int, ...]
-    decision: int | None = None
-
-
-Node = LitNode | AndNode | OrNode
+Node = tuple[str, int, tuple[int, ...]]  # (op, arg, children): one c2d line
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,7 @@ class NnfDag:
         return len(self.nodes)
 
     def edge_count(self) -> int:
-        return sum(len(n.children) for n in self.nodes if not isinstance(n, LitNode))
+        return sum(len(n[2]) for n in self.nodes)
 
 
 def nnf_stats(d: NnfDag) -> dict:
@@ -86,33 +74,32 @@ class NnfBuilder:
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self._intern: dict = {}
+        self._intern: dict[Node, int] = {}
         self._true = self._false = -1
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
-    def _make(self, key, node) -> int:
-        idx = self._intern.get(key)
+    def _make(self, node: Node) -> int:
+        idx = self._intern.get(node)
         if idx is None:
-            idx = len(self.nodes)
+            idx = self._intern[node] = len(self.nodes)
             self.nodes.append(node)
-            self._intern[key] = idx
         return idx
 
     def true(self) -> int:
-        self._true = self._make(("A", ()), AndNode(()))
+        self._true = self._make(("A", 0, ()))
         return self._true
 
     def false(self) -> int:
-        self._false = self._make(("O", (), None), OrNode(()))
+        self._false = self._make(("O", 0, ()))
         return self._false
 
     def literal(self, lit: int) -> int:
         if lit == 0:
             raise ValueError("0 is not a literal")
-        return self._make(("L", lit), LitNode(lit))
+        return self._make(("L", lit, ()))
 
     def conj(self, children: Iterable[int]) -> int:
         out: list[int] = []
@@ -131,9 +118,9 @@ class NnfBuilder:
         if len(out) == 1:
             return out[0]
         out.sort()
-        return self._make(("A", tuple(out)), AndNode(tuple(out)))
+        return self._make(("A", 0, tuple(out)))
 
-    def disj(self, children: Iterable[int], decision: int | None = None) -> int:
+    def disj(self, children: Iterable[int], decision: int = 0) -> int:
         out: list[int] = []
         seen: set[int] = set()
         true, false = self._true, self._false
@@ -150,31 +137,24 @@ class NnfBuilder:
         if len(out) == 1:
             return out[0]
         out.sort()
-        key = ("O", tuple(out), decision)
-        return self._make(key, OrNode(tuple(out), decision))
+        return self._make(("O", decision, tuple(out)))
 
     def freeze(self, root: int, num_vars: int) -> NnfDag:
         """Compact to the nodes reachable from root, preserving order."""
         reachable = {root}
         stack = [root]
         while stack:
-            n = self.nodes[stack.pop()]
-            if not isinstance(n, LitNode):
-                for c in n.children:
-                    if c not in reachable:
-                        reachable.add(c)
-                        stack.append(c)
+            for c in self.nodes[stack.pop()][2]:
+                if c not in reachable:
+                    reachable.add(c)
+                    stack.append(c)
         order = sorted(reachable)
         remap = {old: new for new, old in enumerate(order)}
-        nodes: list[Node] = []
-        for old in order:
-            n = self.nodes[old]
-            if isinstance(n, AndNode):
-                n = AndNode(tuple(remap[c] for c in n.children))
-            elif isinstance(n, OrNode):
-                n = OrNode(tuple(remap[c] for c in n.children), n.decision)
-            nodes.append(n)
-        return NnfDag(tuple(nodes), remap[root], num_vars)
+        nodes = tuple(
+            (n[0], n[1], tuple(remap[c] for c in n[2])) if n[2] else n
+            for n in map(self.nodes.__getitem__, order)
+        )
+        return NnfDag(nodes, remap[root], num_vars)
 
 
 def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
@@ -185,13 +165,13 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
     """
     weights = {lit: deg.num for lit, deg in w.items()}
     val = [0] * len(d.nodes)
-    for i, n in enumerate(d.nodes):
-        if isinstance(n, LitNode):
-            val[i] = weights.get(n.lit, SCALE)
-        elif isinstance(n, AndNode):
-            val[i] = min((val[c] for c in n.children), default=SCALE)
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if op == "L":
+            val[i] = weights.get(arg, SCALE)
+        elif op == "A":
+            val[i] = min((val[c] for c in kids), default=SCALE)
         else:
-            val[i] = max((val[c] for c in n.children), default=0)
+            val[i] = max((val[c] for c in kids), default=0)
     return Degree(val[d.root])
 
 
@@ -235,20 +215,18 @@ def forget(d: NnfDag, variables: Iterable[int]) -> NnfDag:
 def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
     b = NnfBuilder()
     new_id = [0] * len(d.nodes)
-    for i, n in enumerate(d.nodes):
-        if isinstance(n, LitNode):
-            v = assign.get(n.lit)
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if op == "L":
+            v = assign.get(arg)
             if v is None:
-                new_id[i] = b.literal(n.lit)
+                new_id[i] = b.literal(arg)
             else:
                 new_id[i] = b.true() if v else b.false()
-        elif isinstance(n, AndNode):
-            new_id[i] = b.conj([new_id[c] for c in n.children])
+        elif op == "A":
+            new_id[i] = b.conj([new_id[c] for c in kids])
         else:
-            dec = n.decision
-            if dec is not None and dec in drop_decisions:
-                dec = None
-            new_id[i] = b.disj([new_id[c] for c in n.children], decision=dec)
+            dec = 0 if arg in drop_decisions else arg
+            new_id[i] = b.disj([new_id[c] for c in kids], decision=dec)
     return b.freeze(new_id[d.root], d.num_vars)
 
 
@@ -266,12 +244,12 @@ def entails_clause(d: NnfDag, c: Clause) -> bool:
 def node_var_sets(d: NnfDag) -> list[frozenset]:
     """Variable set mentioned under each node, bottom-up."""
     out: list[frozenset] = [frozenset()] * len(d.nodes)
-    for i, n in enumerate(d.nodes):
-        if isinstance(n, LitNode):
-            out[i] = frozenset((abs(n.lit),))
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if op == "L":
+            out[i] = frozenset((abs(arg),))
         else:
             acc: set = set()
-            for c in n.children:
+            for c in kids:
                 acc |= out[c]
             out[i] = frozenset(acc)
     return out
@@ -280,12 +258,12 @@ def node_var_sets(d: NnfDag) -> list[frozenset]:
 def _top_literal_sets(d: NnfDag) -> list[frozenset]:
     """Literals visible from each node through And edges only."""
     out: list[frozenset] = [frozenset()] * len(d.nodes)
-    for i, n in enumerate(d.nodes):
-        if isinstance(n, LitNode):
-            out[i] = frozenset((n.lit,))
-        elif isinstance(n, AndNode):
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if op == "L":
+            out[i] = frozenset((arg,))
+        elif op == "A":
             acc: set = set()
-            for c in n.children:
+            for c in kids:
                 acc |= out[c]
             out[i] = frozenset(acc)
     return out
@@ -298,24 +276,23 @@ def structural_properties(d: NnfDag) -> dict:
     decomposable = True
     deterministic = True
     smooth = True
-    for n in d.nodes:
-        if isinstance(n, AndNode):
-            total = sum(len(var_sets[c]) for c in n.children)
+    for op, v, kids in d.nodes:
+        if op == "A":
+            total = sum(len(var_sets[c]) for c in kids)
             union: set = set()
-            for c in n.children:
+            for c in kids:
                 union |= var_sets[c]
             if total != len(union):
                 decomposable = False
-        elif isinstance(n, OrNode):
-            sets = [var_sets[c] for c in n.children]
+        elif op == "O":
+            sets = [var_sets[c] for c in kids]
             if sets and any(s != sets[0] for s in sets[1:]):
                 smooth = False
-            if len(n.children) >= 2:
-                v = n.decision
-                if v is None or len(n.children) != 2:
+            if len(kids) >= 2:
+                if not v or len(kids) != 2:
                     deterministic = False
                 else:
-                    a, b = n.children
+                    a, b = kids
                     pos_a = v in top_lits[a]
                     neg_a = -v in top_lits[a]
                     pos_b = v in top_lits[b]
@@ -332,40 +309,33 @@ def smooth(d: NnfDag) -> NnfDag:
     decision on v, so smoothing keeps decomposability and determinism.
     """
     b = NnfBuilder()
+    var_sets = node_var_sets(d)
     new_id = [0] * len(d.nodes)
-    new_vars: list[frozenset] = [frozenset()] * len(d.nodes)
-    for i, n in enumerate(d.nodes):
-        if isinstance(n, LitNode):
-            new_id[i] = b.literal(n.lit)
-            new_vars[i] = frozenset((abs(n.lit),))
-            continue
-        target: set = set()
-        for c in n.children:
-            target |= new_vars[c]
-        if isinstance(n, AndNode):
-            new_id[i] = b.conj([new_id[c] for c in n.children])
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if op == "L":
+            new_id[i] = b.literal(arg)
+        elif op == "A":
+            new_id[i] = b.conj([new_id[c] for c in kids])
         else:
             grown: list[int] = []
-            for c in n.children:
+            for c in kids:
                 extras = [
                     b.disj([b.literal(v), b.literal(-v)], decision=v)
-                    for v in sorted(target - new_vars[c])
+                    for v in sorted(var_sets[i] - var_sets[c])
                 ]
                 grown.append(b.conj([new_id[c], *extras]) if extras else new_id[c])
-            new_id[i] = b.disj(grown, decision=n.decision)
-        new_vars[i] = frozenset(target)
+            new_id[i] = b.disj(grown, decision=arg)
     return b.freeze(new_id[d.root], d.num_vars)
 
 
 def write_nnf(d: NnfDag) -> str:
     """Serialize in the c2d text layout: header then one node per line."""
     lines = [f"nnf {d.node_count()} {d.edge_count()} {d.num_vars}"]
-    for n in d.nodes:
-        if isinstance(n, LitNode):
-            lines.append(f"L {n.lit}")
-        else:
-            head = "A" if isinstance(n, AndNode) else f"O {n.decision or 0}"
-            lines.append(" ".join([head, str(len(n.children)), *map(str, n.children)]))
+    for op, arg, kids in d.nodes:
+        fields = [op] if op == "A" else [op, str(arg)]
+        if op != "L":
+            fields += [str(len(kids)), *map(str, kids)]
+        lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -397,34 +367,25 @@ def parse_nnf(text: str) -> NnfDag:
     for ln, line in enumerate(lines[1:], start=2):
         toks = line.split()
         idx = len(nodes)
+        op = toks[0]
         try:
-            if toks[0] == "L" and len(toks) == 2:
+            if op == "L" and len(toks) == 2:
                 lit = int(toks[1])
                 if lit == 0 or abs(lit) > n_vars:
                     raise FormatError(f"literal {lit} out of range", ln)
-                nodes.append(LitNode(lit))
+                nodes.append(("L", lit, ()))
                 continue
-            if toks[0] == "A":
-                count = int(toks[1])
-                kids = tuple(int(t) for t in toks[2:])
+            if op in ("A", "O"):
+                kind = "And" if op == "A" else "Or"
+                fields = toks[1:] if op == "O" else ["0", *toks[1:]]  # And: decision 0
+                j, count, *kids = map(int, fields)
                 if len(kids) != count:
-                    raise FormatError(f"And child count mismatch: {line!r}", ln)
+                    raise FormatError(f"{kind} child count mismatch: {line!r}", ln)
                 if any(not 0 <= k < idx for k in kids):
-                    raise FormatError(f"And child out of range: {line!r}", ln)
-                nodes.append(AndNode(kids))
-                edges += count
-                continue
-            if toks[0] == "O":
-                j = int(toks[1])
-                count = int(toks[2])
-                kids = tuple(int(t) for t in toks[3:])
-                if len(kids) != count:
-                    raise FormatError(f"Or child count mismatch: {line!r}", ln)
-                if any(not 0 <= k < idx for k in kids):
-                    raise FormatError(f"Or child out of range: {line!r}", ln)
-                if j and abs(j) > n_vars:
+                    raise FormatError(f"{kind} child out of range: {line!r}", ln)
+                if not 0 <= j <= n_vars:
                     raise FormatError(f"decision variable {j} out of range", ln)
-                nodes.append(OrNode(kids, j or None))
+                nodes.append((op, j, tuple(kids)))
                 edges += count
                 continue
         except FormatError:

@@ -80,26 +80,24 @@ def subcube_patterns(n: int):
 
 def dag_model_mask(dag, n_vars: int) -> int:
     """Model set of an NNF DAG as a bitmask, one bottom-up bigint pass."""
-    from posskc.nnf import AndNode, LitNode, OrNode
-
     full, pos = subcube_patterns(n_vars)
     val = [0] * len(dag.nodes)
-    for i, node in enumerate(dag.nodes):
-        if isinstance(node, LitNode):
-            v = abs(node.lit)
-            val[i] = pos[v] if node.lit > 0 else (full ^ pos[v])
-        elif isinstance(node, AndNode):
+    for i, (op, arg, kids) in enumerate(dag.nodes):
+        if op == "L":
+            v = abs(arg)
+            val[i] = pos[v] if arg > 0 else (full ^ pos[v])
+        elif op == "A":
             acc = full
-            for c in node.children:
+            for c in kids:
                 acc &= val[c]
             val[i] = acc
-        elif isinstance(node, OrNode):
+        elif op == "O":
             acc = 0
-            for c in node.children:
+            for c in kids:
                 acc |= val[c]
             val[i] = acc
         else:
-            raise TypeError(f"unknown node {node!r}")
+            raise TypeError(f"unknown node {(op, arg, kids)!r}")
     return val[dag.root]
 
 
@@ -116,18 +114,16 @@ def dag_model_set(dag, n_vars: int) -> set:
 
 
 def dag_satisfied_by(dag, assignment: dict) -> bool:
-    from posskc.nnf import AndNode, LitNode, OrNode
-
     val: list[bool] = [False] * len(dag.nodes)
-    for i, node in enumerate(dag.nodes):
-        if isinstance(node, LitNode):
-            val[i] = assignment[abs(node.lit)] == (node.lit > 0)
-        elif isinstance(node, AndNode):
-            val[i] = all(val[c] for c in node.children)
-        elif isinstance(node, OrNode):
-            val[i] = any(val[c] for c in node.children)
+    for i, (op, arg, kids) in enumerate(dag.nodes):
+        if op == "L":
+            val[i] = assignment[abs(arg)] == (arg > 0)
+        elif op == "A":
+            val[i] = all(val[c] for c in kids)
+        elif op == "O":
+            val[i] = any(val[c] for c in kids)
         else:
-            raise TypeError(f"unknown node {node!r}")
+            raise TypeError(f"unknown node {(op, arg, kids)!r}")
     return val[dag.root]
 
 
@@ -142,16 +138,14 @@ def clause_holds_on(models: set, clause: Clause, n_vars: int) -> bool:
 def boolean_consistent(dag) -> bool:
     """Satisfiability by a bottom-up and/or pass over booleans (valid on
     decomposable DAGs); independent of the max-min kernel."""
-    from posskc.nnf import AndNode, LitNode, OrNode
-
     sat = [False] * len(dag.nodes)
-    for i, node in enumerate(dag.nodes):
-        if isinstance(node, LitNode):
+    for i, (op, _, kids) in enumerate(dag.nodes):
+        if op == "L":
             sat[i] = True
-        elif isinstance(node, AndNode):
-            sat[i] = all(sat[c] for c in node.children)
-        elif isinstance(node, OrNode):
-            sat[i] = any(sat[c] for c in node.children)
+        elif op == "A":
+            sat[i] = all(sat[c] for c in kids)
+        elif op == "O":
+            sat[i] = any(sat[c] for c in kids)
     return sat[dag.root]
 
 

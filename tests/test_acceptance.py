@@ -26,10 +26,7 @@ from posskc.degrees import parse_degree
 from posskc.logical import LogicalPipeline, encode_logical
 from posskc.network import chain_rule_joint, enumerate_worlds, oracle_conditional
 from posskc.nnf import (
-    AndNode,
-    LitNode,
     NnfBuilder,
-    OrNode,
     condition,
     entails_clause,
     forget,
@@ -252,16 +249,15 @@ def test_criterion_6_compiler_soundness(acceptance_log):
 
 def _shifted_copy(builder, dag, shift):
     out = []
-    for node in dag.nodes:
-        if isinstance(node, LitNode):
-            lit = node.lit
-            out.append(builder.literal(lit + shift if lit > 0 else lit - shift))
-        elif isinstance(node, AndNode):
-            out.append(builder.conj([out[c] for c in node.children]))
-        elif isinstance(node, OrNode):
-            out.append(builder.disj([out[c] for c in node.children]))
+    for op, arg, kids in dag.nodes:
+        if op == "L":
+            out.append(builder.literal(arg + shift if arg > 0 else arg - shift))
+        elif op == "A":
+            out.append(builder.conj([out[c] for c in kids]))
+        elif op == "O":
+            out.append(builder.disj([out[c] for c in kids]))
         else:
-            raise TypeError(f"unknown node {node!r}")
+            raise TypeError(f"unknown node {(op, arg, kids)!r}")
     return out[dag.root]
 
 

@@ -1,16 +1,17 @@
 """Compiler engine: equivalence with brute-force enumeration, structural
 properties of the output, determinism of runs, and the loud budget."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
-from posskc.cnf import CnfFormula, model_mask
+from posskc.cnf import Clause, CnfFormula, model_mask
 from posskc.compiler import compile_cnf
 from posskc.errors import CompileBudgetError
 from posskc.nnf import (
-    AndNode,
-    OrNode,
+    entails_clause,
     is_consistent,
     nnf_stats,
     structural_properties,
@@ -79,15 +80,35 @@ class TestStructure:
         """Two variable-disjoint subproblems meet only at the root And."""
         f = formula(4, [[1, 2], [3, 4]])
         d = compile_cnf(f)
-        root = d.nodes[d.root]
-        assert isinstance(root, AndNode)
-        assert len(root.children) == 2
+        op, _, kids = d.nodes[d.root]
+        assert op == "A"
+        assert len(kids) == 2
 
     def test_unit_propagation_collapses_chains(self):
         f = formula(5, [[1], [-1, 2], [-2, 3], [-3, 4], [-4, 5]])
         d = compile_cnf(f)
         assert dag_model_set(d, 5) == {(True,) * 5}
-        assert not any(isinstance(nd, OrNode) for nd in d.nodes)
+        assert not any(op == "O" for op, _, _ in d.nodes)
+
+    def test_search_deeper_than_recursion_limit(self, monkeypatch):
+        """On a chain of binary clauses the search nests about n/2
+        subproblems deep; compiling it must neither recurse nor touch the
+        process-wide recursion limit."""
+        n = 300
+        f = formula(n, [[i, i + 1] for i in range(1, n)])
+
+        def refuse(limit):
+            raise AssertionError(f"compile_cnf set the recursion limit to {limit}")
+
+        set_limit, old_limit = sys.setrecursionlimit, sys.getrecursionlimit()
+        set_limit(len(inspect.stack(0)) + 50)
+        try:
+            monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+            d = compile_cnf(f)
+        finally:
+            set_limit(old_limit)
+        assert all(entails_clause(d, Clause([i, i + 1])) for i in range(1, n))
+        assert not entails_clause(d, Clause([1, 3]))
 
     def test_runs_are_deterministic(self):
         rng = random.Random(3)

@@ -12,8 +12,6 @@ from posskc.compiler import compile_cnf
 from posskc.degrees import Degree, ONE, ZERO, parse_degree
 from posskc.errors import FormatError
 from posskc.nnf import (
-    AndNode,
-    LitNode,
     NnfBuilder,
     NnfDag,
     condition,
@@ -313,6 +311,20 @@ class TestSerialization:
             parse_nnf("nnf 2 1 1\nL 1\nA 1 5\n")
         with pytest.raises(FormatError):
             parse_nnf("nnf 2 9 1\nL 1\nA 1 0\n")
+        # And and Or lines share one check; an Or decision is a variable
+        # id in 0..num_vars.
+        head = "nnf 3 2 1\nL 1\nL -1\n"
+        assert write_nnf(parse_nnf(head + "O 1 2 0 1\n")) == head + "O 1 2 0 1\n"
+        for line, message in [
+            ("A 2 0", "And child count mismatch"),
+            ("O 1 2 0", "Or child count mismatch"),
+            ("O 1 2 0 5", "Or child out of range"),
+            ("O 2 2 0 1", "decision variable 2 out of range"),
+            ("O -1 2 0 1", "decision variable -1 out of range"),
+            ("O x", "malformed NNF node line"),
+        ]:
+            with pytest.raises(FormatError, match=message):
+                parse_nnf(head + line + "\n")
 
 
 class TestValidateProperties:
@@ -325,7 +337,9 @@ class TestValidateProperties:
         assert props["deterministic"]
 
     def test_shared_variable_not_decomposable(self):
-        d = NnfDag(nodes=(LitNode(1), LitNode(-1), AndNode((0, 1))), root=2, num_vars=1)
+        d = NnfDag(
+            nodes=(("L", 1, ()), ("L", -1, ()), ("A", 0, (0, 1))), root=2, num_vars=1
+        )
         assert not structural_properties(d)["decomposable"]
 
     def test_or_without_decision_not_deterministic(self):
