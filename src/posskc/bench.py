@@ -72,7 +72,18 @@ class SplitMix64:
             xs[i], xs[j] = xs[j], xs[i]
 
 
-DEFAULT_POOL: frozenset = frozenset(Degree(k * SCALE // 10000) for k in range(1, 10000))
+FINE_POOL_SIZE = 9999
+
+
+def even_pool(k: int) -> frozenset:
+    """k evenly spaced degrees strictly inside (0, 1): i / (k + 1) for
+    i = 1..k.  Nine gives the scale 0.1 .. 0.9."""
+    if not 1 <= k <= FINE_POOL_SIZE:
+        raise ValueError(f"a pool has 1..{FINE_POOL_SIZE} degrees, got {k}")
+    return frozenset(Degree(i * SCALE // (k + 1)) for i in range(1, k + 1))
+
+
+DEFAULT_POOL: frozenset = even_pool(FINE_POOL_SIZE)
 """Degrees 0.0001 .. 0.9999 in steps of 0.0001.
 
 The pool is deliberately fine-grained: sub-1 degrees then rarely repeat
@@ -123,7 +134,7 @@ def random_network(cfg: GenConfig) -> PossNetwork:
     rng = SplitMix64(cfg.seed)
     names = [f"X{i}" for i in range(1, cfg.n_nodes + 1)]
     rng.shuffle(names)
-    pool = sorted(cfg.degree_pool)
+    pool = sorted(cfg.degree_pool, key=lambda d: d.num)
     domains: dict[str, tuple[str, ...]] = {}
     variables: list[NetVariable] = []
     parents: dict[str, tuple[str, ...]] = {}

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .bench import METHODS, cross_validate, run_comparison
+from .bench import FINE_POOL_SIZE, METHODS, cross_validate, even_pool, run_comparison
 from .cnf import cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .errors import (
@@ -140,6 +140,15 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _usage_problem(args) -> str | None:
+    """The one-line complaint about an out-of-range option, if any."""
+    if getattr(args, "node_budget", 1) < 1:
+        return f"{args.command}: --node-budget must be at least 1"
+    if not 1 <= getattr(args, "degrees", 1) <= FINE_POOL_SIZE:
+        return f"{args.command}: --degrees must be between 1 and {FINE_POOL_SIZE}"
+    return None
+
+
 def _cmd_compile(args) -> int:
     with open(args.cnf, "r", encoding="utf-8") as fh:
         f = parse_dimacs(fh.read())
@@ -187,7 +196,14 @@ def _cmd_bench(args) -> int:
         return EXIT_USAGE
     to_file = args.output not in (None, "-")
     out = args.output if to_file else sys.stdout
-    rows, _ = run_comparison(sizes, per_size=args.per_size, seed=args.seed, out=out)
+    rows, _ = run_comparison(
+        sizes,
+        per_size=args.per_size,
+        seed=args.seed,
+        out=out,
+        degree_pool=even_pool(args.degrees),
+        node_budget=args.node_budget,
+    )
     if to_file:
         busted = sum(r.status != "ok" for r in rows)
         note = f" ({busted} over budget)" if busted else ""
@@ -207,6 +223,7 @@ def _cmd_check(args) -> int:
         max_vars=args.max_vars,
         queries=args.queries,
         seed=args.seed,
+        degree_pool=even_pool(args.degrees),
     )
     _write_out(args.output, report)
     if args.output not in (None, "-"):
@@ -217,6 +234,7 @@ def _cmd_check(args) -> int:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="posskc", description=__doc__.splitlines()[0])
+    degrees_help = "draw degrees from K evenly spaced values in (0,1) (default: the fine pool)"
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="parse and validate a network file")
@@ -269,6 +287,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--sizes", required=True, help="10:50:10 or 10,20,30")
     sp.add_argument("--per-size", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--degrees", type=int, default=FINE_POOL_SIZE, help=degrees_help)
+    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     sp.set_defaults(fn=_cmd_bench)
 
@@ -277,6 +297,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-vars", type=int, default=10)
     sp.add_argument("--queries", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--degrees", type=int, default=FINE_POOL_SIZE, help=degrees_help)
     sp.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     sp.set_defaults(fn=_cmd_check)
     return p
@@ -288,6 +309,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (CompileBudgetError, SizeGuardError) as exc:

@@ -8,7 +8,9 @@ form of residual clause sets so equal subproblems compile once.
 
 Decision variable choice is most-occurrences-first over the residual
 clauses, ties broken by smallest variable id, which keeps runs fully
-deterministic.  Output DAGs are decomposable and deterministic by
+deterministic.  A caller may name variables to decide before all others
+(``first``); the same rule orders them among themselves.  The logical
+and pkb pipelines name the level variables of a stratified base.  Output DAGs are decomposable and deterministic by
 construction (every Or is a binary decision node).
 
 The search runs without recursion: each subproblem is a generator that
@@ -40,8 +42,10 @@ def compile_cnf(
     f: CnfFormula,
     node_budget: int = DEFAULT_NODE_BUDGET,
     cache_cap: int = DEFAULT_CACHE_CAP,
+    first: frozenset[int] = frozenset(),
 ) -> NnfDag:
-    """Compile a CNF into an equivalent decomposable, deterministic DAG."""
+    """Compile a CNF into an equivalent decomposable, deterministic DAG,
+    deciding the variables in ``first`` before any other."""
     builder = NnfBuilder()
     cache: dict[ClauseSet, int] = {}
     budget_note = f"node budget {node_budget} exceeded"
@@ -146,7 +150,7 @@ def compile_cnf(
         for c in residual:
             for l in c:
                 counts[abs(l)] += 1
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        best = max(counts.items(), key=lambda kv: (kv[0] in first, kv[1], -kv[0]))[0]
         pos = yield condition_set(residual, best)
         neg = yield condition_set(residual, -best)
         node = builder.disj(

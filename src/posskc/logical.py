@@ -21,17 +21,18 @@ from .encodings import InstanceMap
 from .network import EventTerm, PossNetwork, check_event, conditional
 # condition, forget: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, WeightMap, condition, forget, pi_evaluate
-from .pkb import encode_pkb, level_vars, to_possibilistic_base
+from .pkb import decided_first, encode_pkb, level_vars, to_possibilistic_base
 
 
 @dataclass
 class LogicalEncoding:
     """The knowledge-base CNF with the degree 1 - w of each level
-    variable of weight w."""
+    variable of weight w, and the variables its compile decides first."""
 
     cnf: CnfFormula
     imap: InstanceMap
     theta_weights: WeightMap
+    first: frozenset[int]
 
 
 def encode_logical(net: PossNetwork) -> LogicalEncoding:
@@ -39,7 +40,7 @@ def encode_logical(net: PossNetwork) -> LogicalEncoding:
     base = to_possibilistic_base(net)
     cnf = encode_pkb(base)
     weights: WeightMap = {vid: complement(w) for vid, w in level_vars(cnf)}
-    return LogicalEncoding(cnf, base.imap, weights)
+    return LogicalEncoding(cnf, base.imap, weights, decided_first(base, cnf))
 
 
 def explore(compiled: NnfDag, enc: LogicalEncoding, term: EventTerm) -> Degree:
@@ -57,7 +58,7 @@ class LogicalPipeline:
         self.net = net
         self.encoding = encode_logical(net)
         self.cnf = self.encoding.cnf
-        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
+        self.dag = compile_cnf(self.cnf, node_budget=node_budget, first=self.encoding.first)
 
     def possibility(self, term: EventTerm) -> Degree:
         return explore(self.dag, self.encoding, term)

@@ -15,6 +15,7 @@ from posskc.bench import (
     compare_network,
     cross_validate,
     default_query,
+    even_pool,
     random_network,
     run_comparison,
     write_comparison_csv,
@@ -50,6 +51,19 @@ class TestSplitMix64:
         assert xs == ys
         assert sorted(xs) == items
         assert SplitMix64(5).choice(items) == SplitMix64(5).choice(items)
+
+
+class TestEvenPool:
+    def test_nine_degree_scale(self):
+        assert even_pool(9) == frozenset(D(f"0.{k}") for k in range(1, 10))
+
+    def test_fine_pool_is_the_default(self):
+        assert even_pool(9999) == DEFAULT_POOL
+
+    @pytest.mark.parametrize("k", [0, -1, 10000])
+    def test_rejects_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            even_pool(k)
 
 
 class TestGenConfig:
@@ -255,6 +269,21 @@ class TestCrossValidate:
             nets=3, max_vars=5, queries=2, seed=21, binary_only=False
         )
         assert "0 mismatches" in report
+
+    @pytest.mark.parametrize("degrees", [3, 9])
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_coarse_pools_clean(self, degrees, binary_only):
+        """Few degrees make many bases stratified (about 30-90% here), so
+        the ladder and the level-first order meet the oracle."""
+        report = cross_validate(
+            nets=60,
+            max_vars=10 if binary_only else 7,
+            queries=5,
+            seed=300 + degrees,
+            degree_pool=even_pool(degrees),
+            binary_only=binary_only,
+        )
+        assert "checked 300 queries: 0 mismatches" in report
 
     @pytest.mark.parametrize("max_vars", [1, 0, -3])
     def test_rejects_max_vars_below_two(self, max_vars):

@@ -278,6 +278,13 @@ class TestBenchAndCheck:
             ("check", "--nets", "0"),
             ("check", "--queries", "0"),
             ("bench", "--sizes", "3", "--per-size", "0"),
+            ("stats", ALARM, "--node-budget", "-5"),
+            ("stats", ALARM, "--node-budget", "0"),
+            ("compile", ALARM, "--node-budget", "0"),
+            ("bench", "--sizes", "3", "--node-budget", "0"),
+            ("bench", "--sizes", "3", "--degrees", "0"),
+            ("check", "--degrees", "0"),
+            ("check", "--degrees", "10000"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv):
@@ -286,6 +293,24 @@ class TestBenchAndCheck:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_bench_degrees_and_node_budget_reach_the_sweep(self, capsys):
+        code, stdout, _ = run(
+            capsys, "bench", "--sizes", "6", "--per-size", "2", "--degrees", "3", "--node-budget", "1"
+        )
+        assert code == EXIT_OK
+        assert "degree_pool={0.25,0.5,0.75}" in stdout
+        assert stdout.splitlines()[1].endswith(" node_budget=1")
+        rows = [ln for ln in stdout.splitlines() if ln and not ln.startswith(("#", "seed,"))]
+        assert len(rows) == 6
+        assert all(ln.endswith(",budget") for ln in rows)
+
+    def test_check_on_a_coarse_pool(self, capsys):
+        code, stdout, _ = run(
+            capsys, "check", "--nets", "4", "--max-vars", "6", "--queries", "2", "--degrees", "9"
+        )
+        assert code == EXIT_OK
+        assert "checked 8 queries: 0 mismatches" in stdout
 
     def test_check_clean_run(self, capsys, tmp_path):
         report = tmp_path / "report.txt"

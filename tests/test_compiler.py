@@ -110,6 +110,25 @@ class TestStructure:
         assert all(entails_clause(d, Clause([i, i + 1])) for i in range(1, n))
         assert not entails_clause(d, Clause([1, 3]))
 
+    def test_first_variables_are_decided_before_others(self):
+        """Variable 1 occurs most, so it is the default root decision; a
+        ``first`` set moves its own variable to the root instead."""
+        f = formula(4, [[1, 2], [1, 3], [-1, 4], [2, 3, 4]])
+        default, moved = compile_cnf(f), compile_cnf(f, first=frozenset({4}))
+        assert default.nodes[default.root][:2] == ("O", 1)
+        assert moved.nodes[moved.root][:2] == ("O", 4)
+        assert dag_model_mask(moved, 4) == model_mask(f)
+
+    def test_first_set_keeps_the_models(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            f = random_cnf(rng, n, rng.randint(1, 3 * n))
+            first = frozenset(v for v in range(1, n + 1) if rng.random() < 0.3)
+            d = compile_cnf(f, first=first)
+            assert dag_model_mask(d, n) == model_mask(f)
+            assert structural_properties(d)["deterministic"]
+
     def test_runs_are_deterministic(self):
         rng = random.Random(3)
         for _ in range(10):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from posskc.bench import GenConfig, random_network
-from posskc.cnf import Clause, Instance, Level, cnf_stats
+from posskc.bench import GenConfig, SplitMix64, even_pool, random_network
+from posskc.cnf import Clause, CnfFormula, Instance, Level, cnf_stats
+from posskc.compiler import compile_cnf
 from posskc.degrees import ONE, ZERO, complement, parse_degree
 from posskc.errors import FormatError
 from posskc.network import (
@@ -17,7 +18,9 @@ from posskc.pkb import (
     PkbPipeline,
     PossibilisticBase,
     WeightedFormula,
+    decided_first,
     encode_pkb,
+    level_vars,
     parse_base,
     pi_sigma,
     serialize_base,
@@ -281,3 +284,92 @@ class TestBaseQueriesFromParsedText:
         assert isinstance(base, PossibilisticBase)
         for w in enumerate_worlds(alarm):
             assert pi_sigma(base, w) == chain_rule_joint(alarm, w)
+
+
+def nine_degree_nets(binary_only: bool) -> list:
+    """Networks on the scale 0.1 .. 0.9, where levels mostly tag several
+    clauses each."""
+    return [
+        random_network(
+            GenConfig(
+                n_nodes=8 + i % 4 if binary_only else 5 + i % 3,
+                max_parents=3 if binary_only else 2,
+                degree_pool=even_pool(9),
+                seed=6101 + i,
+                binary_only=binary_only,
+            )
+        )
+        for i in range(8)
+    ]
+
+
+def without_ladder(kb: PkbPipeline) -> CnfFormula:
+    """The pipeline's CNF minus its trailing L - 1 ladder clauses."""
+    f = CnfFormula()
+    for v in kb.cnf.variables:
+        f.new_var(v.role)
+    for c in kb.cnf.clauses[: kb.cnf.num_clauses - (len(kb.level_vars) - 1)]:
+        f.add_clause(c)
+    return f
+
+
+class TestStratifiedLadder:
+    """The ladder rule: a ladder over the level variables, decided first,
+    exactly when the sub-1 formulas average two or more per level."""
+
+    @staticmethod
+    def assert_no_ladder(base: PossibilisticBase) -> None:
+        cnf = encode_pkb(base)
+        assert not base.stratified()
+        assert decided_first(base, cnf) == frozenset()
+        assert cnf.num_clauses == len(base.formulas) + len(base.imap.exactly_one_clauses())
+
+    def test_alarm_gets_no_ladder(self, alarm):
+        base = to_possibilistic_base(alarm)
+        assert (len(base.levels), len(base.formulas)) == (4, 6)
+        self.assert_no_ladder(base)
+
+    def test_fine_pool_acceptance_networks_get_no_ladder(self):
+        """The networks of acceptance criteria 3 and 4 (default pool)."""
+        for i in range(100):
+            net = random_network(GenConfig(n_nodes=10 + (i * 40) // 99, seed=9000 + i))
+            self.assert_no_ladder(to_possibilistic_base(net))
+        seeder = SplitMix64(2024)
+        for n in (10, 20, 30, 40, 50):
+            for _ in range(20):
+                net = random_network(GenConfig(n_nodes=n, seed=seeder.next_u64()))
+                self.assert_no_ladder(to_possibilistic_base(net))
+
+    def test_nine_degree_network_gets_ladder_after_exactly_one_block(self):
+        net = random_network(
+            GenConfig(n_nodes=10, max_parents=2, degree_pool=even_pool(9), seed=77, binary_only=False)
+        )
+        base = to_possibilistic_base(net)
+        cnf = encode_pkb(base)
+        assert base.stratified()
+        ranked = [vid for vid, _ in level_vars(cnf)]
+        exactly_one = [Clause(c) for c in base.imap.exactly_one_clauses()]
+        assert exactly_one
+        head = len(base.formulas)
+        assert list(cnf.clauses[head : head + len(exactly_one)]) == exactly_one
+        ladder = list(cnf.clauses[head + len(exactly_one) :])
+        assert len(ladder) == len(base.levels) - 1
+        assert ladder == [Clause([-a, b]) for a, b in zip(ranked, ranked[1:])]
+        assert decided_first(base, cnf) == frozenset(ranked)
+
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_ladder_keeps_every_answer(self, binary_only):
+        """query_detail on the ladder DAG equals query_detail on a DAG of
+        the same CNF without the ladder clauses, and the oracle."""
+        nets = [net for net in nine_degree_nets(binary_only) if to_possibilistic_base(net).stratified()]
+        assert len(nets) >= 6
+        for net in nets:
+            kb = PkbPipeline(net)
+            plain = PkbPipeline(net)
+            plain.dag = compile_cnf(without_ladder(kb))
+            for v, ev in zip(net.variables, net.variables[-1:] + net.variables[:-1]):
+                x = {v.name: v.domain[-1]}
+                for e in ({}, {ev.name: ev.domain[0]}):
+                    got = kb.query_detail(x, e)
+                    assert got == plain.query_detail(x, e)
+                    assert got[0] == oracle_conditional(net, x, e)
