@@ -72,18 +72,39 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _int_range(low: int, high: int | None = None):
+    """argparse type: an integer from ``low`` up to ``high`` (no upper
+    end when None), so every range is checked once, at parse time."""
+    span = f"at least {low}" if high is None else f"between {low} and {high}"
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        return value
+
+    return integer
+
+
 def _parse_sizes(spec: str) -> list[int]:
-    """Either a comma list (10,20,30) or an inclusive range (10:50:10)."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad size range {spec!r}, expected start:stop[:step]")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad size range {spec!r}")
-        return list(range(start, stop + 1, step))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    """argparse type: a comma list (10,20,30) or an inclusive range
+    (10:50:10) of network sizes, each at least 1."""
+    try:
+        if ":" in spec:
+            parts = [int(tok) for tok in spec.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError
+            step = parts[2] if len(parts) == 3 else 1
+            sizes = list(range(parts[0], parts[1] + 1, step)) if step > 0 else []
+        else:
+            sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad sizes {spec!r}: expected start:stop[:step] or a comma list, each size at least 1"
+        )
+    return sizes
 
 
 def _cmd_validate(args) -> int:
@@ -140,15 +161,6 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _usage_problem(args) -> str | None:
-    """The one-line complaint about an out-of-range option, if any."""
-    if getattr(args, "node_budget", 1) < 1:
-        return f"{args.command}: --node-budget must be at least 1"
-    if not 1 <= getattr(args, "degrees", 1) <= FINE_POOL_SIZE:
-        return f"{args.command}: --degrees must be between 1 and {FINE_POOL_SIZE}"
-    return None
-
-
 def _cmd_compile(args) -> int:
     with open(args.cnf, "r", encoding="utf-8") as fh:
         f = parse_dimacs(fh.read())
@@ -183,21 +195,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not sizes or min(sizes) < 1:
-        print("bench: give one or more sizes, each at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.per_size < 1:
-        print("bench: --per-size must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     to_file = args.output not in (None, "-")
     out = args.output if to_file else sys.stdout
     rows, _ = run_comparison(
-        sizes,
+        args.sizes,
         per_size=args.per_size,
         seed=args.seed,
         out=out,
@@ -212,12 +213,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.max_vars < 2:
-        print("check: --max-vars must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.nets < 1 or args.queries < 1:
-        print("check: --nets and --queries must each be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     report = cross_validate(
         nets=args.nets,
         max_vars=args.max_vars,
@@ -235,6 +230,7 @@ def _cmd_check(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="posskc", description=__doc__.splitlines()[0])
     degrees_help = "draw degrees from K evenly spaced values in (0,1) (default: the fine pool)"
+    positive, degrees = _int_range(1), _int_range(1, FINE_POOL_SIZE)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="parse and validate a network file")
@@ -275,29 +271,29 @@ def build_parser() -> _Parser:
         action="store_true",
         help="fail unless the result is deterministic",
     )
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=positive, default=DEFAULT_NODE_BUDGET)
     sp.set_defaults(fn=_cmd_compile)
 
     sp = sub.add_parser("stats", help="per-method CNF and NNF size table")
     sp.add_argument("network")
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=positive, default=DEFAULT_NODE_BUDGET)
     sp.set_defaults(fn=_cmd_stats)
 
     sp = sub.add_parser("bench", help="random-network comparison sweep to CSV")
-    sp.add_argument("--sizes", required=True, help="10:50:10 or 10,20,30")
-    sp.add_argument("--per-size", type=int, default=20)
+    sp.add_argument("--sizes", required=True, type=_parse_sizes, help="10:50:10 or 10,20,30")
+    sp.add_argument("--per-size", type=positive, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--degrees", type=int, default=FINE_POOL_SIZE, help=degrees_help)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--degrees", type=degrees, default=FINE_POOL_SIZE, help=degrees_help)
+    sp.add_argument("--node-budget", type=positive, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     sp.set_defaults(fn=_cmd_bench)
 
     sp = sub.add_parser("check", help="cross-validate pipelines against the oracle")
-    sp.add_argument("--nets", type=int, default=100)
-    sp.add_argument("--max-vars", type=int, default=10)
-    sp.add_argument("--queries", type=int, default=5)
+    sp.add_argument("--nets", type=positive, default=100)
+    sp.add_argument("--max-vars", type=_int_range(2), default=10)
+    sp.add_argument("--queries", type=positive, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--degrees", type=int, default=FINE_POOL_SIZE, help=degrees_help)
+    sp.add_argument("--degrees", type=degrees, default=FINE_POOL_SIZE, help=degrees_help)
     sp.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     sp.set_defaults(fn=_cmd_check)
     return p
@@ -309,10 +305,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    problem = _usage_problem(args)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (CompileBudgetError, SizeGuardError) as exc:

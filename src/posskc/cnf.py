@@ -3,8 +3,9 @@ DIMACS interchange.
 
 Variables carry a semantic role (network-instance proposition, evidence
 indicator, weighted parameter, or stratum level variable) directly in the
-formula so that the weight map needed for circuit evaluation can be
-rebuilt from a serialized encoding alone.  Literals are plain signed
+formula so that the weight map needed for circuit evaluation, and the
+level-first decision order of a stratified base (``stratified_levels``),
+can be rebuilt from a serialized encoding alone.  Literals are plain signed
 integers: ``+v`` is the positive literal of variable ``v``, ``-v`` its
 negation.
 """
@@ -56,6 +57,23 @@ class Level:
 
     rank: int
     weight: Degree
+
+
+def stratified_levels(f: CnfFormula) -> frozenset[int]:
+    """The stratification rule: every ``Level`` variable of ``f`` when its
+    weighted clauses (a positive level literal and no negative one, so
+    not the ladder) average at least two per level; none otherwise.
+
+    Below two per level, most level variables tag a single clause and act
+    as its private relaxation literal, so a ladder through them or an
+    order that decides them first would only join otherwise independent
+    components."""
+    levels = frozenset(v.id for v in f.variables if isinstance(v.role, Level))
+    negated = {-v for v in levels}
+    weighted = sum(
+        1 for c in f.clauses if not levels.isdisjoint(c.literals) and negated.isdisjoint(c.literals)
+    )
+    return levels if weighted >= 2 * len(levels) else frozenset()
 
 
 Role = Union[Instance, Indicator, Parameter, Level]

@@ -8,10 +8,12 @@ form of residual clause sets so equal subproblems compile once.
 
 Decision variable choice is most-occurrences-first over the residual
 clauses, ties broken by smallest variable id, which keeps runs fully
-deterministic.  A caller may name variables to decide before all others
-(``first``); the same rule orders them among themselves.  The logical
-and pkb pipelines name the level variables of a stratified base.  Output DAGs are decomposable and deterministic by
-construction (every Or is a binary decision node).
+deterministic.  The formula itself names the variables decided before
+all others: the level variables of a stratified base
+(``cnf.stratified_levels``), which the same rule orders among
+themselves; other formulas have none.  So a CNF compiles the same from a
+pipeline or from its DIMACS file.  Output DAGs are decomposable and
+deterministic by construction (every Or is a binary decision node).
 
 The search runs without recursion: each subproblem is a generator that
 yields its child clause sets and receives their node ids, and one loop
@@ -21,31 +23,27 @@ memory, not by the interpreter's recursion limit.
 Resource discipline: when the node pool would exceed the configured
 budget the run fails loudly with CompileBudgetError; a wrong or
 truncated DAG is never returned.  The subproblem cache is cleared when
-it exceeds its entry cap, which affects speed only.
+it reaches ``CACHE_CAP`` entries, which affects speed only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, stratified_levels
 from .errors import CompileBudgetError
 from .nnf import NnfBuilder, NnfDag
 
 DEFAULT_NODE_BUDGET = 1_000_000
-DEFAULT_CACHE_CAP = 500_000
+CACHE_CAP = 500_000
 
 ClauseSet = tuple  # sorted tuple of sorted literal tuples
 
 
-def compile_cnf(
-    f: CnfFormula,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    cache_cap: int = DEFAULT_CACHE_CAP,
-    first: frozenset[int] = frozenset(),
-) -> NnfDag:
+def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag:
     """Compile a CNF into an equivalent decomposable, deterministic DAG,
-    deciding the variables in ``first`` before any other."""
+    deciding the variables ``stratified_levels(f)`` names before any other."""
+    first = stratified_levels(f)
     builder = NnfBuilder()
     cache: dict[ClauseSet, int] = {}
     budget_note = f"node budget {node_budget} exceeded"
@@ -176,7 +174,7 @@ def compile_cnf(
             child = task.send(reply)
         except StopIteration as done:
             stack.pop()
-            if len(cache) >= cache_cap:
+            if len(cache) >= CACHE_CAP:
                 cache.clear()
             cache[clauses] = reply = done.value
             check_budget()

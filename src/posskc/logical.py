@@ -7,7 +7,9 @@ This method reads A_i as the paper's global parameter theta_{1-w_i}.
 After compiling once, Pi(term) is the paper's condition / forget /
 evaluate, done as one ``pi_evaluate`` pass over the compiled DAG: each
 A_i weighs 1 - w_i, each negated term literal weighs 0 (conditioning),
-and every other instance literal weighs 1 (forgetting).
+and every other instance literal weighs 1 (forgetting).  A stratified
+base's ladder and level-first decision order come with that CNF
+(``cnf.stratified_levels``), so the two methods compile one DAG.
 """
 
 from __future__ import annotations
@@ -21,18 +23,17 @@ from .encodings import InstanceMap
 from .network import EventTerm, PossNetwork, check_event, conditional
 # condition, forget: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, WeightMap, condition, forget, pi_evaluate
-from .pkb import decided_first, encode_pkb, level_vars, to_possibilistic_base
+from .pkb import encode_pkb, level_vars, to_possibilistic_base
 
 
 @dataclass
 class LogicalEncoding:
     """The knowledge-base CNF with the degree 1 - w of each level
-    variable of weight w, and the variables its compile decides first."""
+    variable of weight w."""
 
     cnf: CnfFormula
     imap: InstanceMap
     theta_weights: WeightMap
-    first: frozenset[int]
 
 
 def encode_logical(net: PossNetwork) -> LogicalEncoding:
@@ -40,7 +41,7 @@ def encode_logical(net: PossNetwork) -> LogicalEncoding:
     base = to_possibilistic_base(net)
     cnf = encode_pkb(base)
     weights: WeightMap = {vid: complement(w) for vid, w in level_vars(cnf)}
-    return LogicalEncoding(cnf, base.imap, weights, decided_first(base, cnf))
+    return LogicalEncoding(cnf, base.imap, weights)
 
 
 def explore(compiled: NnfDag, enc: LogicalEncoding, term: EventTerm) -> Degree:
@@ -58,7 +59,7 @@ class LogicalPipeline:
         self.net = net
         self.encoding = encode_logical(net)
         self.cnf = self.encoding.cnf
-        self.dag = compile_cnf(self.cnf, node_budget=node_budget, first=self.encoding.first)
+        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
 
     def possibility(self, term: EventTerm) -> Degree:
         return explore(self.dag, self.encoding, term)

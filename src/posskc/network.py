@@ -63,6 +63,10 @@ class PossNetwork:
         self.name = name
         self.variables: tuple[NetVariable, ...] = tuple(variables)
         self._by_name = {v.name: v for v in self.variables}
+        for what, table in (("parents", parents), ("cpt", cpt)):
+            stray = sorted(set(table) - self._by_name.keys())
+            if stray:
+                raise NetworkValidationError(f"{what} for unknown variable {stray[0]!r}")
         self.parents: dict[str, tuple[str, ...]] = {
             v.name: tuple(parents.get(v.name, ())) for v in self.variables
         }

@@ -12,17 +12,18 @@ refute the target.
 Each step is one entailment pass over the compiled DAG, with the active
 level variables added to the checked clause; the DAG is never rebuilt.
 
-When the levels span several clauses each (a stratified base), the CNF
-also chains the level variables into a ladder, strongest first, and the
-compile decides them before any instance variable, so each branch leaves
-a hard instance CNF that splits along the network.
+When the levels span several clauses each (a stratified base,
+``cnf.stratified_levels``), the CNF also chains the level variables into
+a ladder, strongest first, and the compiler, reading the same rule off
+the CNF, decides them before any instance variable, so each branch
+leaves a hard instance CNF that splits along the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cnf import Clause, CnfFormula, Level
+from .cnf import Clause, CnfFormula, Level, stratified_levels
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, ONE, ZERO, complement, parse_degree
 from .encodings import InstanceMap
@@ -64,14 +65,6 @@ class PossibilisticBase:
 
     def hard_formulas(self) -> tuple[WeightedFormula, ...]:
         return tuple(wf for wf in self.formulas if wf.weight == ONE)
-
-    def stratified(self) -> bool:
-        """The ladder rule: the sub-1 formulas average at least two per
-        level.  Below that, most level variables tag a single clause and
-        act as its private relaxation literal, so a ladder through them
-        would only join otherwise independent components."""
-        soft = len(self.formulas) - len(self.hard_formulas())
-        return bool(self.levels) and soft >= 2 * len(self.levels)
 
 
 def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
@@ -115,11 +108,11 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
     hard clauses pass through, and exactly-one clauses append as hard
     ones.
 
-    A stratified base (``PossibilisticBase.stratified``) also gets the
-    ladder: one hard clause (-A_i, A_i+1) per pair of adjacent ranks, so
-    relaxing a stratum relaxes every weaker one.  Answers stay the same,
-    since an optimal model of either query procedure can set every weaker
-    level true, and only L + 1 of the 2^L level assignments remain."""
+    A stratified base (``cnf.stratified_levels``) also gets the ladder:
+    one hard clause (-A_i, A_i+1) per pair of adjacent ranks, so relaxing
+    a stratum relaxes every weaker one.  Answers stay the same, since an
+    optimal model of either query procedure can set every weaker level
+    true, and only L + 1 of the 2^L level assignments remain."""
     f = CnfFormula()
     for role in base.imap.roles:
         f.new_var(role)
@@ -131,7 +124,7 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
             f.add_clause([*wf.clause.literals, level[wf.weight]])
     for c in base.imap.exactly_one_clauses():
         f.add_clause(c)
-    if base.stratified():
+    if stratified_levels(f):
         ranked = list(level.values())
         for stronger, weaker in zip(ranked, ranked[1:]):
             f.add_clause([-stronger, weaker])
@@ -141,15 +134,6 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
 def level_vars(cnf: CnfFormula) -> tuple[tuple[int, Degree], ...]:
     """(id, weight) of each level variable of ``cnf``, in rank order."""
     return tuple((v.id, v.role.weight) for v in cnf.variables if isinstance(v.role, Level))
-
-
-def decided_first(base: PossibilisticBase, cnf: CnfFormula) -> frozenset[int]:
-    """The variables the compiler decides before any other: every level
-    variable of a stratified base's CNF, so each branch leaves a hard
-    instance CNF that splits along the network; none otherwise."""
-    if not base.stratified():
-        return frozenset()
-    return frozenset(vid for vid, _ in level_vars(cnf))
 
 
 def serialize_base(base: PossibilisticBase) -> str:
@@ -218,9 +202,7 @@ class PkbPipeline:
         self.net = net
         self.base = to_possibilistic_base(net)
         self.cnf = encode_pkb(self.base)
-        self.dag = compile_cnf(
-            self.cnf, node_budget=node_budget, first=decided_first(self.base, self.cnf)
-        )
+        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
         self.level_vars = level_vars(self.cnf)
         self.imap = self.base.imap
 

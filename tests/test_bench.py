@@ -270,11 +270,12 @@ class TestCrossValidate:
         )
         assert "0 mismatches" in report
 
-    @pytest.mark.parametrize("degrees", [3, 9])
+    @pytest.mark.parametrize("degrees", [1, 3, 9])
     @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
     def test_coarse_pools_clean(self, degrees, binary_only):
         """Few degrees make many bases stratified (about 30-90% here), so
-        the ladder and the level-first order meet the oracle."""
+        the ladder and the level-first order meet the oracle.  One degree
+        gives one-level bases: stratified, with no ladder clause."""
         report = cross_validate(
             nets=60,
             max_vars=10 if binary_only else 7,

@@ -5,8 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from posskc.bench import GenConfig, even_pool, random_network
 from posskc.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_term
+from posskc.cnf import stratified_levels
 from posskc.errors import QueryError
+from posskc.network import serialize_network
+from posskc.nnf import write_nnf
+from posskc.pkb import PkbPipeline
 
 ALARM = str(Path(__file__).resolve().parent.parent / "fixtures" / "alarm.pnet")
 
@@ -201,6 +206,25 @@ class TestEncodeAndCompile:
         )
         assert code == EXIT_OK
         assert nnf.read_text().startswith("nnf ")
+
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_compiled_file_equals_the_pipeline_dag(self, capsys, tmp_path, binary_only):
+        """A stratified base's DIMACS file carries its level roles, so
+        `compile` decides the level variables first, as the pipeline does."""
+        nets = [
+            random_network(
+                GenConfig(8, max_parents=2, degree_pool=even_pool(9), seed=s, binary_only=binary_only)
+            )
+            for s in range(12)
+        ]
+        pipelines = [kb for kb in map(PkbPipeline, nets) if stratified_levels(kb.cnf)][:3]
+        assert len(pipelines) == 3
+        pnet, cnf = tmp_path / "n.pnet", tmp_path / "k.cnf"
+        for kb in pipelines:
+            pnet.write_text(serialize_network(kb.net))
+            assert run(capsys, "encode", str(pnet), "--method", "pkb", "-o", str(cnf))[0] == EXIT_OK
+            code, out, _ = run(capsys, "compile", str(cnf))
+            assert (code, out) == (EXIT_OK, write_nnf(kb.dag))
 
     def test_compile_budget_is_runtime_error(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"

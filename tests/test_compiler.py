@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from posskc.cnf import Clause, CnfFormula, model_mask
+from posskc import compiler
+from posskc.cnf import Clause, CnfFormula, Level, model_mask, stratified_levels
 from posskc.compiler import compile_cnf
+from posskc.degrees import parse_degree
 from posskc.errors import CompileBudgetError
 from posskc.nnf import (
     entails_clause,
@@ -21,10 +23,11 @@ from posskc.nnf import (
 from helpers import dag_model_mask, dag_model_set, models_by_definition, random_cnf
 
 
-def formula(n, clauses):
+def formula(n, clauses, levels=()):
+    """A CNF over variables 1..n, those in ``levels`` tagged as Level."""
     f = CnfFormula()
-    for _ in range(n):
-        f.new_var()
+    for v in range(1, n + 1):
+        f.new_var(Level(v, parse_degree("0.5")) if v in levels else None)
     for c in clauses:
         f.add_clause(c)
     return f
@@ -111,23 +114,34 @@ class TestStructure:
         assert not entails_clause(d, Clause([1, 3]))
 
     def test_first_variables_are_decided_before_others(self):
-        """Variable 1 occurs most, so it is the default root decision; a
-        ``first`` set moves its own variable to the root instead."""
-        f = formula(4, [[1, 2], [1, 3], [-1, 4], [2, 3, 4]])
-        default, moved = compile_cnf(f), compile_cnf(f, first=frozenset({4}))
+        """Variable 1 occurs most, so it is the default root decision.
+        Tagging variable 4 as a Level that weights two clauses makes the
+        formula stratified and moves 4 to the root; with one weighted
+        clause the tag changes nothing."""
+        clauses = [[1, 2], [1, 3], [-1, 4], [2, 3, 4]]
+        default = compile_cnf(formula(4, clauses))
+        f = formula(4, clauses, levels={4})
+        moved = compile_cnf(f)
         assert default.nodes[default.root][:2] == ("O", 1)
         assert moved.nodes[moved.root][:2] == ("O", 4)
         assert dag_model_mask(moved, 4) == model_mask(f)
+        single = formula(4, [[1, 2], [1, 3], [-1, 4], [2, 3]], levels={4})
+        assert stratified_levels(single) == frozenset()
+        assert write_nnf(compile_cnf(single)) == write_nnf(compile_cnf(formula(4, single.clauses)))
 
     def test_first_set_keeps_the_models(self):
         rng = random.Random(41)
+        stratified = 0
         for _ in range(40):
             n = rng.randint(2, 9)
-            f = random_cnf(rng, n, rng.randint(1, 3 * n))
-            first = frozenset(v for v in range(1, n + 1) if rng.random() < 0.3)
-            d = compile_cnf(f, first=first)
+            g = random_cnf(rng, n, rng.randint(n, 3 * n))
+            levels = set(rng.sample(range(1, n + 1), rng.randint(1, n // 2)))
+            f = formula(n, g.clauses, levels)
+            stratified += bool(stratified_levels(f))
+            d = compile_cnf(f)
             assert dag_model_mask(d, n) == model_mask(f)
             assert structural_properties(d)["deterministic"]
+        assert stratified >= 15
 
     def test_runs_are_deterministic(self):
         rng = random.Random(3)
@@ -148,10 +162,11 @@ class TestBudget:
         d = compile_cnf(f, node_budget=10_000_000)
         assert dag_model_mask(d, 12) == model_mask(f)
 
-    def test_tiny_cache_still_correct(self):
+    def test_tiny_cache_still_correct(self, monkeypatch):
+        monkeypatch.setattr(compiler, "CACHE_CAP", 2)
         rng = random.Random(15)
         for _ in range(10):
             n = rng.randint(2, 9)
             f = random_cnf(rng, n, rng.randint(1, 3 * n))
-            d = compile_cnf(f, cache_cap=2)
+            d = compile_cnf(f)
             assert dag_model_mask(d, n) == model_mask(f)

@@ -3,7 +3,7 @@
 import pytest
 
 from posskc.bench import GenConfig, SplitMix64, even_pool, random_network
-from posskc.cnf import Clause, CnfFormula, Instance, Level, cnf_stats
+from posskc.cnf import Clause, CnfFormula, Instance, Level, cnf_stats, stratified_levels
 from posskc.compiler import compile_cnf
 from posskc.degrees import ONE, ZERO, complement, parse_degree
 from posskc.errors import FormatError
@@ -18,7 +18,6 @@ from posskc.pkb import (
     PkbPipeline,
     PossibilisticBase,
     WeightedFormula,
-    decided_first,
     encode_pkb,
     level_vars,
     parse_base,
@@ -304,24 +303,25 @@ def nine_degree_nets(binary_only: bool) -> list:
 
 
 def without_ladder(kb: PkbPipeline) -> CnfFormula:
-    """The pipeline's CNF minus its trailing L - 1 ladder clauses."""
+    """The pipeline's CNF minus its trailing L - 1 ladder clauses and its
+    roles, so it compiles in the default decision order."""
     f = CnfFormula()
-    for v in kb.cnf.variables:
-        f.new_var(v.role)
+    for _ in kb.cnf.variables:
+        f.new_var()
     for c in kb.cnf.clauses[: kb.cnf.num_clauses - (len(kb.level_vars) - 1)]:
         f.add_clause(c)
     return f
 
 
 class TestStratifiedLadder:
-    """The ladder rule: a ladder over the level variables, decided first,
-    exactly when the sub-1 formulas average two or more per level."""
+    """The stratification rule (``cnf.stratified_levels``): a ladder over
+    the level variables, decided first, exactly when the weighted clauses
+    average two or more per level."""
 
     @staticmethod
     def assert_no_ladder(base: PossibilisticBase) -> None:
         cnf = encode_pkb(base)
-        assert not base.stratified()
-        assert decided_first(base, cnf) == frozenset()
+        assert stratified_levels(cnf) == frozenset()
         assert cnf.num_clauses == len(base.formulas) + len(base.imap.exactly_one_clauses())
 
     def test_alarm_gets_no_ladder(self, alarm):
@@ -346,7 +346,6 @@ class TestStratifiedLadder:
         )
         base = to_possibilistic_base(net)
         cnf = encode_pkb(base)
-        assert base.stratified()
         ranked = [vid for vid, _ in level_vars(cnf)]
         exactly_one = [Clause(c) for c in base.imap.exactly_one_clauses()]
         assert exactly_one
@@ -355,13 +354,17 @@ class TestStratifiedLadder:
         ladder = list(cnf.clauses[head + len(exactly_one) :])
         assert len(ladder) == len(base.levels) - 1
         assert ladder == [Clause([-a, b]) for a, b in zip(ranked, ranked[1:])]
-        assert decided_first(base, cnf) == frozenset(ranked)
+        assert stratified_levels(cnf) == frozenset(ranked)
 
     @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
     def test_ladder_keeps_every_answer(self, binary_only):
         """query_detail on the ladder DAG equals query_detail on a DAG of
         the same CNF without the ladder clauses, and the oracle."""
-        nets = [net for net in nine_degree_nets(binary_only) if to_possibilistic_base(net).stratified()]
+        nets = [
+            net
+            for net in nine_degree_nets(binary_only)
+            if stratified_levels(encode_pkb(to_possibilistic_base(net)))
+        ]
         assert len(nets) >= 6
         for net in nets:
             kb = PkbPipeline(net)

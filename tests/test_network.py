@@ -80,6 +80,19 @@ class TestParsing:
             parse_network("network n\nvar X x1 x2\nx1 : 1\n")
 
 
+class TestConstruction:
+    X = NetVariable("X", ("x1", "x2"))
+    X_CPT = {("x1", ()): ONE, ("x2", ()): D("0.5")}
+
+    def test_stray_parents_key_rejected(self):
+        with pytest.raises(NetworkValidationError, match="parents for unknown variable 'Y'"):
+            PossNetwork("n", [self.X], {"Y": ("X",)}, {"X": self.X_CPT, "Z": {}})
+
+    def test_stray_cpt_key_rejected(self):
+        with pytest.raises(NetworkValidationError, match="cpt for unknown variable 'Z'"):
+            PossNetwork("n", [self.X], {}, {"X": self.X_CPT, "Z": {}})
+
+
 class TestChainRule:
     def test_degree_one_world(self, alarm):
         assert chain_rule_joint(alarm, {"F": "f2", "B": "b1", "D": "d2"}) == ONE
