@@ -52,8 +52,8 @@ def main() -> None:
     print()
 
     print("cross-validating compiled answers against the oracle:")
-    report = cross_validate(nets=20, max_vars=7, queries=4, seed=2718)
-    for line in report.splitlines()[:2]:
+    result = cross_validate(nets=20, max_vars=7, queries=4, seed=2718)
+    for line in result.report.splitlines()[:2]:
         print(f"  {line}")
 
 

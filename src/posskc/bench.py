@@ -396,6 +396,16 @@ def run_comparison(
     return rows, aggregates
 
 
+@dataclass(frozen=True)
+class CrossValidation:
+    """Queries checked, one text per mismatch (query, answers, network),
+    and the printable report."""
+
+    checked: int
+    mismatches: tuple[str, ...]
+    report: str
+
+
 def cross_validate(
     nets: int,
     max_vars: int = 10,
@@ -404,13 +414,13 @@ def cross_validate(
     max_parents: int = 3,
     degree_pool: frozenset = DEFAULT_POOL,
     binary_only: bool = True,
-) -> str:
+) -> CrossValidation:
     """Run all three pipelines against the brute-force oracle.
 
     Random networks of 2..max_vars nodes, `queries` conditional queries
     each (the first with empty evidence so marginals are covered).  The
-    report lists every mismatch verbatim; a clean run ends with
-    "0 mismatches".
+    report's second line tallies the mismatches, and every mismatch text
+    follows it verbatim.
     """
     if max_vars < 2:
         raise ValueError(f"max_vars must be at least 2, got {max_vars}")
@@ -456,4 +466,4 @@ def cross_validate(
         f"checked {total} queries: {len(mismatches)} mismatches",
     ]
     lines.extend(mismatches)
-    return "\n".join(lines) + "\n"
+    return CrossValidation(total, tuple(mismatches), "\n".join(lines) + "\n")

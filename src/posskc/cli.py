@@ -213,18 +213,17 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = cross_validate(
+    result = cross_validate(
         nets=args.nets,
         max_vars=args.max_vars,
         queries=args.queries,
         seed=args.seed,
         degree_pool=even_pool(args.degrees),
     )
-    _write_out(args.output, report)
+    _write_out(args.output, result.report)
     if args.output not in (None, "-"):
-        print(report.splitlines()[1])
-    clean = " 0 mismatches" in report.splitlines()[1]
-    return EXIT_OK if clean else EXIT_RUNTIME
+        print(result.report.splitlines()[1])
+    return EXIT_RUNTIME if result.mismatches else EXIT_OK
 
 
 def build_parser() -> _Parser:

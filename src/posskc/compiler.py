@@ -6,8 +6,13 @@ residual clause set into variable-disjoint connected components compiled
 independently and joined under And, and a cache keyed by the canonical
 form of residual clause sets so equal subproblems compile once.
 
-Decision variable choice is most-occurrences-first over the residual
-clauses, ties broken by smallest variable id, which keeps runs fully
+Every clause set handed to a subproblem is canonical, so propagation
+returns a set without a unit clause as it is.  One pass over the
+residual (``split``) does both the component split and the occurrence
+counts: each clause's variable bitmask merges the groups it meets, and
+the components come out ordered by their smallest variable.  Decision
+variable choice is most-occurrences-first over the residual clauses,
+ties broken by smallest variable id, which keeps runs fully
 deterministic.  The formula itself names the variables decided before
 all others: the level variables of a stratified base
 (``cnf.stratified_levels``), which the same rule orders among
@@ -28,8 +33,6 @@ it reaches ``CACHE_CAP`` entries, which affects speed only.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .cnf import CnfFormula, stratified_levels
 from .errors import CompileBudgetError
 from .nnf import NnfBuilder, NnfDag
@@ -38,6 +41,34 @@ DEFAULT_NODE_BUDGET = 1_000_000
 CACHE_CAP = 500_000
 
 ClauseSet = tuple  # sorted tuple of sorted literal tuples
+
+
+def split(clauses: ClauseSet) -> tuple[list[ClauseSet], dict[int, int]]:
+    """A canonical clause set's variable-disjoint components, ordered by
+    smallest variable, and each variable's occurrence count, in one pass
+    that merges every group whose variable bitmask meets the clause's."""
+    counts: dict[int, int] = {}
+    masks: list[int] = []
+    groups: list[int] = []
+    for c in clauses:
+        m = 0
+        for l in c:
+            v = abs(l)
+            m |= 1 << v
+            counts[v] = counts.get(v, 0) + 1
+        masks.append(m)
+        rest = []
+        for g in groups:
+            if g & m:
+                m |= g
+            else:
+                rest.append(g)
+        rest.append(m)
+        groups = rest
+    if len(groups) < 2:
+        return [clauses], counts
+    groups.sort(key=lambda g: g & -g)
+    return [tuple(c for c, m in zip(clauses, masks) if m & g) for g in groups], counts
 
 
 def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag:
@@ -53,47 +84,35 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
             raise CompileBudgetError(budget_note)
 
     def propagate(clauses: ClauseSet):
-        """Unit propagation to fixpoint.
-
-        Returns (implied literal tuple, residual clause set) or None on
-        conflict.  The residual is canonical and unit-free.
-        """
-        assigned: dict[int, bool] = {}
-        work = list(clauses)
+        """Unit propagation to fixpoint: (implied literals, canonical
+        unit-free residual), or None on conflict.  A set without a unit
+        clause is already canonical and comes back as it is."""
+        units = [c[0] for c in clauses if len(c) == 1]
+        if not units:
+            return (), clauses
+        true: set[int] = set()
+        false: set[int] = set()
         implied: list[int] = []
-        while True:
-            units = []
-            for c in work:
-                if len(c) == 1:
-                    units.append(c[0])
-            if not units:
-                break
+        work = clauses
+        while units:
             for l in units:
-                v = abs(l)
-                want = l > 0
-                prev = assigned.get(v)
-                if prev is not None and prev != want:
+                if l in false:
                     return None
-                if prev is None:
-                    assigned[v] = want
+                if l not in true:
+                    true.add(l)
+                    false.add(-l)
                     implied.append(l)
             nxt = []
             for c in work:
-                keep: list[int] = []
-                satisfied = False
-                for l in c:
-                    val = assigned.get(abs(l))
-                    if val is None:
-                        keep.append(l)
-                    elif val == (l > 0):
-                        satisfied = True
-                        break
-                if satisfied:
+                if not true.isdisjoint(c):
                     continue
-                if not keep:
-                    return None
-                nxt.append(tuple(keep))
+                if not false.isdisjoint(c):
+                    c = tuple(l for l in c if l not in false)
+                    if not c:
+                        return None
+                nxt.append(c)
             work = nxt
+            units = [c[0] for c in work if len(c) == 1]
         return tuple(implied), tuple(sorted(set(work)))
 
     def condition_set(clauses: ClauseSet, lit: int) -> ClauseSet:
@@ -106,28 +125,6 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
             out.append(c)
         return tuple(sorted(set(out)))
 
-    def components(clauses: ClauseSet) -> list[ClauseSet]:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in clauses:
-            vs = [abs(l) for l in c]
-            for v in vs:
-                parent.setdefault(v, v)
-            for v in vs[1:]:
-                ra, rb = find(vs[0]), find(v)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, list] = {}
-        for c in clauses:
-            groups.setdefault(find(abs(c[0])), []).append(c)
-        return [tuple(g) for _, g in sorted(groups.items())]
-
     def solve(clauses: ClauseSet):
         """One subproblem: yields each child clause set, receives its node
         id, and returns the subproblem's node id."""
@@ -138,16 +135,12 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
         lit_ids = [builder.literal(l) for l in implied]
         if not residual:
             return builder.conj(lit_ids)
-        comps = components(residual)
+        comps, counts = split(residual)
         if len(comps) > 1:
             parts = []
             for comp in comps:
                 parts.append((yield comp))
             return builder.conj(lit_ids + parts)
-        counts: Counter = Counter()
-        for c in residual:
-            for l in c:
-                counts[abs(l)] += 1
         best = max(counts.items(), key=lambda kv: (kv[0] in first, kv[1], -kv[0]))[0]
         pos = yield condition_set(residual, best)
         neg = yield condition_set(residual, -best)

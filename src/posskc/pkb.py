@@ -63,9 +63,6 @@ class PossibilisticBase:
             sorted({wf.weight for wf in self.formulas if wf.weight < ONE}, reverse=True)
         )
 
-    def hard_formulas(self) -> tuple[WeightedFormula, ...]:
-        return tuple(wf for wf in self.formulas if wf.weight == ONE)
-
 
 def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
     """Transform a network into its equivalent possibilistic base."""

@@ -5,6 +5,8 @@ subcube masks) so it can serve as an independent oracle for the compiled
 structures under test.  The query references answer the logical and pkb
 queries the rebuilding way (condition, forget, then a boolean or max-min
 pass over the new DAG), as a cross-check of the one-pass query kernel.
+The union-find component split is the reference for the compiler's
+one-pass split.
 """
 
 from __future__ import annotations
@@ -47,6 +49,33 @@ def random_cnf(rng: random.Random, n_vars: int, n_clauses: int, max_len: int = 3
         vs = rng.sample(range(1, n_vars + 1), min(k, n_vars))
         f.add_clause([v if rng.random() < 0.5 else -v for v in vs])
     return f
+
+
+def union_find_components(clauses: tuple) -> list[tuple]:
+    """Variable-disjoint components of a clause set by union-find over its
+    variables, each a subsequence of the input, in root order: a
+    reference partition for ``compiler.split``, which orders them by
+    smallest variable instead."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in clauses:
+        vs = [abs(l) for l in c]
+        for v in vs:
+            parent.setdefault(v, v)
+        for v in vs[1:]:
+            ra, rb = find(vs[0]), find(v)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, list] = {}
+    for c in clauses:
+        groups.setdefault(find(abs(c[0])), []).append(c)
+    return [tuple(g) for _, g in sorted(groups.items())]
 
 
 def conditioned_models(f, term, n):

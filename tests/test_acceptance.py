@@ -156,9 +156,9 @@ def test_criterion_4_size_trend(acceptance_log):
 
 
 def test_criterion_5_oracle_equivalence(acceptance_log):
-    report = cross_validate(nets=200, max_vars=10, queries=5, seed=31337)
-    tally = report.splitlines()[1]
-    clean = tally == "checked 1000 queries: 0 mismatches"
+    result = cross_validate(nets=200, max_vars=10, queries=5, seed=31337)
+    tally = result.report.splitlines()[1]
+    clean = result.checked == 1000 and not result.mismatches
 
     worlds = 0
     sigma_bad = 0

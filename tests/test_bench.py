@@ -257,18 +257,19 @@ class TestAggregateMeans:
 
 class TestCrossValidate:
     def test_clean_report(self):
-        report = cross_validate(nets=5, max_vars=6, queries=3, seed=13)
-        lines = report.splitlines()
+        result = cross_validate(nets=5, max_vars=6, queries=3, seed=13)
+        assert (result.checked, result.mismatches) == (15, ())
+        lines = result.report.splitlines()
         assert lines[0] == (
             "cross-validation: 5 networks (2..6 nodes), 3 queries each, seed 13"
         )
         assert lines[1] == "checked 15 queries: 0 mismatches"
 
     def test_multivalued_clean(self):
-        report = cross_validate(
+        result = cross_validate(
             nets=3, max_vars=5, queries=2, seed=21, binary_only=False
         )
-        assert "0 mismatches" in report
+        assert (result.checked, result.mismatches) == (6, ())
 
     @pytest.mark.parametrize("degrees", [1, 3, 9])
     @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
@@ -276,7 +277,7 @@ class TestCrossValidate:
         """Few degrees make many bases stratified (about 30-90% here), so
         the ladder and the level-first order meet the oracle.  One degree
         gives one-level bases: stratified, with no ladder clause."""
-        report = cross_validate(
+        result = cross_validate(
             nets=60,
             max_vars=10 if binary_only else 7,
             queries=5,
@@ -284,7 +285,7 @@ class TestCrossValidate:
             degree_pool=even_pool(degrees),
             binary_only=binary_only,
         )
-        assert "checked 300 queries: 0 mismatches" in report
+        assert (result.checked, result.mismatches) == (300, ())
 
     @pytest.mark.parametrize("max_vars", [1, 0, -3])
     def test_rejects_max_vars_below_two(self, max_vars):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from posskc.bench import GenConfig, even_pool, random_network
+from posskc import cli
+from posskc.bench import CrossValidation, GenConfig, even_pool, random_network
 from posskc.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_term
 from posskc.cnf import stratified_levels
 from posskc.errors import QueryError
@@ -355,6 +356,16 @@ class TestBenchAndCheck:
         assert code == EXIT_OK
         assert "0 mismatches" in stdout
         assert report.read_text().startswith("cross-validation:")
+
+    def test_check_exit_code_follows_the_mismatch_count(self, capsys, monkeypatch):
+        """A mismatch fails the run whatever the report's wording."""
+        text = "cross-validation: stub\nchecked 10 queries: 0 mismatches so far\nstub\n"
+        monkeypatch.setattr(
+            cli, "cross_validate", lambda **kw: CrossValidation(10, ("stub",), text)
+        )
+        code, stdout, _ = run(capsys, "check")
+        assert code == EXIT_RUNTIME
+        assert stdout == text
 
 
 class TestUsage:

@@ -4,12 +4,20 @@ properties of the output, determinism of runs, and the loud budget."""
 import inspect
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from posskc import compiler
-from posskc.cnf import Clause, CnfFormula, Level, model_mask, stratified_levels
-from posskc.compiler import compile_cnf
+from posskc.cnf import (
+    Clause,
+    CnfFormula,
+    Level,
+    enumerate_models,
+    model_mask,
+    stratified_levels,
+)
+from posskc.compiler import compile_cnf, split
 from posskc.degrees import parse_degree
 from posskc.errors import CompileBudgetError
 from posskc.nnf import (
@@ -20,7 +28,14 @@ from posskc.nnf import (
     write_nnf,
 )
 
-from helpers import dag_model_mask, dag_model_set, models_by_definition, random_cnf
+from helpers import (
+    dag_model_mask,
+    dag_model_set,
+    interp_key,
+    models_by_definition,
+    random_cnf,
+    union_find_components,
+)
 
 
 def formula(n, clauses, levels=()):
@@ -149,6 +164,67 @@ class TestStructure:
             n = rng.randint(2, 9)
             f = random_cnf(rng, n, rng.randint(1, 3 * n))
             assert write_nnf(compile_cnf(f)) == write_nnf(compile_cnf(f))
+
+
+def smallest_vars(comps):
+    return [min(abs(l) for c in comp for l in c) for comp in comps]
+
+
+class TestSplit:
+    """The one-pass split against the union-find reference, and compiled
+    models against enumeration on the residuals it has to split right."""
+
+    def assert_compiles_to_models(self, n, clauses):
+        f = formula(n, clauses)
+        want = {interp_key(m, n) for m in enumerate_models(f)}
+        assert dag_model_set(compile_cnf(f), n) == want
+
+    def test_clause_joins_two_earlier_groups(self):
+        """(1 3) and (2 4) open two groups; (3 4) comes last and merges
+        them into one component, so the root is a decision, not an And."""
+        clauses = ((1, 3), (2, 4), (3, 4))
+        assert split(clauses) == ([clauses], {1: 1, 2: 1, 3: 2, 4: 2})
+        d = compile_cnf(formula(4, clauses))
+        assert d.nodes[d.root][0] == "O"
+        self.assert_compiles_to_models(4, clauses)
+
+    def test_three_components_ordered_by_smallest_variable(self):
+        """Union-find roots {2 4 5} at 4, after {3 6} at 3; the split puts
+        it second, by its smallest variable 2."""
+        clauses = ((-2, 5), (1, 7), (3, 6), (4, 5))
+        comps, counts = split(clauses)
+        assert comps == [((1, 7),), ((-2, 5), (4, 5)), ((3, 6),)]
+        assert union_find_components(clauses) == [((1, 7),), ((3, 6),), ((-2, 5), (4, 5))]
+        assert counts == {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 1}
+        d = compile_cnf(formula(7, clauses))
+        op, _, kids = d.nodes[d.root]
+        assert op == "A" and len(kids) == 3
+        self.assert_compiles_to_models(7, clauses)
+
+    def test_formula_without_unit_clause(self):
+        rng = random.Random(808)
+        for _ in range(30):
+            n = rng.randint(2, 9)
+            f = random_cnf(rng, n, rng.randint(1, 3 * n))
+            clauses = [c.literals for c in f.clauses if len(c) > 1]
+            self.assert_compiles_to_models(n, clauses)
+
+    def test_same_partition_as_union_find(self):
+        rng = random.Random(2024)
+        multi = 0
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            f = random_cnf(rng, n, rng.randint(1, n))
+            clauses = tuple(sorted({c.literals for c in f.clauses}))  # as compile_cnf starts
+            comps, counts = split(clauses)
+            ref = union_find_components(clauses)
+            assert {frozenset(c) for c in comps} == {frozenset(c) for c in ref}
+            assert len(comps) == len(ref)
+            assert all(list(comp) == sorted(comp) for comp in comps)
+            assert smallest_vars(comps) == sorted(smallest_vars(comps))
+            assert counts == Counter(abs(l) for c in clauses for l in c)
+            multi += len(comps) >= 3
+        assert multi >= 50
 
 
 class TestBudget:

@@ -71,14 +71,13 @@ class TestToBase:
         assert list(base.levels) == sorted(base.levels, reverse=True)
 
     def test_no_hard_formulas_in_example(self, alarm):
-        assert to_possibilistic_base(alarm).hard_formulas() == ()
+        assert all(wf.weight < ONE for wf in to_possibilistic_base(alarm).formulas)
 
     def test_degree_zero_entry_becomes_hard_formula(self):
         net = parse_network("network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0")
         base = to_possibilistic_base(net)
         assert len(base.formulas) == 1
         assert base.formulas[0].weight == ONE
-        assert base.hard_formulas() == (base.formulas[0],)
         assert base.levels == ()
 
     def test_uniform_net_gives_empty_base(self):
