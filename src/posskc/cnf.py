@@ -97,14 +97,14 @@ class Clause:
     literals: tuple[int, ...]
 
     def __init__(self, literals: Iterable[int]):
-        lits = sorted(set(literals), key=lambda l: (abs(l), l > 0))
-        if any(l == 0 for l in lits):
+        # by value, then stably by variable: -v before +v, and 0 first
+        lits = sorted(sorted(set(literals)), key=abs)
+        if lits and not lits[0]:
             raise ValueError("0 is not a literal")
         object.__setattr__(self, "literals", tuple(lits))
 
     def is_tautology(self) -> bool:
-        seen = set(self.literals)
-        return any(-l in seen for l in self.literals)
+        return len({abs(l) for l in self.literals}) < len(self.literals)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals)
@@ -155,11 +155,11 @@ class CnfFormula:
 
     def add_clause(self, literals: Iterable[int]) -> Clause:
         cl = literals if isinstance(literals, Clause) else Clause(literals)
-        for l in cl:
-            if not 1 <= abs(l) <= len(self._variables):
-                raise ValueError(f"literal {l} names an unregistered variable")
+        lits = cl.literals
+        if lits and abs(lits[-1]) > len(self._variables):  # sorted by variable
+            raise ValueError(f"literal {lits[-1]} names an unregistered variable")
         if cl.is_tautology():
-            raise ValueError(f"tautological clause {cl.literals} not allowed in a formula")
+            raise ValueError(f"tautological clause {lits} not allowed in a formula")
         self._clauses.append(cl)
         return cl
 

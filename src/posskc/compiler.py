@@ -6,17 +6,19 @@ residual clause set into variable-disjoint connected components compiled
 independently and joined under And, and a cache keyed by the canonical
 form of residual clause sets so equal subproblems compile once.
 
-Every clause set handed to a subproblem is canonical, so propagation
-returns a set without a unit clause as it is.  One pass over the
-residual (``split``) does both the component split and the occurrence
-counts: each clause's variable bitmask merges the groups it meets, and
-the components come out ordered by their smallest variable.  Decision
-variable choice is most-occurrences-first over the residual clauses,
-ties broken by smallest variable id, which keeps runs fully
-deterministic.  The formula itself names the variables decided before
-all others: the level variables of a stratified base
-(``cnf.stratified_levels``), which the same rule orders among
-themselves; other formulas have none.  So a CNF compiles the same from a
+A residual clause is one int: bit ``v`` stands for ``+v`` and bit
+``v + S`` for ``-v``, with ``S = num_vars + 1``.  A clause set, and so a
+cache key, is a sorted tuple of distinct clause ints.  A clause is a
+unit when one bit is set; propagation and conditioning drop the clauses
+that meet a mask of true literals and clear a mask of false ones; a
+clause's variable mask is ``(c | c >> S)`` cut to its low ``S`` bits.
+``split`` grows each component from those masks, and components come
+out ordered by their smallest variable.  Decision variable choice is
+most-occurrences-first over the residual clauses, ties broken by
+smallest variable id, which keeps runs fully deterministic.  The formula
+itself names the variables decided before all others: the level
+variables of a stratified base (``cnf.stratified_levels``), which the
+same rule orders among themselves.  So a CNF compiles the same from a
 pipeline or from its DIMACS file.  Output DAGs are decomposable and
 deterministic by construction (every Or is a binary decision node).
 
@@ -33,6 +35,8 @@ it reaches ``CACHE_CAP`` entries, which affects speed only.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .cnf import CnfFormula, stratified_levels
 from .errors import CompileBudgetError
 from .nnf import NnfBuilder, NnfDag
@@ -40,90 +44,101 @@ from .nnf import NnfBuilder, NnfDag
 DEFAULT_NODE_BUDGET = 1_000_000
 CACHE_CAP = 500_000
 
-ClauseSet = tuple  # sorted tuple of sorted literal tuples
+ClauseSet = tuple  # sorted tuple of distinct clause ints
 
 
-def split(clauses: ClauseSet) -> tuple[list[ClauseSet], dict[int, int]]:
+def clause_bits(literals: Iterable[int], shift: int) -> int:
+    """A clause as one int: bit ``v`` for ``+v``, bit ``v + shift`` for ``-v``."""
+    return sum(1 << (l if l > 0 else shift - l) for l in set(literals))
+
+
+def split(clauses: ClauseSet, masks: list[int]) -> list[ClauseSet]:
     """A canonical clause set's variable-disjoint components, ordered by
-    smallest variable, and each variable's occurrence count, in one pass
-    that merges every group whose variable bitmask meets the clause's."""
-    counts: dict[int, int] = {}
-    masks: list[int] = []
+    smallest variable, given each clause's variable mask.  Each component
+    grows from the first clause left, by sweeps that merge every mask
+    meeting it, until a sweep merges none."""
     groups: list[int] = []
-    for c in clauses:
-        m = 0
-        for l in c:
-            v = abs(l)
-            m |= 1 << v
-            counts[v] = counts.get(v, 0) + 1
-        masks.append(m)
-        rest = []
-        for g in groups:
-            if g & m:
-                m |= g
-            else:
-                rest.append(g)
-        rest.append(m)
-        groups = rest
+    rest = masks
+    while rest:
+        group = rest[0]
+        size = 0
+        while size != len(rest):
+            size = len(rest)
+            left, rest = rest, []
+            for m in left:
+                if m & group:
+                    group |= m
+                else:
+                    rest.append(m)
+        groups.append(group)
     if len(groups) < 2:
-        return [clauses], counts
+        return [clauses]
     groups.sort(key=lambda g: g & -g)
-    return [tuple(c for c, m in zip(clauses, masks) if m & g) for g in groups], counts
+    return [tuple(c for c, m in zip(clauses, masks) if m & g) for g in groups]
+
+
+def decide(masks: list[int], first: int) -> int:
+    """The decision variable's bit among the clauses' variable masks: a
+    variable of ``first`` if any occurs, then the most occurrences, then
+    the smallest id.  Occurrences are counted in binary, one mask per
+    digit."""
+    digits: list[int] = []
+    seen = 0
+    for carry in masks:
+        seen |= carry
+        for i, d in enumerate(digits):
+            digits[i] = d ^ carry
+            carry &= d
+            if not carry:
+                break
+        else:
+            digits.append(carry)
+    best = seen & first or seen
+    for d in reversed(digits):
+        if best & d:
+            best &= d
+    return best & -best
 
 
 def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag:
     """Compile a CNF into an equivalent decomposable, deterministic DAG,
     deciding the variables ``stratified_levels(f)`` names before any other."""
-    first = stratified_levels(f)
+    shift = f.num_vars + 1
+    low = (1 << shift) - 1
+    first = clause_bits(stratified_levels(f), shift)
     builder = NnfBuilder()
     cache: dict[ClauseSet, int] = {}
-    budget_note = f"node budget {node_budget} exceeded"
 
-    def check_budget() -> None:
-        if builder.size > node_budget:
-            raise CompileBudgetError(budget_note)
+    def literal(bit: int) -> int:
+        v = bit.bit_length() - 1
+        return builder.literal(v if v < shift else shift - v)
 
     def propagate(clauses: ClauseSet):
-        """Unit propagation to fixpoint: (implied literals, canonical
+        """Unit propagation to fixpoint: (implied literal bits, canonical
         unit-free residual), or None on conflict.  A set without a unit
         clause is already canonical and comes back as it is."""
-        units = [c[0] for c in clauses if len(c) == 1]
+        units = [c for c in clauses if not c & (c - 1)]
         if not units:
             return (), clauses
-        true: set[int] = set()
-        false: set[int] = set()
+        true = false = 0
         implied: list[int] = []
         work = clauses
         while units:
-            for l in units:
-                if l in false:
+            for u in units:
+                if not u & ~false:  # empty, or its literal is false
                     return None
-                if l not in true:
-                    true.add(l)
-                    false.add(-l)
-                    implied.append(l)
-            nxt = []
-            for c in work:
-                if not true.isdisjoint(c):
-                    continue
-                if not false.isdisjoint(c):
-                    c = tuple(l for l in c if l not in false)
-                    if not c:
-                        return None
-                nxt.append(c)
-            work = nxt
-            units = [c[0] for c in work if len(c) == 1]
-        return tuple(implied), tuple(sorted(set(work)))
+                if not u & true:
+                    true |= u
+                    false |= u << shift if u <= low else u >> shift
+                    implied.append(u)
+            keep = ~false
+            work = [c & keep for c in work if not c & true]
+            units = [c for c in work if not c & (c - 1)]
+        return implied, tuple(sorted(set(work)))
 
-    def condition_set(clauses: ClauseSet, lit: int) -> ClauseSet:
-        out = []
-        for c in clauses:
-            if lit in c:
-                continue
-            if -lit in c:
-                c = tuple(l for l in c if l != -lit)
-            out.append(c)
-        return tuple(sorted(set(out)))
+    def condition_set(clauses: ClauseSet, pos: int, neg: int) -> ClauseSet:
+        keep = ~neg
+        return tuple(sorted({c & keep for c in clauses if not c & pos}))
 
     def solve(clauses: ClauseSet):
         """One subproblem: yields each child clause set, receives its node
@@ -132,33 +147,31 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
         if prop is None:
             return builder.false()
         implied, residual = prop
-        lit_ids = [builder.literal(l) for l in implied]
+        lit_ids = [literal(u) for u in implied]
         if not residual:
             return builder.conj(lit_ids)
-        comps, counts = split(residual)
+        masks = [(c | c >> shift) & low for c in residual]
+        comps = split(residual, masks)
         if len(comps) > 1:
             parts = []
             for comp in comps:
                 parts.append((yield comp))
             return builder.conj(lit_ids + parts)
-        best = max(counts.items(), key=lambda kv: (kv[0] in first, kv[1], -kv[0]))[0]
-        pos = yield condition_set(residual, best)
-        neg = yield condition_set(residual, -best)
+        pos = decide(masks, first)
+        neg = pos << shift
+        hi = yield condition_set(residual, pos, neg)
+        lo = yield condition_set(residual, neg, pos)
         node = builder.disj(
-            [
-                builder.conj([builder.literal(best), pos]),
-                builder.conj([builder.literal(-best), neg]),
-            ],
-            decision=best,
+            [builder.conj([literal(pos), hi]), builder.conj([literal(neg), lo])],
+            decision=pos.bit_length() - 1,
         )
         return builder.conj(lit_ids + [node])
 
-    start = tuple(sorted({c.literals for c in f.clauses}))
-    if any(len(c) == 0 for c in start):
+    start = tuple(sorted({clause_bits(c.literals, shift) for c in f.clauses}))
+    if start[:1] == (0,):
         return builder.freeze(builder.false(), f.num_vars)
     # reply carries a finished subproblem's id to its parent, and the
     # root's id once the stack is empty.
-    check_budget()
     stack = [(start, solve(start))]
     reply = None
     while stack:
@@ -170,10 +183,10 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
             if len(cache) >= CACHE_CAP:
                 cache.clear()
             cache[clauses] = reply = done.value
-            check_budget()
-            continue
-        check_budget()
-        reply = cache.get(child)
-        if reply is None:
-            stack.append((child, solve(child)))
+        else:
+            reply = cache.get(child)
+            if reply is None:
+                stack.append((child, solve(child)))
+        if builder.size > node_budget:
+            raise CompileBudgetError(f"node budget {node_budget} exceeded")
     return builder.freeze(reply, f.num_vars)

@@ -102,42 +102,22 @@ class NnfBuilder:
         return self._make(("L", lit, ()))
 
     def conj(self, children: Iterable[int]) -> int:
-        out: list[int] = []
-        seen: set[int] = set()
-        true, false = self._true, self._false
-        for c in children:
-            if c == true:
-                continue
-            if c == false:
-                return self.false()
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        if not out:
-            return self.true()
-        if len(out) == 1:
-            return out[0]
-        out.sort()
-        return self._make(("A", 0, tuple(out)))
+        kids = set(children)
+        if self._false in kids:
+            return self.false()
+        kids.discard(self._true)
+        if len(kids) > 1:
+            return self._make(("A", 0, tuple(sorted(kids))))
+        return kids.pop() if kids else self.true()
 
     def disj(self, children: Iterable[int], decision: int = 0) -> int:
-        out: list[int] = []
-        seen: set[int] = set()
-        true, false = self._true, self._false
-        for c in children:
-            if c == false:
-                continue
-            if c == true:
-                return self.true()
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        if not out:
-            return self.false()
-        if len(out) == 1:
-            return out[0]
-        out.sort()
-        return self._make(("O", decision, tuple(out)))
+        kids = set(children)
+        if self._true in kids:
+            return self.true()
+        kids.discard(self._false)
+        if len(kids) > 1:
+            return self._make(("O", decision, tuple(sorted(kids))))
+        return kids.pop() if kids else self.false()
 
     def freeze(self, root: int, num_vars: int) -> NnfDag:
         """Compact to the nodes reachable from root, preserving order."""
@@ -151,7 +131,7 @@ class NnfBuilder:
         order = sorted(reachable)
         remap = {old: new for new, old in enumerate(order)}
         nodes = tuple(
-            (n[0], n[1], tuple(remap[c] for c in n[2])) if n[2] else n
+            (n[0], n[1], tuple(map(remap.__getitem__, n[2]))) if n[2] else n
             for n in map(self.nodes.__getitem__, order)
         )
         return NnfDag(nodes, remap[root], num_vars)

@@ -6,7 +6,7 @@ structures under test.  The query references answer the logical and pkb
 queries the rebuilding way (condition, forget, then a boolean or max-min
 pass over the new DAG), as a cross-check of the one-pass query kernel.
 The union-find component split is the reference for the compiler's
-one-pass split.
+split.
 """
 
 from __future__ import annotations

@@ -41,6 +41,24 @@ class TestClause:
         with pytest.raises(ValueError):
             Clause([0])
 
+    def test_canonical_form_and_both_formula_errors(self):
+        """By variable, negative first, whatever the input order; the
+        formula's range check reads the last literal, so an unregistered
+        variable is caught after registered ones and under either sign."""
+        assert Clause([3, -1, -3, 1]).literals == (-1, 1, -3, 3)
+        assert Clause([3, -1, -3, 1, 3, -1]).literals == (-1, 1, -3, 3)
+        with pytest.raises(ValueError, match="0 is not a literal"):
+            Clause([3, 0, -2])
+        f = CnfFormula()
+        f.new_var(), f.new_var()
+        assert f.add_clause([2, -1, 2]).literals == (-1, 2)
+        for bad in ([1, -3], [-3, 1], [3]):
+            with pytest.raises(ValueError, match="unregistered"):
+                f.add_clause(bad)
+        with pytest.raises(ValueError, match="tautological"):
+            f.add_clause([2, 1, -2])
+        assert f.num_clauses == 1
+
 
 class TestFormula:
     def test_registry_and_clauses(self):

@@ -1,5 +1,7 @@
 """Compiler engine: equivalence with brute-force enumeration, structural
-properties of the output, determinism of runs, and the loud budget."""
+properties of the output, determinism of runs, the int clause form
+against reference splits and counts, DAG sizes pinned against the same
+search, and the loud budget."""
 
 import inspect
 import random
@@ -9,6 +11,7 @@ from collections import Counter
 import pytest
 
 from posskc import compiler
+from posskc.bench import DEFAULT_POOL, GenConfig, even_pool, random_network
 from posskc.cnf import (
     Clause,
     CnfFormula,
@@ -17,7 +20,8 @@ from posskc.cnf import (
     model_mask,
     stratified_levels,
 )
-from posskc.compiler import compile_cnf, split
+from posskc.circuits import encode_pf
+from posskc.compiler import clause_bits, compile_cnf, decide, split
 from posskc.degrees import parse_degree
 from posskc.errors import CompileBudgetError
 from posskc.nnf import (
@@ -27,6 +31,7 @@ from posskc.nnf import (
     structural_properties,
     write_nnf,
 )
+from posskc.pkb import encode_pkb, to_possibilistic_base
 
 from helpers import (
     dag_model_mask,
@@ -166,36 +171,64 @@ class TestStructure:
             assert write_nnf(compile_cnf(f)) == write_nnf(compile_cnf(f))
 
 
-def smallest_vars(comps):
-    return [min(abs(l) for c in comp for l in c) for comp in comps]
+def canonical(clauses, shift):
+    """Literal tuples as the compiler's canonical clause set, and each
+    clause's variable mask."""
+    ints = tuple(sorted({clause_bits(c, shift) for c in clauses}))
+    return ints, [(c | c >> shift) & ((1 << shift) - 1) for c in ints]
+
+
+def literals(c, shift):
+    """A clause int back to its literal tuple, sorted."""
+    return tuple(sorted(v if v < shift else shift - v for v in range(c.bit_length()) if c >> v & 1))
+
+
+def smallest_vars(comps, shift):
+    return [min(abs(l) for c in comp for l in literals(c, shift)) for comp in comps]
 
 
 class TestSplit:
-    """The one-pass split against the union-find reference, and compiled
-    models against enumeration on the residuals it has to split right."""
+    """The split against the union-find reference, the decision rule
+    against a count of occurrences, and compiled models against
+    enumeration on the residuals the split has to get right."""
 
     def assert_compiles_to_models(self, n, clauses):
         f = formula(n, clauses)
         want = {interp_key(m, n) for m in enumerate_models(f)}
         assert dag_model_set(compile_cnf(f), n) == want
 
+    def test_clause_int_form(self):
+        """Bit v is +v and bit v + shift is -v; a variable mask folds the
+        two halves together."""
+        assert clause_bits([3, -1], 5) == (1 << 3) | (1 << 6)
+        ints, masks = canonical([(3, -1), (2,), (-1, 3)], 5)
+        assert ints == ((1 << 2), (1 << 3) | (1 << 6))
+        assert masks == [0b100, 0b1010]
+        assert literals(ints[1], 5) == (-1, 3)
+
     def test_clause_joins_two_earlier_groups(self):
-        """(1 3) and (2 4) open two groups; (3 4) comes last and merges
-        them into one component, so the root is a decision, not an And."""
+        """(1 3) starts a component that (2 4) misses; (3 4) joins it, and
+        only a second sweep takes in (2 4), so the root is a decision,
+        not an And."""
         clauses = ((1, 3), (2, 4), (3, 4))
-        assert split(clauses) == ([clauses], {1: 1, 2: 1, 3: 2, 4: 2})
+        ints, masks = canonical(clauses, 5)
+        assert [literals(c, 5) for c in ints] == list(clauses)
+        assert split(ints, masks) == [ints]
+        assert decide(masks, 0) == 1 << 3
+        assert decide(masks, 1 << 2) == 1 << 2
         d = compile_cnf(formula(4, clauses))
-        assert d.nodes[d.root][0] == "O"
+        assert d.nodes[d.root][:2] == ("O", 3)
         self.assert_compiles_to_models(4, clauses)
 
     def test_three_components_ordered_by_smallest_variable(self):
         """Union-find roots {2 4 5} at 4, after {3 6} at 3; the split puts
         it second, by its smallest variable 2."""
         clauses = ((-2, 5), (1, 7), (3, 6), (4, 5))
-        comps, counts = split(clauses)
-        assert comps == [((1, 7),), ((-2, 5), (4, 5)), ((3, 6),)]
+        ints, masks = canonical(clauses, 8)
+        comps = [[literals(c, 8) for c in comp] for comp in split(ints, masks)]
+        assert comps == [[(1, 7)], [(4, 5), (-2, 5)], [(3, 6)]]
         assert union_find_components(clauses) == [((1, 7),), ((3, 6),), ((-2, 5), (4, 5))]
-        assert counts == {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 1}
+        assert decide(masks, 0) == 1 << 5
         d = compile_cnf(formula(7, clauses))
         op, _, kids = d.nodes[d.root]
         assert op == "A" and len(kids) == 3
@@ -215,16 +248,66 @@ class TestSplit:
         for _ in range(300):
             n = rng.randint(1, 30)
             f = random_cnf(rng, n, rng.randint(1, n))
-            clauses = tuple(sorted({c.literals for c in f.clauses}))  # as compile_cnf starts
-            comps, counts = split(clauses)
-            ref = union_find_components(clauses)
-            assert {frozenset(c) for c in comps} == {frozenset(c) for c in ref}
+            ints, masks = canonical([c.literals for c in f.clauses], n + 1)
+            comps = split(ints, masks)
+            ref = union_find_components(tuple(literals(c, n + 1) for c in ints))
+            assert {frozenset(literals(c, n + 1) for c in comp) for comp in comps} == {
+                frozenset(comp) for comp in ref
+            }
             assert len(comps) == len(ref)
             assert all(list(comp) == sorted(comp) for comp in comps)
-            assert smallest_vars(comps) == sorted(smallest_vars(comps))
-            assert counts == Counter(abs(l) for c in clauses for l in c)
+            assert smallest_vars(comps, n + 1) == sorted(smallest_vars(comps, n + 1))
+            counts = Counter(abs(l) for c in ints for l in literals(c, n + 1))
+            first = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            best = max(counts, key=lambda v: (v in first, counts[v], -v))
+            assert decide(masks, sum(1 << v for v in first)) == 1 << best
             multi += len(comps) >= 3
         assert multi >= 50
+
+
+class TestSameSearch:
+    """pf and pkb DAG sizes of a fixed set of networks, recorded before
+    clauses became ints: the search must make the same decisions, splits
+    and cache hits.  Binary and multi-valued networks on the fine degree
+    pool, and multi-valued ones on the nine-level scale, whose pkb CNFs
+    are stratified."""
+
+    SIZES = {  # name: ((pf nodes, pf edges), (pkb nodes, pkb edges))
+        "alarm": ((47, 61), (27, 34)),
+        "binary-1": ((341, 566), (202, 295)),
+        "binary-2": ((153, 189), (110, 139)),
+        "binary-3": ((167, 212), (113, 141)),
+        "binary-4": ((210, 303), (149, 209)),
+        "multi-1": ((348, 574), (337, 563)),
+        "multi-2": ((315, 525), (303, 511)),
+        "multi-3": ((458, 792), (695, 1338)),
+        "multi-4": ((1024, 2000), (1012, 1985)),
+        "nine-1": ((308, 525), (275, 548)),
+        "nine-2": ((290, 510), (212, 373)),
+        "nine-3": ((389, 707), (529, 1130)),
+        "nine-4": ((836, 1839), (659, 1465)),
+    }
+
+    @staticmethod
+    def network(name, alarm):
+        if name == "alarm":
+            return alarm
+        kind, seed = name.split("-")
+        if kind == "binary":
+            return random_network(GenConfig(n_nodes=12, seed=int(seed)))
+        pool = even_pool(9) if kind == "nine" else DEFAULT_POOL
+        return random_network(
+            GenConfig(n_nodes=8, seed=int(seed), binary_only=False, degree_pool=pool)
+        )
+
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_dag_sizes(self, name, alarm):
+        net = self.network(name, alarm)
+        pf_cnf = encode_pf(net, True).cnf
+        pkb_cnf = encode_pkb(to_possibilistic_base(net))
+        assert bool(stratified_levels(pkb_cnf)) == name.startswith("nine")
+        stats = [nnf_stats(compile_cnf(f)) for f in (pf_cnf, pkb_cnf)]
+        assert tuple((s["nodes"], s["edges"]) for s in stats) == self.SIZES[name]
 
 
 class TestBudget:
