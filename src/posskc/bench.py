@@ -15,6 +15,7 @@ comparisons have a fixed reference, not as inference engines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -75,25 +76,28 @@ class SplitMix64:
 FINE_POOL_SIZE = 9999
 
 
+@functools.cache
 def even_pool(k: int) -> frozenset:
     """k evenly spaced degrees strictly inside (0, 1): i / (k + 1) for
-    i = 1..k.  Nine gives the scale 0.1 .. 0.9."""
+    i = 1..k.  Nine gives the scale 0.1 .. 0.9.  Each pool is built on
+    first use and then shared.
+
+    The fine pool (k = FINE_POOL_SIZE, degrees 0.0001 .. 0.9999) is the
+    generator's default.  It is deliberately fine-grained: sub-1 degrees
+    then rarely repeat across families, so the parameter/level variables
+    of the encodings stay local to one clause each and compiled sizes
+    reflect network structure.  Coarse pools (say ten values) make one
+    level variable span dozens of clauses across unrelated families;
+    that coupling blows compiled bases up by orders of magnitude and
+    drowns the structural signal the size sweep is after.
+    """
     if not 1 <= k <= FINE_POOL_SIZE:
         raise ValueError(f"a pool has 1..{FINE_POOL_SIZE} degrees, got {k}")
     return frozenset(Degree(i * SCALE // (k + 1)) for i in range(1, k + 1))
 
 
-DEFAULT_POOL: frozenset = even_pool(FINE_POOL_SIZE)
-"""Degrees 0.0001 .. 0.9999 in steps of 0.0001.
-
-The pool is deliberately fine-grained: sub-1 degrees then rarely repeat
-across families, so the parameter/level variables of the encodings stay
-local to one clause each and compiled sizes reflect network structure.
-Coarse pools (say ten values) make one level variable span dozens of
-clauses across unrelated families; that coupling blows compiled bases up
-by orders of magnitude and drowns the structural signal the size sweep
-is after.
-"""
+def _pool(degree_pool: frozenset | None) -> frozenset:
+    return even_pool(FINE_POOL_SIZE) if degree_pool is None else degree_pool
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,8 @@ class GenConfig:
 
     n_nodes: int
     max_parents: int = 3
-    degree_pool: frozenset = DEFAULT_POOL
+    degree_pool: frozenset | None = None
+    """None draws from the fine pool, ``even_pool(FINE_POOL_SIZE)``."""
     seed: int = 0
     binary_only: bool = True
 
@@ -111,10 +116,12 @@ class GenConfig:
             raise ValueError("n_nodes must be at least 1")
         if self.max_parents < 0:
             raise ValueError("max_parents must be non-negative")
+        if self.degree_pool is None:
+            return  # the fine pool is valid by construction
         if not self.degree_pool:
             raise ValueError("degree_pool must not be empty")
-        # By numerator: Degree comparisons over the 9999-degree default
-        # pool cost about 3 ms per config.
+        # By numerator: Degree's generated comparisons take about five
+        # times as long on a large pool.
         for d in self.degree_pool:
             if not 0 < d.num < SCALE:
                 raise ValueError(f"degree_pool entries must lie strictly in (0,1): {d}")
@@ -136,7 +143,7 @@ def random_network(cfg: GenConfig) -> PossNetwork:
     rng = SplitMix64(cfg.seed)
     names = [f"X{i}" for i in range(1, cfg.n_nodes + 1)]
     rng.shuffle(names)
-    pool = sorted(cfg.degree_pool, key=lambda d: d.num)
+    pool = sorted(_pool(cfg.degree_pool), key=lambda d: d.num)
     domains: dict[str, tuple[str, ...]] = {}
     variables: list[NetVariable] = []
     parents: dict[str, tuple[str, ...]] = {}
@@ -354,7 +361,7 @@ def run_comparison(
     seed: int = 0,
     out: IO[str] | str | None = None,
     max_parents: int = 3,
-    degree_pool: frozenset = DEFAULT_POOL,
+    degree_pool: frozenset | None = None,
     binary_only: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[list[ComparisonRow], dict]:
@@ -378,7 +385,7 @@ def run_comparison(
             )
     aggregates = aggregate_means(rows)
     if out is not None:
-        ordered = sorted(degree_pool)
+        ordered = sorted(_pool(degree_pool))
         if len(ordered) <= 12:
             pool_note = "{" + ",".join(str(d) for d in ordered) + "}"
         else:
@@ -412,7 +419,7 @@ def cross_validate(
     queries: int = 5,
     seed: int = 0,
     max_parents: int = 3,
-    degree_pool: frozenset = DEFAULT_POOL,
+    degree_pool: frozenset | None = None,
     binary_only: bool = True,
 ) -> CrossValidation:
     """Run all three pipelines against the brute-force oracle.

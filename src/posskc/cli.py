@@ -202,7 +202,7 @@ def _cmd_bench(args) -> int:
         per_size=args.per_size,
         seed=args.seed,
         out=out,
-        degree_pool=even_pool(args.degrees),
+        degree_pool=None if args.degrees is None else even_pool(args.degrees),
         node_budget=args.node_budget,
     )
     if to_file:
@@ -218,7 +218,7 @@ def _cmd_check(args) -> int:
         max_vars=args.max_vars,
         queries=args.queries,
         seed=args.seed,
-        degree_pool=even_pool(args.degrees),
+        degree_pool=None if args.degrees is None else even_pool(args.degrees),
     )
     _write_out(args.output, result.report)
     if args.output not in (None, "-"):
@@ -282,7 +282,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--sizes", required=True, type=_parse_sizes, help="10:50:10 or 10,20,30")
     sp.add_argument("--per-size", type=positive, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--degrees", type=degrees, default=FINE_POOL_SIZE, help=degrees_help)
+    sp.add_argument("--degrees", type=degrees, help=degrees_help)
     sp.add_argument("--node-budget", type=positive, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     sp.set_defaults(fn=_cmd_bench)
@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-vars", type=_int_range(2), default=10)
     sp.add_argument("--queries", type=positive, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--degrees", type=degrees, default=FINE_POOL_SIZE, help=degrees_help)
+    sp.add_argument("--degrees", type=degrees, help=degrees_help)
     sp.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     sp.set_defaults(fn=_cmd_check)
     return p

@@ -145,13 +145,14 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
     """
     weights = {lit: deg.num for lit, deg in w.items()}
     val = [0] * len(d.nodes)
+    at = val.__getitem__
     for i, (op, arg, kids) in enumerate(d.nodes):
         if op == "L":
             val[i] = weights.get(arg, SCALE)
         elif op == "A":
-            val[i] = min((val[c] for c in kids), default=SCALE)
+            val[i] = min(map(at, kids)) if kids else SCALE
         else:
-            val[i] = max((val[c] for c in kids), default=0)
+            val[i] = max(map(at, kids)) if kids else 0
     return Degree(val[d.root])
 
 

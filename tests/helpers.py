@@ -6,7 +6,8 @@ structures under test.  The query references answer the logical and pkb
 queries the rebuilding way (condition, forget, then a boolean or max-min
 pass over the new DAG), as a cross-check of the one-pass query kernel.
 The union-find component split is the reference for the compiler's
-split.
+split, and a generator-per-node max-min pass is the reference for the
+map-driven ``pi_evaluate``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import random
 
 from posskc.cnf import Clause, CnfFormula
-from posskc.degrees import ONE, ZERO, complement
+from posskc.degrees import ONE, SCALE, ZERO, Degree, complement
 from posskc.network import check_event, conflicts
 from posskc.nnf import condition, forget, pi_evaluate
 
@@ -182,6 +183,21 @@ def _rebuild_entails(dag, clause: Clause) -> bool:
     if clause.is_tautology():
         return True
     return not boolean_consistent(condition(dag, [-l for l in clause]))
+
+
+def reference_pi_evaluate(d, w) -> Degree:
+    """Max-min evaluation with one generator per And/Or node: And is min
+    (empty And 1), Or is max (empty Or 0), unlisted literals weigh 1."""
+    weights = {lit: deg.num for lit, deg in w.items()}
+    val = [0] * len(d.nodes)
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if op == "L":
+            val[i] = weights.get(arg, SCALE)
+        elif op == "A":
+            val[i] = min((val[c] for c in kids), default=SCALE)
+        else:
+            val[i] = max((val[c] for c in kids), default=0)
+    return Degree(val[d.root])
 
 
 def reference_explore(compiled, enc, term):

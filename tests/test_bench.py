@@ -1,12 +1,16 @@
 """Generator, baselines, and the three-way comparison harness."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from posskc.bench import (
     CSV_HEADER,
-    DEFAULT_POOL,
+    FINE_POOL_SIZE,
     ComparisonRow,
     GenConfig,
     SplitMix64,
@@ -22,11 +26,12 @@ from posskc.bench import (
 )
 from posskc.circuits import encode_pf
 from posskc.cnf import cnf_stats
-from posskc.degrees import ONE, ZERO, parse_degree
+from posskc.degrees import ONE, SCALE, ZERO, Degree, parse_degree
 from posskc.network import parse_network, serialize_network
 from posskc.pkb import encode_pkb, to_possibilistic_base
 
 D = parse_degree
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSplitMix64:
@@ -58,7 +63,37 @@ class TestEvenPool:
         assert even_pool(9) == frozenset(D(f"0.{k}") for k in range(1, 10))
 
     def test_fine_pool_is_the_default(self):
-        assert even_pool(9999) == DEFAULT_POOL
+        fine = even_pool(FINE_POOL_SIZE)
+        assert fine == frozenset(Degree(k * SCALE // 10000) for k in range(1, 10000))
+        assert even_pool(FINE_POOL_SIZE) is fine
+        for binary_only in (True, False):
+            for seed in range(4):
+                default = GenConfig(9, seed=seed, binary_only=binary_only)
+                explicit = GenConfig(9, seed=seed, binary_only=binary_only, degree_pool=fine)
+                assert serialize_network(random_network(default)) == serialize_network(
+                    random_network(explicit)
+                )
+
+    def test_query_path_builds_no_pool(self):
+        script = (
+            "import gc, posskc\n"
+            "from posskc import bench, cli\n"
+            "from posskc.degrees import Degree\n"
+            "cli.main(['query', 'fixtures/alarm.pnet', '--method', 'pkb',"
+            " '--target', 'F=f2', '--evidence', 'D=d1'])\n"
+            "print(bench.even_pool.cache_info().currsize,"
+            " sum(type(o) is Degree for o in gc.get_objects()))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        answer, counts = done.stdout.splitlines()
+        assert answer.startswith("0.4")
+        pools, degrees = map(int, counts.split())
+        assert pools == 0
+        assert degrees < 100  # the fine pool alone holds 9,999
 
     @pytest.mark.parametrize("k", [0, -1, 10000])
     def test_rejects_out_of_range(self, k):
@@ -231,7 +266,10 @@ class TestRunComparison:
         text = buf.getvalue()
         lines = text.splitlines()
         assert lines[0] == "# posskc comparison sweep"
-        assert lines[1].startswith("# ")
+        assert lines[1] == (
+            "# config: seed=9 sizes=[3] per_size=2 max_parents=3"
+            " degree_pool={0.0001..0.9999 (9999 values)} binary_only=True node_budget=1000000"
+        )
         assert lines[2] == CSV_HEADER
         data = [l for l in lines if l and not l.startswith("#")]
         assert len(data) == 1 + len(rows)  # header + rows

@@ -1,6 +1,9 @@
 """Command line front end: flag grammar, outputs, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from posskc.network import serialize_network
 from posskc.nnf import write_nnf
 from posskc.pkb import PkbPipeline
 
-ALARM = str(Path(__file__).resolve().parent.parent / "fixtures" / "alarm.pnet")
+ROOT = Path(__file__).resolve().parent.parent
+ALARM = str(ROOT / "fixtures" / "alarm.pnet")
 
 
 def run(capsys, *argv):
@@ -109,6 +113,21 @@ class TestQuery:
         assert payload["method"] == "pkb"
         assert payload["compile_ms"] >= 0
         assert payload["query_ms"] >= 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        def posskc(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "posskc", *argv], cwd=ROOT, capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60,
+            )
+
+        done = posskc("query", ALARM, "--method", "pkb", "--target", "F=f2", "--evidence", "D=d1", "--json")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(done.stdout)["degree"] == "0.4"
+        done = posskc("query", ALARM, "--method", "nope", "--target", "F=f2")
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr.startswith("posskc query: error: argument --method")
 
     def test_unknown_value_is_input_error(self, capsys):
         code, _, err = run(

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from posskc import compiler
-from posskc.bench import DEFAULT_POOL, GenConfig, even_pool, random_network
+from posskc.bench import FINE_POOL_SIZE, GenConfig, even_pool, random_network
 from posskc.cnf import (
     Clause,
     CnfFormula,
@@ -295,7 +295,7 @@ class TestSameSearch:
         kind, seed = name.split("-")
         if kind == "binary":
             return random_network(GenConfig(n_nodes=12, seed=int(seed)))
-        pool = even_pool(9) if kind == "nine" else DEFAULT_POOL
+        pool = even_pool(9) if kind == "nine" else even_pool(FINE_POOL_SIZE)
         return random_network(
             GenConfig(n_nodes=8, seed=int(seed), binary_only=False, degree_pool=pool)
         )

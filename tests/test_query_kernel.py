@@ -1,22 +1,27 @@
-"""The one-pass query kernel against the rebuilding references.
+"""The one-pass query kernel against the references.
 
-``LogicalPipeline.possibility`` and ``PkbPipeline.query_detail`` answer
-by max-min passes over the compiled DAG and never build a new one.  Here
-they are checked against the condition/forget/evaluate exploration and
-the rebuilding stratum descent they replaced (degrees and iteration
-counts), and against the brute-force oracle, on binary, multi-valued,
-coarse-pool and degree-0 networks.
+``pi_evaluate`` is checked, value for value, against a generator-per-node
+max-min pass on hand-written c2d DAGs and on the compiled DAGs of all
+three pipelines.  ``LogicalPipeline.possibility`` and
+``PkbPipeline.query_detail`` answer by max-min passes over the compiled
+DAG and never build a new one.  Here they are checked against the
+condition/forget/evaluate exploration and the rebuilding stratum descent
+they replaced (degrees and iteration counts), and against the
+brute-force oracle, on binary, multi-valued, coarse-pool and degree-0
+networks.
 """
 
 import pytest
 
-from posskc.bench import DEFAULT_POOL, GenConfig, SplitMix64, random_network
-from posskc.degrees import ONE, SCALE, ZERO, Degree
+from posskc.bench import FINE_POOL_SIZE, GenConfig, SplitMix64, even_pool, random_network
+from posskc.circuits import PfPipeline
+from posskc.degrees import ONE, SCALE, ZERO, Degree, parse_degree
 from posskc.logical import LogicalPipeline
 from posskc.network import PossNetwork, oracle_conditional, oracle_possibility
+from posskc.nnf import parse_nnf, pi_evaluate
 from posskc.pkb import PkbPipeline
 
-from helpers import reference_explore, reference_query_detail
+from helpers import reference_explore, reference_pi_evaluate, reference_query_detail
 
 COARSE_POOL = frozenset(Degree(SCALE * (2 * k + 1) // 20) for k in range(10))
 """Ten degrees, 0.05 .. 0.95: levels span many clauses across families."""
@@ -43,7 +48,7 @@ def family(kind: str) -> list[PossNetwork]:
             max_parents=2 if kind == "multivalued" else 3,
             seed=7001 + 31 * i,
             binary_only=kind in ("binary", "coarse", "zero"),
-            degree_pool=COARSE_POOL if kind in ("coarse", "zero") else DEFAULT_POOL,
+            degree_pool=COARSE_POOL if kind in ("coarse", "zero") else even_pool(FINE_POOL_SIZE),
         )
         net = random_network(cfg)
         nets.append(with_zeros(net) if kind == "zero" else net)
@@ -96,3 +101,78 @@ def test_one_pass_queries_match_references_and_oracle(kind):
         assert impossible_evidence > 0
     if kind == "multivalued":
         assert any(len(v.domain) > 2 for net in nets for v in net.variables)
+
+
+HAND_WEIGHTS = {1: parse_degree("0.6"), -1: parse_degree("0.3"), 2: parse_degree("0.2")}
+"""Literal -2 is unlisted, so it weighs 1."""
+
+HAND_DAGS = {
+    "true-under-and": ("L 1\nA 0\nA 2 0 1", "0.6"),
+    "true-under-or": ("L 1\nA 0\nO 0 2 0 1", "1"),
+    "false-under-and": ("L 1\nO 0 0\nA 2 0 1", "0"),
+    "false-under-or": ("L 1\nO 0 0\nO 0 2 0 1", "0.6"),
+    "true-alone": ("A 0", "1"),
+    "false-alone": ("O 0 0", "0"),
+    "three-child-or": ("L 1\nL -1\nL 2\nO 0 3 0 1 2", "0.6"),
+    "single-children-negative-literal": ("L -1\nA 1 0\nO 1 1 1", "0.3"),
+    "unlisted-literal": ("L -2\nA 1 0", "1"),
+    "decision": ("L 1\nL -1\nL 2\nL -2\nA 2 0 2\nA 2 1 3\nO 1 2 4 5", "0.3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_DAGS))
+def test_kernel_matches_reference_on_hand_written_dags(name):
+    body, expected = HAND_DAGS[name]
+    lines = body.splitlines()
+    edges = sum(len(l.split()) - (3 if l[0] == "O" else 2) for l in lines if l[0] != "L")
+    d = parse_nnf(f"nnf {len(lines)} {edges} 2\n{body}\n")
+    assert d.edge_count() == edges
+    assert pi_evaluate(d, HAND_WEIGHTS) == reference_pi_evaluate(d, HAND_WEIGHTS)
+    assert pi_evaluate(d, HAND_WEIGHTS) == parse_degree(expected)
+
+
+def kernel_networks() -> list[PossNetwork]:
+    """24 networks: binary and multi-valued on the fine pool, and
+    nine-level ones of both shapes."""
+    nets = []
+    for i in range(24):
+        kind = ("binary", "multivalued", "nine")[i % 3]
+        nets.append(random_network(GenConfig(
+            n_nodes=4 + i % 5,
+            max_parents=2,
+            seed=9100 + i,
+            binary_only=kind == "binary" or (kind == "nine" and i % 2 == 0),
+            degree_pool=even_pool(9) if kind == "nine" else even_pool(FINE_POOL_SIZE),
+        )))
+    return nets
+
+
+def random_weights(rng: SplitMix64, num_vars: int) -> dict:
+    """Random weights on about half the literals, then weight 0 on the
+    negation of each literal of a random term."""
+    degrees = (ZERO, ONE, *(Degree(1 + rng.next_below(SCALE - 1)) for _ in range(6)))
+    w = {
+        lit: rng.choice(degrees)
+        for v in range(1, num_vars + 1)
+        for lit in (v, -v)
+        if rng.next_below(2)
+    }
+    term = [v if rng.next_below(2) else -v for v in range(1, num_vars + 1) if rng.next_below(4) == 0]
+    w.update({-lit: ZERO for lit in term})
+    return w
+
+
+def test_kernel_matches_reference_on_pipeline_dags():
+    rng = SplitMix64(0x4B45524E)
+    values = set()
+    nets = kernel_networks()
+    for net in nets:
+        for build in (PfPipeline, LogicalPipeline, PkbPipeline):
+            d = build(net).dag
+            for _ in range(6):
+                w = random_weights(rng, d.num_vars)
+                got = pi_evaluate(d, w)
+                assert got == reference_pi_evaluate(d, w)
+                values.add(got)
+    assert any(len(v.domain) > 2 for net in nets for v in net.variables)
+    assert {ZERO, ONE} < values  # zero, one, and degrees strictly between
