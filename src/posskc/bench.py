@@ -100,6 +100,12 @@ def _pool(degree_pool: frozenset | None) -> frozenset:
     return even_pool(FINE_POOL_SIZE) if degree_pool is None else degree_pool
 
 
+@functools.lru_cache(maxsize=16)
+def _ordered_pool(degree_pool: frozenset | None) -> tuple:
+    """The pool sorted by numerator, sorted once per pool."""
+    return tuple(sorted(_pool(degree_pool), key=lambda d: d.num))
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Shape of one random-network draw."""
@@ -143,7 +149,7 @@ def random_network(cfg: GenConfig) -> PossNetwork:
     rng = SplitMix64(cfg.seed)
     names = [f"X{i}" for i in range(1, cfg.n_nodes + 1)]
     rng.shuffle(names)
-    pool = sorted(_pool(cfg.degree_pool), key=lambda d: d.num)
+    pool = _ordered_pool(cfg.degree_pool)
     domains: dict[str, tuple[str, ...]] = {}
     variables: list[NetVariable] = []
     parents: dict[str, tuple[str, ...]] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .cnf import CnfFormula, Indicator, Parameter
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, ONE, ZERO
-from .network import EventTerm, PossNetwork, check_event, conditional
+from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 from .nnf import WeightMap, pi_evaluate
 
 
@@ -129,6 +129,7 @@ class PfPipeline:
         self.encoding = encode_pf(net, local_structure)
         self.cnf = self.encoding.cnf
         self.dag = compile_cnf(self.cnf, node_budget=node_budget)
+        self.evidence = EvidenceMemo()
 
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term) in one evaluation pass over the circuit."""
@@ -136,5 +137,6 @@ class PfPipeline:
         return pi_evaluate(self.dag, indicator_weights(self.encoding, term))
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
-        """Pi(x|e) from two evaluation passes and min-conditioning."""
-        return conditional(self.net, self.possibility, x, e).degree
+        """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""
+        evidence = self.evidence(self.net, e, self.possibility)
+        return conditional(self.net, self.possibility, x, e, evidence).degree

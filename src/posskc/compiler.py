@@ -55,26 +55,29 @@ def clause_bits(literals: Iterable[int], shift: int) -> int:
 def split(clauses: ClauseSet, masks: list[int]) -> list[ClauseSet]:
     """A canonical clause set's variable-disjoint components, ordered by
     smallest variable, given each clause's variable mask.  Each component
-    grows from the first clause left, by sweeps that merge every mask
-    meeting it, until a sweep merges none."""
-    groups: list[int] = []
-    rest = masks
+    grows from the first clause left, by sweeps that take every clause
+    whose mask meets it, until a sweep takes none; sorting a component's
+    clauses restores their order."""
+    comps: list[tuple[int, list[int]]] = []
+    rest = list(zip(masks, clauses))
     while rest:
-        group = rest[0]
+        group = rest[0][0]
+        taken: list[int] = []
         size = 0
         while size != len(rest):
             size = len(rest)
             left, rest = rest, []
-            for m in left:
-                if m & group:
-                    group |= m
+            for p in left:
+                if p[0] & group:
+                    group |= p[0]
+                    taken.append(p[1])
                 else:
-                    rest.append(m)
-        groups.append(group)
-    if len(groups) < 2:
+                    rest.append(p)
+        comps.append((group & -group, taken))
+    if len(comps) < 2:
         return [clauses]
-    groups.sort(key=lambda g: g & -g)
-    return [tuple(c for c, m in zip(clauses, masks) if m & g) for g in groups]
+    comps.sort()
+    return [tuple(sorted(taken)) for _, taken in comps]
 
 
 def decide(masks: list[int], first: int) -> int:

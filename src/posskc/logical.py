@@ -20,7 +20,7 @@ from .cnf import CnfFormula
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import ZERO, Degree, complement
 from .encodings import InstanceMap
-from .network import EventTerm, PossNetwork, check_event, conditional
+from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 # condition, forget: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, WeightMap, condition, forget, pi_evaluate
 from .pkb import encode_pkb, level_vars, to_possibilistic_base
@@ -60,9 +60,12 @@ class LogicalPipeline:
         self.encoding = encode_logical(net)
         self.cnf = self.encoding.cnf
         self.dag = compile_cnf(self.cnf, node_budget=node_budget)
+        self.evidence = EvidenceMemo()
 
     def possibility(self, term: EventTerm) -> Degree:
         return explore(self.dag, self.encoding, term)
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
-        return conditional(self.net, self.possibility, x, e).degree
+        """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""
+        evidence = self.evidence(self.net, e, self.possibility)
+        return conditional(self.net, self.possibility, x, e, evidence).degree

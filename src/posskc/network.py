@@ -15,7 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .degrees import Degree, ONE, ZERO, min_condition, parse_degree
 from .errors import DegreeError, FormatError, NetworkValidationError, QueryError, SizeGuardError
@@ -26,6 +26,7 @@ World = dict  # variable name -> domain value, total over the network
 EventTerm = Mapping  # variable name -> domain value, partial (possibly empty)
 
 CptKey = tuple  # (own value, tuple of parent values in parents order)
+T = TypeVar("T")
 
 ORACLE_WORLD_GUARD = 1 << 20
 """oracle_possibility enumerates worlds; it refuses beyond this many."""
@@ -242,9 +243,11 @@ def conditional(
     possibility: Callable[[EventTerm], Degree],
     x: EventTerm,
     e: EventTerm,
+    evidence: Degree | None = None,
 ) -> Conditional:
     """Pi(x|e) by min-conditioning Pi(x, e) on Pi(e), both asked of
-    ``possibility``.
+    ``possibility``.  A caller that already holds Pi(e) passes it as
+    ``evidence``, and only the joint is asked.
 
     Conflicting assignments between x and e make the joint impossible
     (degree 0, without asking) rather than an error.
@@ -252,8 +255,36 @@ def conditional(
     check_event(net, x)
     check_event(net, e)
     joint = ZERO if conflicts(x, e) else possibility({**e, **x})
-    evidence = possibility(e)
+    if evidence is None:
+        evidence = possibility(e)
     return Conditional(min_condition(joint, evidence), joint, evidence)
+
+
+class EvidenceMemo:
+    """A pipeline's result for the last evidence term it was asked.
+
+    Compile-once callers ask one evidence term with several targets in a
+    row, so the evidence half of a query (Pi(e), or pkb's evidence
+    stratum) is computed once per term.  The key is the term's items,
+    frozen at the call, so a caller may change its dict afterwards; key
+    and value are one tuple, replaced whole.  The term is checked before
+    it is keyed, so an invalid one raises QueryError and leaves the memo
+    as it was.
+    """
+
+    __slots__ = ("entry",)
+
+    def __init__(self) -> None:
+        self.entry: tuple = (None, None)
+
+    def __call__(self, net: PossNetwork, e: EventTerm, compute: Callable[[EventTerm], T]) -> T:
+        check_event(net, e)
+        key = frozenset(e.items())
+        held, value = self.entry
+        if held != key:
+            value = compute(e)
+            self.entry = (key, value)
+        return value
 
 
 def oracle_conditional(net: PossNetwork, x: EventTerm, e: EventTerm) -> Degree:

@@ -6,9 +6,11 @@ degree; the resulting base induces the same joint distribution as the
 network.  The base compiles to CNF by tagging each weighted clause with
 a level variable shared by all clauses of equal weight (the logical
 method compiles this same CNF and weighs its level variables instead),
-and queries run level by level on the compiled DAG: activate strata
-from the strongest down, and stop when the evidence plus active strata
-refute the target.
+and queries run level by level on the compiled DAG.  A query finds the
+evidence stratum once per evidence term: the first stratum, strongest
+first, whose activation refutes the evidence, by bisection.  The target
+descent below it activates strata from the strongest down and stops
+when the active strata refute the target and the evidence.
 Each step is one entailment pass over the compiled DAG, with the active
 level variables added to the checked clause; the DAG is never rebuilt.
 
@@ -28,7 +30,7 @@ from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, ONE, ZERO, complement, parse_degree
 from .encodings import InstanceMap
 from .errors import DegreeError, FormatError
-from .network import EventTerm, PossNetwork, World, check_event, conflicts
+from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import condition, entails_clause, is_consistent
 
@@ -202,35 +204,55 @@ class PkbPipeline:
         self.dag = compile_cnf(self.cnf, node_budget=node_budget)
         self.level_vars = level_vars(self.cnf)
         self.imap = self.base.imap
+        self.evidence = EvidenceMemo()
+
+    def evidence_stratum(self, e: EventTerm) -> int:
+        """The stratum whose activation refutes the evidence: 0 when the
+        hard knowledge refutes e, else the least i in 1..L such that e is
+        refuted with strata 1..i active, and L + 1 when none refutes it.
+
+        Refutation is monotone in the active strata (adding a literal
+        keeps a clause entailed), so i is found by bisection, in about
+        log2(L + 1) ``entails_clause`` passes.
+        """
+        not_e = [-l for l in self.imap.term_literals(e)]
+        if entails_clause(self.dag, Clause(not_e)):
+            return 0
+        ids = [level_id for level_id, _ in self.level_vars]
+        lo, hi = 1, len(ids) + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if entails_clause(self.dag, Clause([*ids[:mid], *not_e])):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def query_detail(self, x: EventTerm, e: EventTerm) -> tuple[Degree, int]:
         """Pi(x|e) plus the number of level iterations performed.
 
-        Two hard-level pre-checks precede the level loop: impossible
-        evidence yields 1 outright, and a target refuted by the hard
-        knowledge (or conflicting with the evidence) yields 0.  The loop
-        then activates strata from the strongest weight down; entering
-        stratum i means the evidence stays possible there, and if the
-        target is refuted by the activated knowledge the answer is one
-        minus that stratum's weight.  Each check is one ``entails_clause``
-        pass, with the activated level variables in the clause.
+        Impossible evidence (evidence stratum i = 0, read from the memo)
+        yields 1 outright, and a target refuted by the hard knowledge (or
+        conflicting with the evidence) yields 0.  The target descent then
+        activates strata j = 1..i-1, strongest first, and answers one
+        minus w_j at the first j whose knowledge refutes x and e; past
+        them the answer is 1, after min(i, L) iterations.  Each check is
+        one ``entails_clause`` pass, with the active level variables in
+        the clause.
         """
         check_event(self.net, x)
-        check_event(self.net, e)
-        not_e = [-l for l in self.imap.term_literals(e)]
-        not_ex = [*not_e, *(-l for l in self.imap.term_literals(x))]
-        if entails_clause(self.dag, Clause(not_e)):
+        i = self.evidence(self.net, e, self.evidence_stratum)
+        if i == 0:
             return ONE, 0
+        not_ex = [-l for l in (*self.imap.term_literals(e), *self.imap.term_literals(x))]
         if conflicts(x, e) or entails_clause(self.dag, Clause(not_ex)):
             return ZERO, 0
         active: list[int] = []
-        for level_id, weight in self.level_vars:
+        for level_id, weight in self.level_vars[: i - 1]:
             active.append(level_id)
-            if entails_clause(self.dag, Clause([*active, *not_e])):
-                return ONE, len(active)
             if entails_clause(self.dag, Clause([*active, *not_ex])):
                 return complement(weight), len(active)
-        return ONE, len(active)
+        return ONE, min(i, len(self.level_vars))
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         return self.query_detail(x, e)[0]

@@ -8,14 +8,20 @@ DAG and never build a new one.  Here they are checked against the
 condition/forget/evaluate exploration and the rebuilding stratum descent
 they replaced (degrees and iteration counts), and against the
 brute-force oracle, on binary, multi-valued, coarse-pool and degree-0
-networks.
+networks.  Each pipeline's one-entry evidence memo is checked on runs of
+queries whose evidence repeats and changes, on caller-mutated and
+invalid evidence, and by the passes a repeated evidence term saves.
 """
 
 import pytest
 
+from posskc import circuits
+from posskc import logical as logical_module
+from posskc import pkb as pkb_module
 from posskc.bench import FINE_POOL_SIZE, GenConfig, SplitMix64, even_pool, random_network
 from posskc.circuits import PfPipeline
 from posskc.degrees import ONE, SCALE, ZERO, Degree, parse_degree
+from posskc.errors import QueryError
 from posskc.logical import LogicalPipeline
 from posskc.network import PossNetwork, oracle_conditional, oracle_possibility
 from posskc.nnf import parse_nnf, pi_evaluate
@@ -176,3 +182,119 @@ def test_kernel_matches_reference_on_pipeline_dags():
                 values.add(got)
     assert any(len(v.domain) > 2 for net in nets for v in net.variables)
     assert {ZERO, ONE} < values  # zero, one, and degrees strictly between
+
+
+def impossible_evidence(net: PossNetwork) -> dict | None:
+    """A term of one or two variables with Pi(term) = 0, if the net has one."""
+    for a in net.variables:
+        for b in net.variables:
+            for va in a.domain:
+                for vb in b.domain:
+                    term = {a.name: va, b.name: vb}
+                    if oracle_possibility(net, term) == ZERO:
+                        return term
+    return None
+
+
+def interleaved(net: PossNetwork, seed: int) -> list[tuple[dict, dict]]:
+    """e1, e1, e2, e1, no evidence, impossible evidence (when the net has
+    one), then a target that conflicts with e1."""
+    rng = SplitMix64(seed)
+    e1 = random_term(rng, net, 1 + rng.next_below(2))
+    e2 = random_term(rng, net, 1 + rng.next_below(2))
+    evidence = [e1, e1, e2, e1, {}]
+    impossible = impossible_evidence(net)
+    if impossible is not None:
+        evidence.append(impossible)
+    out = [(random_term(rng, net, 1), e) for e in evidence]
+    var, val = next(iter(e1.items()))
+    other = next(v for v in net.variable(var).domain if v != val)
+    out.append(({var: other}, e1))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["binary", "multivalued", "coarse", "zero"])
+def test_evidence_memo_on_interleaved_evidence(kind):
+    """One set of pipelines per network answers a run of queries whose
+    evidence repeats, changes and comes back, so each pipeline's memo is
+    hit, replaced and hit again; every answer must still be the oracle's."""
+    impossible = 0
+    for i, net in enumerate(family(kind)):
+        pf, logical, kb = PfPipeline(net), LogicalPipeline(net), PkbPipeline(net)
+        for x, e in interleaved(net, seed=100 + i):
+            expected = oracle_conditional(net, x, e)
+            assert pf.query(x, e) == expected
+            assert logical.query(x, e) == expected
+            detail = kb.query_detail(x, e)
+            assert detail == reference_query_detail(kb, x, e)
+            assert detail[0] == expected
+            impossible += oracle_possibility(net, e) == ZERO
+    if kind == "zero":
+        assert impossible > 0
+
+
+@pytest.mark.parametrize("build", [PfPipeline, LogicalPipeline, PkbPipeline])
+def test_evidence_memo_keys_a_snapshot_and_survives_invalid_terms(alarm, build):
+    pipeline = build(alarm)
+    x = {"F": "f2"}
+    e = {"D": "d1"}
+    assert pipeline.query(x, e) == oracle_conditional(alarm, x, e)
+    e["D"] = "d2"  # the caller reuses its dict
+    assert pipeline.query(x, e) == oracle_conditional(alarm, x, e)
+    e["B"] = "b2"
+    assert pipeline.query(x, e) == oracle_conditional(alarm, x, e)
+    held = pipeline.evidence.entry
+    for bad in ({"Q": "q1"}, {"D": "d3"}):
+        with pytest.raises(QueryError):
+            pipeline.query(x, bad)
+        assert pipeline.evidence.entry is held
+    assert pipeline.query({"F": "f1"}, e) == oracle_conditional(alarm, {"F": "f1"}, e)
+    assert pipeline.query(x, {}) == oracle_conditional(alarm, x, {})
+
+
+ALARM_TARGETS = ({"F": "f2"}, {"F": "f1"}, {"B": "b2"}, {"B": "b1"})
+"""Asked in this order, each under the evidence D=d1."""
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("module", [circuits, logical_module])
+def test_repeated_evidence_costs_one_pass_per_query(alarm, monkeypatch, module):
+    pipeline = (PfPipeline if module is circuits else LogicalPipeline)(alarm)
+    calls = counting(monkeypatch, module, "pi_evaluate")
+    per_query = []
+    for x in ALARM_TARGETS:
+        before = len(calls)
+        assert pipeline.query(x, {"D": "d1"}) == oracle_conditional(alarm, x, {"D": "d1"})
+        per_query.append(len(calls) - before)
+    assert per_query == [2, 1, 1, 1]
+
+
+def test_repeated_evidence_skips_pkb_evidence_checks(alarm, monkeypatch):
+    kb = PkbPipeline(alarm)
+    calls = counting(monkeypatch, pkb_module, "entails_clause")
+    per_query = []
+    details = []
+    for x in ALARM_TARGETS:
+        before = len(calls)
+        details.append(kb.query_detail(x, {"D": "d1"}))
+        per_query.append(len(calls) - before)
+        if before:
+            # every check after the first query refutes the target
+            not_x = {-l for l in kb.imap.term_literals(x)}
+            assert all(not_x <= set(clause) for _, clause in calls[before:])
+    # Pi(D=d1) = 0.7 sets the evidence stratum at i = 3 of L = 4 (weights
+    # 0.8, 0.6, 0.3, 0.2): one hard check and two bisection steps, once.
+    assert details == [(parse_degree("0.4"), 2), (ONE, 3), (parse_degree("0.4"), 2), (ONE, 3)]
+    assert per_query == [3 + 3, 3, 3, 3]
