@@ -52,7 +52,8 @@ class NetVariable:
 
 
 class PossNetwork:
-    """An immutable, validated min-based possibilistic network."""
+    """An immutable, validated min-based possibilistic network.  It holds
+    its compiled base (``pkb.compile_base``) for as long as it lives."""
 
     def __init__(
         self,
@@ -75,6 +76,7 @@ class PossNetwork:
             v.name: dict(cpt.get(v.name, {})) for v in self.variables
         }
         self._validate(name)
+        self.compiled_base: tuple = (None, None)  # (node budget, result), see pkb.compile_base
 
     def variable(self, name: str) -> NetVariable:
         try:

@@ -4,9 +4,10 @@ Every table entry with degree below 1 becomes a weighted clause (negate
 the entry's value and its parent values) whose weight is one minus the
 degree; the resulting base induces the same joint distribution as the
 network.  The base compiles to CNF by tagging each weighted clause with
-a level variable shared by all clauses of equal weight (the logical
-method compiles this same CNF and weighs its level variables instead),
-and queries run level by level on the compiled DAG.  A query finds the
+a level variable shared by all clauses of equal weight, and queries run
+level by level on the compiled DAG.  The logical method reads the same
+compiled base, memoised per network (``compile_base``), and weighs its
+level variables instead.  A query finds the
 evidence stratum once per evidence term: the first stratum, strongest
 first, whose activation refutes the evidence, by bisection.  The target
 descent below it activates strata from the strongest down and stops
@@ -32,7 +33,7 @@ from .encodings import InstanceMap
 from .errors import DegreeError, FormatError
 from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
-from .nnf import condition, entails_clause, is_consistent
+from .nnf import NnfDag, condition, entails_clause, is_consistent
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,22 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
     return f
 
 
+def compile_base(
+    net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[PossibilisticBase, CnfFormula, NnfDag]:
+    """The network's base, level-variable CNF and compiled DAG, which the
+    logical and pkb pipelines share.  The network keeps one (node budget,
+    result) tuple, replaced whole: another budget recompiles, and a
+    CompileBudgetError stores nothing."""
+    held, compiled = net.compiled_base
+    if held != node_budget:
+        base = to_possibilistic_base(net)
+        cnf = encode_pkb(base)
+        compiled = (base, cnf, compile_cnf(cnf, node_budget=node_budget))
+        net.compiled_base = (node_budget, compiled)
+    return compiled
+
+
 def level_vars(cnf: CnfFormula) -> tuple[tuple[int, Degree], ...]:
     """(id, weight) of each level variable of ``cnf``, in rank order."""
     return tuple((v.id, v.role.weight) for v in cnf.variables if isinstance(v.role, Level))
@@ -195,13 +212,11 @@ def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
 
 
 class PkbPipeline:
-    """Compile the level-variable CNF once; query level by level."""
+    """Read the network's compiled base; query level by level."""
 
     def __init__(self, net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET):
         self.net = net
-        self.base = to_possibilistic_base(net)
-        self.cnf = encode_pkb(self.base)
-        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
+        self.base, self.cnf, self.dag = compile_base(net, node_budget)
         self.level_vars = level_vars(self.cnf)
         self.imap = self.base.imap
         self.evidence = EvidenceMemo()

@@ -1,23 +1,34 @@
-"""Pipeline 3: possibilistic base, level-variable CNF, stratum descent."""
+"""Pipeline 3: possibilistic base, level-variable CNF, stratum descent,
+and the compiled base that the logical and pkb pipelines share."""
 
 import pytest
 
-from posskc.bench import GenConfig, SplitMix64, even_pool, random_network
+from posskc import pkb
+from posskc.bench import (
+    GenConfig,
+    SplitMix64,
+    compare_network,
+    cross_validate,
+    even_pool,
+    random_network,
+)
 from posskc.cnf import Clause, CnfFormula, Instance, Level, cnf_stats, stratified_levels
 from posskc.compiler import compile_cnf
 from posskc.degrees import ONE, ZERO, complement, parse_degree
-from posskc.errors import FormatError
+from posskc.errors import CompileBudgetError, FormatError
+from posskc.logical import LogicalPipeline
 from posskc.network import (
     chain_rule_joint,
     enumerate_worlds,
     oracle_conditional,
     parse_network,
 )
-from posskc.nnf import condition, entails_clause
+from posskc.nnf import condition, entails_clause, write_nnf
 from posskc.pkb import (
     PkbPipeline,
     PossibilisticBase,
     WeightedFormula,
+    compile_base,
     encode_pkb,
     level_vars,
     parse_base,
@@ -25,6 +36,8 @@ from posskc.pkb import (
     serialize_base,
     to_possibilistic_base,
 )
+
+from helpers import reference_query_detail
 
 D = parse_degree
 
@@ -375,3 +388,94 @@ class TestStratifiedLadder:
                     got = kb.query_detail(x, e)
                     assert got == plain.query_detail(x, e)
                     assert got[0] == oracle_conditional(net, x, e)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every CNF that ``pkb.compile_base`` compiles, in call order."""
+    seen = []
+    original = pkb.compile_cnf
+
+    def counting(cnf, **kwargs):
+        seen.append(cnf)
+        return original(cnf, **kwargs)
+
+    monkeypatch.setattr(pkb, "compile_cnf", counting)
+    return seen
+
+
+class TestCompiledBaseMemo:
+    """The logical and pkb pipelines read one compiled base per network
+    and node budget, kept on the network object."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(LogicalPipeline, PkbPipeline), (PkbPipeline, LogicalPipeline)],
+        ids=["logical-then-pkb", "pkb-then-logical"],
+    )
+    def test_two_pipelines_compile_once(self, alarm_text, compiles, first, second):
+        net = parse_network(alarm_text)
+        a, b = first(net), second(net)
+        assert len(compiles) == 1
+        assert a.dag is b.dag and a.cnf is b.cnf
+        assert a.query({"F": "f2"}, {"D": "d1"}) == b.query({"F": "f2"}, {"D": "d1"}) == D("0.4")
+
+    def test_the_memo_lives_on_the_network_object(self, alarm_text, compiles):
+        one, other = parse_network(alarm_text), parse_network(alarm_text)
+        assert LogicalPipeline(one).dag is not PkbPipeline(other).dag
+        assert len(compiles) == 2
+
+    def test_compiled_base_equals_a_fresh_compile(self, alarm_text):
+        net = parse_network(alarm_text)
+        base, cnf, dag = compile_base(net)
+        assert cnf == encode_pkb(to_possibilistic_base(net))
+        assert serialize_base(base) == serialize_base(to_possibilistic_base(net))
+        assert write_nnf(dag) == write_nnf(compile_cnf(cnf))
+
+    def test_budget_failure_is_never_memoised(self, alarm_text, compiles):
+        net = parse_network(alarm_text)
+        for pipeline in (LogicalPipeline, PkbPipeline):
+            with pytest.raises(CompileBudgetError):
+                pipeline(net, node_budget=1)
+        assert len(compiles) == 2
+        assert net.compiled_base == (None, None)
+        kb = PkbPipeline(net)
+        assert LogicalPipeline(net).dag is kb.dag
+        assert len(compiles) == 3
+        assert kb.query_detail({"F": "f2"}, {"D": "d1"}) == (D("0.4"), 2)
+
+    def test_another_budget_recompiles(self, alarm_text, compiles):
+        net = parse_network(alarm_text)
+        default = PkbPipeline(net)
+        roomy = LogicalPipeline(net, node_budget=10**7)
+        assert len(compiles) == 2
+        assert roomy.dag is not default.dag
+        assert write_nnf(roomy.dag) == write_nnf(default.dag)
+        assert PkbPipeline(net, node_budget=10**7).dag is roomy.dag
+        assert len(compiles) == 2
+
+    def test_compare_network_compiles_each_method_on_its_own(self, alarm_text, compiles):
+        net = parse_network(alarm_text)
+        rows = compare_network(net)
+        assert [r.method for r in rows] == ["pf", "logical", "pkb"]
+        assert len(compiles) == 2
+        assert rows[1].nnf_nodes == rows[2].nnf_nodes > 0
+        assert net.compiled_base == (None, None)
+
+    def test_cross_validate_compiles_once_per_network(self, compiles):
+        result = cross_validate(nets=4, max_vars=5, queries=2, seed=17)
+        assert result.mismatches == ()
+        assert len(compiles) == 4
+
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_shared_base_answers_match_the_oracle(self, binary_only):
+        for net in small_nets(6, 6, seed=271, binary_only=binary_only):
+            logical, kb = LogicalPipeline(net), PkbPipeline(net)
+            assert logical.dag is kb.dag
+            for v, ev in zip(net.variables, net.variables[1:] + net.variables[:1]):
+                x = {v.name: v.domain[-1]}
+                for e in ({}, {ev.name: ev.domain[0]}):
+                    expected = oracle_conditional(net, x, e)
+                    assert logical.query(x, e) == expected
+                    assert kb.query_detail(x, e) == reference_query_detail(kb, x, e)
+                    assert kb.query_detail(x, e)[0] == expected
