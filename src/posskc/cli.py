@@ -203,7 +203,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         out=out,
         degree_pool=None if args.degrees is None else even_pool(args.degrees),
-        binary_only=not args.multivalued,
         node_budget=args.node_budget,
     )
     if to_file:
@@ -220,7 +219,6 @@ def _cmd_check(args) -> int:
         queries=args.queries,
         seed=args.seed,
         degree_pool=None if args.degrees is None else even_pool(args.degrees),
-        binary_only=not args.multivalued,
     )
     _write_out(args.output, result.report)
     if args.output not in (None, "-"):
@@ -231,7 +229,6 @@ def _cmd_check(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="posskc", description=__doc__.splitlines()[0])
     degrees_help = "draw degrees from K evenly spaced values in (0,1) (default: the fine pool)"
-    multivalued_help = "draw variables with 2 to 4 values (default: binary only)"
     positive, degrees = _int_range(1), _int_range(1, FINE_POOL_SIZE)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -287,7 +284,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--degrees", type=degrees, help=degrees_help)
     sp.add_argument("--node-budget", type=positive, default=DEFAULT_NODE_BUDGET)
-    sp.add_argument("--multivalued", action="store_true", help=multivalued_help)
     sp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     sp.set_defaults(fn=_cmd_bench)
 
@@ -297,7 +293,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--queries", type=positive, default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--degrees", type=degrees, help=degrees_help)
-    sp.add_argument("--multivalued", action="store_true", help=multivalued_help)
     sp.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     sp.set_defaults(fn=_cmd_check)
     return p

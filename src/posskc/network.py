@@ -52,8 +52,8 @@ class NetVariable:
 
 
 class PossNetwork:
-    """An immutable, validated min-based possibilistic network.  It holds
-    its compiled base (``pkb.compile_base``) for as long as it lives."""
+    """A validated min-based possibilistic network, immutable apart from
+    ``pkb.compile_base``'s memo, which lives as long as the network."""
 
     def __init__(
         self,
@@ -76,7 +76,7 @@ class PossNetwork:
             v.name: dict(cpt.get(v.name, {})) for v in self.variables
         }
         self._validate(name)
-        self.compiled_base: tuple = (None, None)  # (node budget, result), see pkb.compile_base
+        self.compiled_base = None  # pkb.compile_base's memo
 
     def variable(self, name: str) -> NetVariable:
         try:

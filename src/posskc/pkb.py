@@ -131,14 +131,9 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
     return f
 
 
-def compile_base(
-    net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[PossibilisticBase, CnfFormula, NnfDag]:
-    """The network's base, level-variable CNF and compiled DAG, which the
-    logical and pkb pipelines share.  The network keeps one (node budget,
-    result) tuple, replaced whole: another budget recompiles, and a
-    CompileBudgetError stores nothing."""
-    held, compiled = net.compiled_base
+def compile_base(net: PossNetwork, node_budget: int) -> tuple[PossibilisticBase, CnfFormula, NnfDag]:
+    """One (node budget, (base, CNF, DAG)) memo per network; a budget failure stores nothing."""
+    held, compiled = net.compiled_base or (None, None)
     if held != node_budget:
         base = to_possibilistic_base(net)
         cnf = encode_pkb(base)

@@ -349,25 +349,6 @@ class TestBenchAndCheck:
         assert len(rows) == 6
         assert all(ln.endswith(",budget") for ln in rows)
 
-    def test_bench_multivalued_reaches_the_sweep(self, capsys):
-        code, stdout, _ = run(capsys, "bench", "--sizes", "4", "--per-size", "2", "--multivalued")
-        assert code == EXIT_OK
-        assert " binary_only=False " in stdout.splitlines()[1]
-        rows = [ln for ln in stdout.splitlines() if ln and not ln.startswith(("#", "seed,"))]
-        assert len(rows) == 6
-        assert all(ln.endswith(",ok") for ln in rows)
-
-    def test_check_multivalued_clean_run(self, capsys, monkeypatch):
-        seen = []
-        real = cli.cross_validate
-        monkeypatch.setattr(cli, "cross_validate", lambda **kw: seen.append(kw) or real(**kw))
-        code, stdout, _ = run(
-            capsys, "check", "--nets", "4", "--max-vars", "5", "--queries", "3", "--multivalued"
-        )
-        assert code == EXIT_OK
-        assert seen[0]["binary_only"] is False
-        assert "checked 12 queries: 0 mismatches" in stdout
-
     def test_check_on_a_coarse_pool(self, capsys):
         code, stdout, _ = run(
             capsys, "check", "--nets", "4", "--max-vars", "6", "--queries", "2", "--degrees", "9"

@@ -13,7 +13,7 @@ from posskc.bench import (
     random_network,
 )
 from posskc.cnf import Clause, CnfFormula, Instance, Level, cnf_stats, stratified_levels
-from posskc.compiler import compile_cnf
+from posskc.compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from posskc.degrees import ONE, ZERO, complement, parse_degree
 from posskc.errors import CompileBudgetError, FormatError
 from posskc.logical import LogicalPipeline
@@ -427,7 +427,7 @@ class TestCompiledBaseMemo:
 
     def test_compiled_base_equals_a_fresh_compile(self, alarm_text):
         net = parse_network(alarm_text)
-        base, cnf, dag = compile_base(net)
+        base, cnf, dag = compile_base(net, DEFAULT_NODE_BUDGET)
         assert cnf == encode_pkb(to_possibilistic_base(net))
         assert serialize_base(base) == serialize_base(to_possibilistic_base(net))
         assert write_nnf(dag) == write_nnf(compile_cnf(cnf))
@@ -438,7 +438,7 @@ class TestCompiledBaseMemo:
             with pytest.raises(CompileBudgetError):
                 pipeline(net, node_budget=1)
         assert len(compiles) == 2
-        assert net.compiled_base == (None, None)
+        assert net.compiled_base is None
         kb = PkbPipeline(net)
         assert LogicalPipeline(net).dag is kb.dag
         assert len(compiles) == 3
@@ -460,7 +460,7 @@ class TestCompiledBaseMemo:
         assert [r.method for r in rows] == ["pf", "logical", "pkb"]
         assert len(compiles) == 2
         assert rows[1].nnf_nodes == rows[2].nnf_nodes > 0
-        assert net.compiled_base == (None, None)
+        assert net.compiled_base is None
 
     def test_cross_validate_compiles_once_per_network(self, compiles):
         result = cross_validate(nets=4, max_vars=5, queries=2, seed=17)
