@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import CnfFormula, Indicator, Parameter
+from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, ONE, ZERO
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
@@ -37,9 +37,9 @@ class PfEncoding:
 def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
     """CNF encoding of the possibilistic function.
 
-    Indicator block per variable: one at-least-one clause over its
-    indicators and one at-most-one clause per value pair.  Entry clauses
-    follow table order; see the module docstring for the two modes.
+    Indicator block per variable: ``cnf.exactly_one`` over its
+    indicators.  Entry clauses follow table order; see the module
+    docstring for the two modes.
     """
     f = CnfFormula()
     indicators: dict = {}
@@ -74,11 +74,8 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
                     weight_map[vid] = d
 
     for v in net.variables:
-        lams = [indicators[(v.name, val)] for val in v.domain]
-        f.add_clause(lams)
-        for i in range(len(lams)):
-            for j in range(i + 1, len(lams)):
-                f.add_clause([-lams[i], -lams[j]])
+        for c in exactly_one([indicators[(v.name, val)] for val in v.domain]):
+            f.add_clause(c)
 
     for v in net.variables:
         pnames = net.parents[v.name]

@@ -22,7 +22,7 @@ ENUMERATION_GUARD = 24
 """enumerate_models refuses formulas with more variables than this."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """Proposition standing for a network variable taking a value."""
 
@@ -30,7 +30,7 @@ class Instance:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Indicator:
     """Evidence indicator: switches a network value on or off per query."""
 
@@ -38,7 +38,7 @@ class Indicator:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameter:
     """Weighted parameter carrying a possibility degree into the encoding.
 
@@ -51,7 +51,7 @@ class Parameter:
     degree: Degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Level:
     """Stratum variable tagging all base formulas of one weight."""
 
@@ -79,13 +79,13 @@ def stratified_levels(f: CnfFormula) -> frozenset[int]:
 Role = Union[Instance, Indicator, Parameter, Level]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropVariable:
     id: int
     role: Role | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A disjunction of literals, stored sorted by variable then sign.
 
@@ -111,6 +111,12 @@ class Clause:
 
     def __len__(self) -> int:
         return len(self.literals)
+
+
+def exactly_one(literals: list[int]) -> list[list[int]]:
+    """Clauses forcing exactly one of ``literals`` true: all of them as one
+    clause, then one clause per pair of their negations, in list order."""
+    return [list(literals)] + [[-a, -b] for i, a in enumerate(literals) for b in literals[i + 1 :]]
 
 
 Interpretation = dict  # variable id -> bool, total over the registry

@@ -21,7 +21,7 @@ SCALE = 10**9
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Degree:
     """An exact possibility or necessity value in [0, 1].
 
@@ -58,7 +58,8 @@ def parse_degree(text: str) -> Degree:
 
     Accepts plain decimals with at most 9 fraction digits whose value lies
     in [0, 1] (e.g. ``0``, ``1``, ``0.7``, ``1.000``).  The canonical form
-    produced by ``str`` round-trips through this parser.
+    produced by ``str`` round-trips through this parser; 0 and 1 come
+    back as ``ZERO`` and ``ONE`` themselves.
     """
     m = _DECIMAL_RE.match(text.strip())
     if m is None:
@@ -69,7 +70,7 @@ def parse_degree(text: str) -> Degree:
     num = int(whole_s) * SCALE + int(frac_s.ljust(9, "0") or "0")
     if num > SCALE:
         raise DegreeError(f"degree literal {text!r} outside [0, 1]")
-    return Degree(num)
+    return ONE if num == SCALE else ZERO if num == 0 else Degree(num)
 
 
 def complement(d: Degree) -> Degree:

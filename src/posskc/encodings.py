@@ -10,7 +10,7 @@ map's.
 
 from __future__ import annotations
 
-from .cnf import Instance
+from .cnf import Instance, exactly_one
 from .network import PossNetwork
 
 
@@ -44,13 +44,8 @@ class InstanceMap:
         """Hard clauses forcing one value per multi-valued variable."""
         out: list[list[int]] = []
         for v in self.net.variables:
-            if len(v.domain) <= 2:
-                continue
-            fam = [self._literal[(v.name, val)] for val in v.domain]
-            out.append(fam)
-            for i in range(len(fam)):
-                for j in range(i + 1, len(fam)):
-                    out.append([-fam[i], -fam[j]])
+            if len(v.domain) > 2:
+                out += exactly_one([self._literal[(v.name, val)] for val in v.domain])
         return out
 
     def all_vars(self) -> frozenset:

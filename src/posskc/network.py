@@ -32,7 +32,7 @@ ORACLE_WORLD_GUARD = 1 << 20
 """oracle_possibility enumerates worlds; it refuses beyond this many."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetVariable:
     """A finite-domain network variable with an ordered domain."""
 
@@ -302,7 +302,10 @@ def parse_network(text: str) -> PossNetwork:
     theirs), and one ``cpt <var>`` block per variable whose entries read
     ``value | pval1 pval2 ... : degree`` (root entries omit the bar).
     ``#`` starts a comment; parent values follow the declaration order.
+    Equal value strings, and equal parent-value tuples, are one object
+    across the parsed network.
     """
+    share = {}.setdefault  # a str never equals a tuple, so one dict serves both
     name: str | None = None
     variables: list[NetVariable] = []
     var_names: set[str] = set()
@@ -331,7 +334,7 @@ def parse_network(text: str) -> PossNetwork:
             if vname in var_names:
                 raise NetworkValidationError(f"duplicate variable {vname} (line {ln})")
             try:
-                variables.append(NetVariable(vname, tuple(tokens[2:])))
+                variables.append(NetVariable(vname, tuple(share(t, t) for t in tokens[2:])))
             except NetworkValidationError as exc:
                 raise FormatError(str(exc), ln) from exc
             var_names.add(vname)
@@ -369,13 +372,14 @@ def parse_network(text: str) -> PossNetwork:
             if "|" in lhs:
                 val_part, _, par_part = lhs.partition("|")
                 own = val_part.strip()
-                cfg = tuple(par_part.split())
+                cfg = tuple(share(t, t) for t in par_part.split())
+                cfg = share(cfg, cfg)
             else:
                 own = lhs
                 cfg = ()
             if not own or len(own.split()) != 1:
                 raise FormatError(f"cpt entry needs exactly one own value: {line!r}", ln)
-            key = (own, cfg)
+            key = (share(own, own), cfg)
             if key in cpt[current_cpt]:
                 raise NetworkValidationError(
                     f"duplicate CPT entry for {current_cpt}: {own} | {' '.join(cfg)} (line {ln})"

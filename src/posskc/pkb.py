@@ -36,7 +36,7 @@ from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, c
 from .nnf import NnfDag, condition, entails_clause, is_consistent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedFormula:
     """A clause over instance literals, necessary to degree ``weight``."""
 

@@ -1,8 +1,9 @@
 """Compiler engine: equivalence with brute-force enumeration, structural
 properties of the output, determinism of runs, the int clause form
-against reference splits and counts, DAG sizes pinned against the same
-search, and the loud budget."""
+against reference splits and counts, DAG sizes and CNF texts pinned
+against the same search, and the loud budget."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -19,6 +20,7 @@ from posskc.cnf import (
     enumerate_models,
     model_mask,
     stratified_levels,
+    to_dimacs,
 )
 from posskc.circuits import encode_pf
 from posskc.compiler import clause_bits, compile_cnf, decide, split
@@ -268,7 +270,8 @@ class TestSplit:
 class TestSameSearch:
     """pf and pkb DAG sizes of a fixed set of networks, recorded before
     clauses became ints: the search must make the same decisions, splits
-    and cache hits.  Binary and multi-valued networks on the fine degree
+    and cache hits.  The CNF texts those searches start from are pinned
+    too, by hash.  Binary and multi-valued networks on the fine degree
     pool, and multi-valued ones on the nine-level scale, whose pkb CNFs
     are stratified."""
 
@@ -308,6 +311,33 @@ class TestSameSearch:
         assert bool(stratified_levels(pkb_cnf)) == name.startswith("nine")
         stats = [nnf_stats(compile_cnf(f)) for f in (pf_cnf, pkb_cnf)]
         assert tuple((s["nodes"], s["edges"]) for s in stats) == self.SIZES[name]
+
+    DIMACS = {  # name: sha256 prefixes of to_dimacs for (pf local, pf plain, pkb)
+        "alarm": ("bbf839026450e28d", "c7e5bb404a0e6f94", "69775316767409ca"),
+        "binary-1": ("f37e2ab71e7d63e2", "d9d44a318d9a23c9", "8c94541fb76b7408"),
+        "binary-2": ("3dd5a89cae9dd0fe", "f82f7ce2d65676bc", "141f254ea9a7ddcb"),
+        "binary-3": ("d978230644c7878e", "595864f028216c69", "a8b536f778ddc41e"),
+        "binary-4": ("8cbd86e3a91b14ff", "43cd77db4d5e2cf7", "0fc3d76e24bfa377"),
+        "multi-1": ("9b651b627e0f582e", "fbbbf6af1df47088", "168aca9f0e0ec0eb"),
+        "multi-2": ("5743f0f4e391e8b8", "bfc1e9412d421e65", "3e4cd84e2e520a9b"),
+        "multi-3": ("e7ecbeecf35bd2ed", "2da40e8eb1cf923e", "f97b3a9814417693"),
+        "multi-4": ("16fe7748e9b6f11e", "4434699a2326adcf", "cacfb6874fa333f6"),
+        "nine-1": ("b6cd48eae1808155", "2857412fb963f190", "76c3cc23ae6b10a3"),
+        "nine-2": ("9ad01163391e7b47", "8fc7141654b030bb", "3191097acb2d0517"),
+        "nine-3": ("edf3aad41d9e14cb", "7f251da68cf1f71e", "df7d08300ba0526b"),
+        "nine-4": ("181d84c7e8b81224", "3041919982a03a1b", "8d51a32b001e606b"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIMACS))
+    def test_cnf_text(self, name, alarm):
+        """The encoders write, byte for byte, the CNFs they wrote when the
+        hashes were recorded; an encoding changed on purpose records new
+        ones."""
+        net = self.network(name, alarm)
+        cnfs = (encode_pf(net, True).cnf, encode_pf(net, False).cnf,
+                encode_pkb(to_possibilistic_base(net)))
+        digests = tuple(hashlib.sha256(to_dimacs(f).encode()).hexdigest()[:16] for f in cnfs)
+        assert digests == self.DIMACS[name]
 
 
 class TestBudget:
