@@ -102,10 +102,11 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
     return PfEncoding(f, weight_map, indicators)
 
 
-def indicator_weights(enc: PfEncoding, term: EventTerm) -> WeightMap:
+def indicator_weights(enc: PfEncoding | PfPipeline, term: EventTerm) -> WeightMap:
     """Per-query weights: the parameter degrees, plus weight 0 on each
     indicator the term excludes; the other indicators are unlisted, so
-    they weigh 1."""
+    they weigh 1.  ``enc`` is an encoding or a built pipeline: both carry
+    ``weight_map`` and ``indicators``."""
     w: WeightMap = dict(enc.weight_map)
     for (var, val), vid in enc.indicators.items():
         if var in term and term[var] != val:
@@ -114,7 +115,11 @@ def indicator_weights(enc: PfEncoding, term: EventTerm) -> WeightMap:
 
 
 class PfPipeline:
-    """Compile once, then answer any number of queries on the circuit."""
+    """Compile once, then answer any number of queries on the circuit.
+
+    The pipeline keeps what a query reads: the DAG, the parameter degrees,
+    the indicator ids and the encoding mode.  ``cnf`` encodes the network
+    again on each access."""
 
     def __init__(
         self,
@@ -123,15 +128,20 @@ class PfPipeline:
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
         self.net = net
-        self.encoding = encode_pf(net, local_structure)
-        self.cnf = self.encoding.cnf
-        self.dag = compile_cnf(self.cnf, node_budget=node_budget)
+        self.local_structure = local_structure
+        enc = encode_pf(net, local_structure)
+        self.weight_map, self.indicators = enc.weight_map, enc.indicators
+        self.dag = compile_cnf(enc.cnf, node_budget=node_budget)
         self.evidence = EvidenceMemo()
+
+    @property
+    def cnf(self) -> CnfFormula:
+        return encode_pf(self.net, self.local_structure).cnf
 
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term) in one evaluation pass over the circuit."""
         check_event(self.net, term)
-        return pi_evaluate(self.dag, indicator_weights(self.encoding, term))
+        return pi_evaluate(self.dag, indicator_weights(self, term))
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""

@@ -1,5 +1,4 @@
-"""Role-tagged propositional CNF, brute-force model enumeration, and
-DIMACS interchange.
+"""Role-tagged propositional CNF and DIMACS interchange.
 
 Variables carry a semantic role (network-instance proposition, evidence
 indicator, weighted parameter, or stratum level variable) directly in the
@@ -16,10 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .degrees import Degree, parse_degree
-from .errors import FormatError, SizeGuardError
-
-ENUMERATION_GUARD = 24
-"""enumerate_models refuses formulas with more variables than this."""
+from .errors import FormatError
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +115,6 @@ def exactly_one(literals: list[int]) -> list[list[int]]:
     return [list(literals)] + [[-a, -b] for i, a in enumerate(literals) for b in literals[i + 1 :]]
 
 
-Interpretation = dict  # variable id -> bool, total over the registry
-
-
 class CnfFormula:
     """A clause set over a dense registry of role-tagged variables.
 
@@ -180,50 +173,6 @@ class CnfFormula:
 
 def cnf_stats(f: CnfFormula) -> dict:
     return {"vars": f.num_vars, "clauses": f.num_clauses}
-
-
-def model_mask(f: CnfFormula) -> int:
-    """Model set of ``f`` as a bitmask over all 2**n assignments.
-
-    Assignment index m encodes variable i as bit (n - i) of m, so
-    ascending bit positions enumerate assignments in lexicographic order
-    with variable 1 most significant and False before True.  Built from
-    per-literal subcube masks with big-integer AND/OR, which keeps the
-    brute-force oracle fast enough for sweep-scale testing.
-    """
-    n = f.num_vars
-    if n > ENUMERATION_GUARD:
-        raise SizeGuardError(f"model enumeration over {n} variables exceeds guard {ENUMERATION_GUARD}")
-    total = 1 << (1 << n)
-    full = total - 1
-    pos = {}
-    for i in range(1, n + 1):
-        b = 1 << (n - i)
-        unit = ((1 << b) - 1) << b
-        rep = full // ((1 << (2 * b)) - 1)
-        pos[i] = rep * unit
-    mask = full
-    for c in f.clauses:
-        cm = 0
-        for l in c:
-            cm |= pos[abs(l)] if l > 0 else (full ^ pos[abs(l)])
-        mask &= cm
-    return mask
-
-
-def enumerate_models(f: CnfFormula) -> Iterator[Interpretation]:
-    """Yield exactly the satisfying total interpretations, lexicographic.
-
-    Guarded at ENUMERATION_GUARD variables; cost is exponential by design
-    (this is the test oracle, not an inference procedure).
-    """
-    n = f.num_vars
-    mask = model_mask(f)
-    while mask:
-        lsb = mask & -mask
-        m = lsb.bit_length() - 1
-        yield {i: bool((m >> (n - i)) & 1) for i in range(1, n + 1)}
-        mask ^= lsb
 
 
 def _role_tokens(role: Role) -> list[str]:

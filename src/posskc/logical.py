@@ -47,9 +47,11 @@ def encode_logical(net: PossNetwork) -> LogicalEncoding:
     return LogicalEncoding(encode_pkb(base), base.imap)
 
 
-def explore(compiled: NnfDag, enc: LogicalEncoding, term: EventTerm) -> Degree:
+def explore(compiled: NnfDag, enc: LogicalEncoding | LogicalPipeline, term: EventTerm) -> Degree:
     """Pi(term): one max-min pass under the theta weights, with weight 0
-    on each negated term literal; unlisted instance literals weigh 1."""
+    on each negated term literal; unlisted instance literals weigh 1.
+    ``enc`` is an encoding or a built pipeline: both carry ``imap`` and
+    ``theta_weights``."""
     check_event(enc.imap.net, term)
     refuted = {-l: ZERO for l in enc.imap.term_literals(term)}
     return pi_evaluate(compiled, {**enc.theta_weights, **refuted})
@@ -57,16 +59,23 @@ def explore(compiled: NnfDag, enc: LogicalEncoding, term: EventTerm) -> Degree:
 
 class LogicalPipeline:
     """Read the network's compiled base (``pkb.compile_base``), then answer
-    each marginal by one max-min pass."""
+    each marginal by one max-min pass.
+
+    The pipeline keeps what a query reads: the DAG, the theta weights and
+    the instance map.  ``cnf`` encodes the network again on each access."""
 
     def __init__(self, net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET):
         self.net = net
-        base, self.cnf, self.dag = compile_base(net, node_budget)
-        self.encoding = LogicalEncoding(self.cnf, base.imap)
+        self.imap, levels, self.dag = compile_base(net, node_budget)
+        self.theta_weights = {vid: complement(w) for vid, w in levels}
         self.evidence = EvidenceMemo()
 
+    @property
+    def cnf(self) -> CnfFormula:
+        return encode_logical(self.net).cnf
+
     def possibility(self, term: EventTerm) -> Degree:
-        return explore(self.dag, self.encoding, term)
+        return explore(self.dag, self, term)
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""

@@ -7,7 +7,9 @@ network.  The base compiles to CNF by tagging each weighted clause with
 a level variable shared by all clauses of equal weight, and queries run
 level by level on the compiled DAG.  The logical method reads the same
 compiled base, memoised per network (``compile_base``), and weighs its
-level variables instead.  A query finds the
+level variables instead.  The memo keeps only what queries read: the
+instance map, the level variables and the DAG; a pipeline's ``base``
+and ``cnf`` transform the network again.  A query finds the
 evidence stratum once per evidence term: the first stratum, strongest
 first, whose activation refutes the evidence, by bisection.  The target
 descent below it activates strata from the strongest down and stops
@@ -131,13 +133,18 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
     return f
 
 
-def compile_base(net: PossNetwork, node_budget: int) -> tuple[PossibilisticBase, CnfFormula, NnfDag]:
-    """One (node budget, (base, CNF, DAG)) memo per network; a budget failure stores nothing."""
+def compile_base(
+    net: PossNetwork, node_budget: int
+) -> tuple[InstanceMap, tuple[tuple[int, Degree], ...], NnfDag]:
+    """The network's compiled base as (instance map, ``level_vars`` of its
+    CNF, DAG), memoised on the network as (node budget, that triple).
+    The base and its CNF are dropped once compiled; a budget failure
+    stores nothing."""
     held, compiled = net.compiled_base or (None, None)
     if held != node_budget:
         base = to_possibilistic_base(net)
         cnf = encode_pkb(base)
-        compiled = (base, cnf, compile_cnf(cnf, node_budget=node_budget))
+        compiled = (base.imap, level_vars(cnf), compile_cnf(cnf, node_budget=node_budget))
         net.compiled_base = (node_budget, compiled)
     return compiled
 
@@ -207,14 +214,24 @@ def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
 
 
 class PkbPipeline:
-    """Read the network's compiled base; query level by level."""
+    """Read the network's compiled base; query level by level.
+
+    The pipeline keeps what a query reads: the DAG, the level variables
+    and the instance map.  ``base`` and ``cnf`` transform the network
+    again on each access."""
 
     def __init__(self, net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET):
         self.net = net
-        self.base, self.cnf, self.dag = compile_base(net, node_budget)
-        self.level_vars = level_vars(self.cnf)
-        self.imap = self.base.imap
+        self.imap, self.level_vars, self.dag = compile_base(net, node_budget)
         self.evidence = EvidenceMemo()
+
+    @property
+    def base(self) -> PossibilisticBase:
+        return to_possibilistic_base(self.net)
+
+    @property
+    def cnf(self) -> CnfFormula:
+        return encode_pkb(self.base)
 
     def evidence_stratum(self, e: EventTerm) -> int:
         """The stratum whose activation refutes the evidence: 0 when the

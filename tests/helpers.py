@@ -2,7 +2,8 @@
 
 Everything here works by definition (explicit enumeration or per-literal
 subcube masks) so it can serve as an independent oracle for the compiled
-structures under test.  The query references answer the logical and pkb
+structures under test; ``model_mask`` is the one model-enumeration
+reference.  The query references answer the logical and pkb
 queries the rebuilding way (condition, forget, then a boolean or max-min
 pass over the new DAG), as a cross-check of the one-pass query kernel.
 The union-find component split is the reference for the compiler's
@@ -17,6 +18,7 @@ import random
 
 from posskc.cnf import Clause, CnfFormula
 from posskc.degrees import ONE, SCALE, ZERO, Degree, complement
+from posskc.errors import SizeGuardError
 from posskc.network import check_event, conflicts
 from posskc.nnf import condition, forget, pi_evaluate
 
@@ -92,11 +94,18 @@ def conditioned_models(f, term, n):
     return want
 
 
+ENUMERATION_GUARD = 24
+"""model_mask refuses formulas with more variables than this."""
+
+
 def subcube_patterns(n: int):
     """Bit patterns over all 2**n assignment indices, one per variable.
 
-    Assignment index m encodes variable i as bit (n - i), matching the
-    lexicographic convention of posskc.cnf.model_mask.
+    Assignment index m encodes variable i as bit (n - i) of m, so
+    ascending bit positions enumerate assignments in lexicographic order
+    with variable 1 most significant and False before True.  Returns the
+    all-ones mask and, per variable, the mask of the assignments that set
+    it true.
     """
     total_bits = 1 << n
     full = (1 << total_bits) - 1
@@ -106,6 +115,40 @@ def subcube_patterns(n: int):
         unit = ((1 << b) - 1) << b
         pos[i] = (full // ((1 << (2 * b)) - 1)) * unit
     return full, pos
+
+
+def model_mask(f: CnfFormula) -> int:
+    """Model set of ``f`` as a bitmask over all 2**n assignments: the
+    intersection of its clauses' subcube unions.  Exponential by design;
+    refuses more than ENUMERATION_GUARD variables."""
+    n = f.num_vars
+    if n > ENUMERATION_GUARD:
+        raise SizeGuardError(f"model enumeration over {n} variables exceeds guard {ENUMERATION_GUARD}")
+    full, pos = subcube_patterns(n)
+    mask = full
+    for c in f.clauses:
+        cm = 0
+        for l in c:
+            cm |= pos[abs(l)] if l > 0 else (full ^ pos[abs(l)])
+        mask &= cm
+    return mask
+
+
+def mask_models(mask: int, n: int):
+    """The assignments in a model bitmask as bool tuples over variables
+    1..n, in lexicographic order."""
+    while mask:
+        lsb = mask & -mask
+        m = lsb.bit_length() - 1
+        yield tuple(bool((m >> (n - i)) & 1) for i in range(1, n + 1))
+        mask ^= lsb
+
+
+def enumerate_models(f: CnfFormula):
+    """The satisfying total interpretations of ``f`` (variable id ->
+    bool), in lexicographic order."""
+    for bits in mask_models(model_mask(f), f.num_vars):
+        yield dict(enumerate(bits, start=1))
 
 
 def dag_model_mask(dag, n_vars: int) -> int:
@@ -133,14 +176,7 @@ def dag_model_mask(dag, n_vars: int) -> int:
 
 def dag_model_set(dag, n_vars: int) -> set:
     """Model set of an NNF DAG over variables 1..n_vars as bool tuples."""
-    mask = dag_model_mask(dag, n_vars)
-    out = set()
-    while mask:
-        lsb = mask & -mask
-        m = lsb.bit_length() - 1
-        out.add(tuple(bool((m >> (n_vars - i)) & 1) for i in range(1, n_vars + 1)))
-        mask ^= lsb
-    return out
+    return set(mask_models(dag_model_mask(dag, n_vars), n_vars))
 
 
 def dag_satisfied_by(dag, assignment: dict) -> bool:

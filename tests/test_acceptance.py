@@ -39,6 +39,7 @@ from helpers import (
     conditioned_models,
     dag_model_mask,
     dag_model_set,
+    model_mask,
     random_cnf,
     subcube_patterns,
 )
@@ -182,18 +183,6 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
     )
 
 
-def _brute_model_mask(f):
-    """Model bitmask straight from clause subcubes (independent path)."""
-    full, pos = subcube_patterns(f.num_vars)
-    mask = full
-    for c in f.clauses:
-        violate = full
-        for l in c:
-            violate &= ~pos[abs(l)] if l > 0 else pos[abs(l)]
-        mask &= full & ~violate
-    return mask
-
-
 def test_criterion_6_compiler_soundness(acceptance_log):
     rng = random.Random(606)
     model_ok = props_ok = ops_checked = ops_ok = 0
@@ -202,7 +191,7 @@ def test_criterion_6_compiler_soundness(acceptance_log):
         n = rng.randint(2, 15)
         f = random_cnf(rng, n, rng.randint(1, 2 * n))
         d = compile_cnf(f)
-        model_ok += dag_model_mask(d, n) == _brute_model_mask(f)
+        model_ok += dag_model_mask(d, n) == model_mask(f)
         props_ok += structural_properties(d)["decomposable"]
         if n <= 12:
             k = rng.randint(1, min(3, n))
@@ -216,7 +205,7 @@ def test_criterion_6_compiler_soundness(acceptance_log):
 
             vs = rng.sample(range(1, n + 1), rng.randint(1, n))
             full, pos = subcube_patterns(n)
-            want = _brute_model_mask(f)
+            want = model_mask(f)
             for v in vs:
                 b = 1 << (n - v)
                 want = want | ((want & pos[v]) >> b) | ((want & full & ~pos[v]) << b)

@@ -13,14 +13,13 @@ from posskc.cnf import (
     Level,
     Parameter,
     cnf_stats,
-    enumerate_models,
     parse_dimacs,
     to_dimacs,
 )
 from posskc.degrees import parse_degree
 from posskc.errors import FormatError, SizeGuardError
 
-from helpers import interp_key, models_by_definition, random_cnf
+from helpers import enumerate_models, interp_key, models_by_definition, random_cnf
 
 
 class TestClause:

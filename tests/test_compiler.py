@@ -17,8 +17,6 @@ from posskc.cnf import (
     Clause,
     CnfFormula,
     Level,
-    enumerate_models,
-    model_mask,
     stratified_levels,
     to_dimacs,
 )
@@ -38,7 +36,9 @@ from posskc.pkb import encode_pkb, to_possibilistic_base
 from helpers import (
     dag_model_mask,
     dag_model_set,
+    enumerate_models,
     interp_key,
+    model_mask,
     models_by_definition,
     random_cnf,
     union_find_components,

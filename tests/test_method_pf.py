@@ -128,7 +128,7 @@ class TestEncodePf:
 class TestCircuit:
     def test_all_ones_evaluates_to_one(self, alarm):
         p = PfPipeline(alarm)
-        assert pi_evaluate(p.dag, indicator_weights(p.encoding, {})) == D("1")
+        assert pi_evaluate(p.dag, indicator_weights(p, {})) == D("1")
 
     def test_inconsistent_encoding_evaluates_to_zero(self):
         f = CnfFormula()

@@ -1,0 +1,87 @@
+"""A built pipeline, and the compiled-base memo on its network, keep only
+what a query reads: no CNF, clause, possibilistic base or weighted
+formula is reachable from them.  ``cnf`` and pkb's ``base`` rebuild the
+encoders' output on access."""
+
+import gc
+import types
+
+import pytest
+
+from posskc.bench import GenConfig, even_pool, random_network
+from posskc.circuits import PfPipeline, encode_pf
+from posskc.cnf import Clause, CnfFormula, stratified_levels, to_dimacs
+from posskc.logical import LogicalPipeline, encode_logical
+from posskc.network import parse_network
+from posskc.pkb import (
+    PkbPipeline,
+    PossibilisticBase,
+    WeightedFormula,
+    encode_pkb,
+    serialize_base,
+    to_possibilistic_base,
+)
+
+DROPPED = (CnfFormula, Clause, PossibilisticBase, WeightedFormula)
+
+
+def retained(root) -> list:
+    """Every object of a DROPPED type reachable from root through
+    ``gc.get_referents``, not walking into types or modules."""
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, DROPPED):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+def _multivalued():
+    net = random_network(
+        GenConfig(n_nodes=8, degree_pool=even_pool(9), seed=5, binary_only=False)
+    )
+    assert any(len(v.domain) > 2 for v in net.variables)
+    assert stratified_levels(encode_pkb(to_possibilistic_base(net)))
+    return net
+
+
+@pytest.fixture(params=["alarm", "multivalued"])
+def net(request, alarm_text):
+    return parse_network(alarm_text) if request.param == "alarm" else _multivalued()
+
+
+def test_pipelines_and_memo_hold_no_cnf_or_base(net):
+    built = [
+        PfPipeline(net),
+        PfPipeline(net, local_structure=False),
+        LogicalPipeline(net),
+        PkbPipeline(net),
+    ]
+    # an answered query fills the evidence memo, so the walk covers it too
+    built[0].query({net.variables[0].name: net.variables[0].domain[0]}, {})
+    assert net.compiled_base is not None
+    for root in (*built, net.compiled_base):
+        assert retained(root) == []
+
+
+def test_walk_finds_what_an_encoder_returns(net):
+    assert retained(encode_pf(net))
+    assert retained(to_possibilistic_base(net))
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["local", "plain"])
+def test_pf_cnf_is_the_encoders(net, local):
+    pf = PfPipeline(net, local_structure=local)
+    assert to_dimacs(pf.cnf) == to_dimacs(encode_pf(net, local).cnf)
+
+
+def test_logical_and_pkb_cnf_and_base_are_the_encoders(net):
+    logical, kb = LogicalPipeline(net), PkbPipeline(net)
+    base = to_possibilistic_base(net)
+    assert to_dimacs(logical.cnf) == to_dimacs(encode_logical(net).cnf)
+    assert to_dimacs(kb.cnf) == to_dimacs(encode_pkb(base))
+    assert serialize_base(kb.base) == serialize_base(base)
