@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 from typing import IO, Callable, Iterable, Protocol, Sequence
 

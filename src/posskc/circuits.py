@@ -5,7 +5,10 @@ of the min of indicator values and table degrees.  Its CNF encoding uses
 one evidence indicator per value and parameter variables for the table
 entries; compiling the CNF and rereading And as min / Or as max yields a
 circuit that evaluates any Pi(term) in one bottom-up pass, with the
-indicators switched per query.
+indicators switched per query.  Every query weighs each negative literal
+1, so the circuit a pipeline keeps is the compiled DAG with those
+literals replaced by True: it has the same value under every query's
+weights and a third fewer nodes.
 
 Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import Degree, ONE, ZERO
+from .degrees import SCALE, Degree, ZERO
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
-from .nnf import WeightMap, pi_evaluate
+from .nnf import NnfDag, WeightMap, drop_literals, pi_evaluate
 
 
 @dataclass
@@ -51,17 +54,12 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
     theta_ids: dict = {}
     if local_structure:
         for v in net.variables:
-            degrees = sorted(
-                {
-                    d
-                    for d in net.cpt[v.name].values()
-                    if ZERO < d < ONE
-                },
-                reverse=True,
-            )
-            for d in degrees:
+            # distinct sub-unit degrees, strongest first; ints compare and
+            # hash faster than Degrees
+            degrees = {d.num: d for d in net.cpt[v.name].values() if 0 < d.num < SCALE}
+            for num, d in sorted(degrees.items(), reverse=True):
                 vid = f.new_var(Parameter(v.name, d))
-                theta_ids[(v.name, d)] = vid
+                theta_ids[(v.name, num)] = vid
                 weight_map[vid] = d
     else:
         for v in net.variables:
@@ -87,12 +85,12 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
                 d = net.cpt[v.name][(val, cfg)]
                 lam = indicators[(v.name, val)]
                 if local_structure:
-                    if d == ONE:
+                    if d.num == SCALE:
                         continue
-                    if d == ZERO:
+                    if not d.num:
                         f.add_clause([-lam, *neg_parents])
                     else:
-                        f.add_clause([-lam, *neg_parents, theta_ids[(v.name, d)]])
+                        f.add_clause([-lam, *neg_parents, theta_ids[(v.name, d.num)]])
                 else:
                     theta = theta_ids[(v.name, val, cfg)]
                     f.add_clause([-lam, *neg_parents, theta])
@@ -104,9 +102,9 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
 
 def indicator_weights(enc: PfEncoding | PfPipeline, term: EventTerm) -> WeightMap:
     """Per-query weights: the parameter degrees, plus weight 0 on each
-    indicator the term excludes; the other indicators are unlisted, so
-    they weigh 1.  ``enc`` is an encoding or a built pipeline: both carry
-    ``weight_map`` and ``indicators``."""
+    indicator the term excludes; the other indicators, and every negative
+    literal, are unlisted, so they weigh 1.  ``enc`` is an encoding or a
+    built pipeline: both carry ``weight_map`` and ``indicators``."""
     w: WeightMap = dict(enc.weight_map)
     for (var, val), vid in enc.indicators.items():
         if var in term and term[var] != val:
@@ -117,9 +115,10 @@ def indicator_weights(enc: PfEncoding | PfPipeline, term: EventTerm) -> WeightMa
 class PfPipeline:
     """Compile once, then answer any number of queries on the circuit.
 
-    The pipeline keeps what a query reads: the DAG, the parameter degrees,
-    the indicator ids and the encoding mode.  ``cnf`` encodes the network
-    again on each access."""
+    The pipeline keeps what a query reads: the circuit, the parameter
+    degrees, the indicator ids and the encoding mode.  ``cnf`` encodes the
+    network again on each access, and ``dag`` compiles that CNF again under
+    the same node budget."""
 
     def __init__(
         self,
@@ -129,19 +128,25 @@ class PfPipeline:
     ):
         self.net = net
         self.local_structure = local_structure
+        self.node_budget = node_budget
         enc = encode_pf(net, local_structure)
         self.weight_map, self.indicators = enc.weight_map, enc.indicators
-        self.dag = compile_cnf(enc.cnf, node_budget=node_budget)
+        dag = compile_cnf(enc.cnf, node_budget=node_budget)
+        self.circuit = drop_literals(dag, range(-1, -dag.num_vars - 1, -1))
         self.evidence = EvidenceMemo()
 
     @property
     def cnf(self) -> CnfFormula:
         return encode_pf(self.net, self.local_structure).cnf
 
+    @property
+    def dag(self) -> NnfDag:
+        return compile_cnf(self.cnf, node_budget=self.node_budget)
+
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term) in one evaluation pass over the circuit."""
         check_event(self.net, term)
-        return pi_evaluate(self.dag, indicator_weights(self, term))
+        return pi_evaluate(self.circuit, indicator_weights(self, term))
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""

@@ -111,10 +111,14 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
     first = clause_bits(stratified_levels(f), shift)
     builder = NnfBuilder()
     cache: dict[ClauseSet, int] = {}
+    lit_ids: dict[int, int] = {}  # literal bit -> its node id
 
     def literal(bit: int) -> int:
-        v = bit.bit_length() - 1
-        return builder.literal(v if v < shift else shift - v)
+        idx = lit_ids.get(bit)
+        if idx is None:
+            v = bit.bit_length() - 1
+            idx = lit_ids[bit] = builder.literal(v if v < shift else shift - v)
+        return idx
 
     def propagate(clauses: ClauseSet):
         """Unit propagation to fixpoint: (implied literal bits, canonical
@@ -143,53 +147,61 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
         keep = ~neg
         return tuple(sorted({c & keep for c in clauses if not c & pos}))
 
-    def solve(clauses: ClauseSet):
-        """One subproblem: yields each child clause set, receives its node
-        id, and returns the subproblem's node id."""
-        prop = propagate(clauses)
-        if prop is None:
-            return builder.false()
-        implied, residual = prop
-        lit_ids = [literal(u) for u in implied]
-        if not residual:
-            return builder.conj(lit_ids)
+    def solve(clauses: ClauseSet, connected: bool):
+        """One subproblem: yields each child clause set, with whether it is
+        a component, receives its node id, and returns the subproblem's
+        node id.  A component is connected and unit-free, so propagation
+        and splitting would return it unchanged: it goes straight to its
+        decision."""
+        units: list[int] = []
+        residual = clauses
+        if not connected:
+            prop = propagate(clauses)
+            if prop is None:
+                return builder.false()
+            implied, residual = prop
+            units = [literal(u) for u in implied]
+            if not residual:
+                return builder.conj(units)
         masks = [(c | c >> shift) & low for c in residual]
-        comps = split(residual, masks)
-        if len(comps) > 1:
-            parts = []
-            for comp in comps:
-                parts.append((yield comp))
-            return builder.conj(lit_ids + parts)
+        if not connected:
+            comps = split(residual, masks)
+            if len(comps) > 1:
+                parts = []
+                for comp in comps:
+                    parts.append((yield comp, True))
+                return builder.conj(units + parts)
         pos = decide(masks, first)
         neg = pos << shift
-        hi = yield condition_set(residual, pos, neg)
-        lo = yield condition_set(residual, neg, pos)
+        hi = yield condition_set(residual, pos, neg), False
+        lo = yield condition_set(residual, neg, pos), False
         node = builder.disj(
             [builder.conj([literal(pos), hi]), builder.conj([literal(neg), lo])],
             decision=pos.bit_length() - 1,
         )
-        return builder.conj(lit_ids + [node])
+        return builder.conj(units + [node])
 
     start = tuple(sorted({clause_bits(c.literals, shift) for c in f.clauses}))
     if start[:1] == (0,):
         return builder.freeze(builder.false(), f.num_vars)
     # reply carries a finished subproblem's id to its parent, and the
-    # root's id once the stack is empty.
-    stack = [(start, solve(start))]
+    # root's id once the stack is empty.  The pool only grows, so checking
+    # it once per finished subproblem raises for the same budgets.
+    stack = [(start, solve(start, False))]
     reply = None
     while stack:
         clauses, task = stack[-1]
         try:
-            child = task.send(reply)
+            child, connected = task.send(reply)
         except StopIteration as done:
             stack.pop()
             if len(cache) >= CACHE_CAP:
                 cache.clear()
             cache[clauses] = reply = done.value
+            if len(builder.nodes) > node_budget:
+                raise CompileBudgetError(f"node budget {node_budget} exceeded")
         else:
             reply = cache.get(child)
             if reply is None:
-                stack.append((child, solve(child)))
-        if builder.size > node_budget:
-            raise CompileBudgetError(f"node budget {node_budget} exceeded")
+                stack.append((child, solve(child, connected)))
     return builder.freeze(reply, f.num_vars)

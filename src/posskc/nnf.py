@@ -7,7 +7,8 @@ parents, so every traversal here is a single iterative bottom-up pass
 kernel: And is min, Or is max, unlisted literals weigh 1.  On decomposable
 DAGs a literal weighing 0 conditions on its negation and an unlisted
 variable is forgotten, so consistency and clausal entailment are that pass
-too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query does.
+too; ``condition``, ``forget``, ``drop_literals`` and ``smooth`` build new
+DAGs, no query does.
 
 Each node is the tuple of its c2d line, ``(op, arg, children)``:
 ``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
@@ -77,10 +78,6 @@ class NnfBuilder:
         self._intern: dict[Node, int] = {}
         self._true = self._false = -1
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
     def _make(self, node: Node) -> int:
         idx = self._intern.get(node)
         if idx is None:
@@ -121,20 +118,25 @@ class NnfBuilder:
 
     def freeze(self, root: int, num_vars: int) -> NnfDag:
         """Compact to the nodes reachable from root, preserving order."""
-        reachable = {root}
-        stack = [root]
-        while stack:
-            for c in self.nodes[stack.pop()][2]:
-                if c not in reachable:
-                    reachable.add(c)
-                    stack.append(c)
-        order = sorted(reachable)
-        remap = {old: new for new, old in enumerate(order)}
-        nodes = tuple(
-            (n[0], n[1], tuple(map(remap.__getitem__, n[2]))) if n[2] else n
-            for n in map(self.nodes.__getitem__, order)
+        nodes = self.nodes
+        live = [False] * len(nodes)
+        live[root] = True
+        for i in range(root, -1, -1):
+            if live[i]:
+                for c in nodes[i][2]:
+                    live[c] = True
+        order = [i for i, x in enumerate(live) if x]
+        if len(order) == len(nodes):
+            return NnfDag(tuple(nodes), root, num_vars)
+        remap = [0] * len(nodes)
+        for new, old in enumerate(order):
+            remap[old] = new
+        at = remap.__getitem__
+        kept = tuple(
+            (n[0], n[1], tuple(map(at, n[2]))) if n[2] else n
+            for n in map(nodes.__getitem__, order)
         )
-        return NnfDag(nodes, remap[root], num_vars)
+        return NnfDag(kept, remap[root], num_vars)
 
 
 def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
@@ -193,21 +195,30 @@ def forget(d: NnfDag, variables: Iterable[int]) -> NnfDag:
     return _rewrite(d, assign, drop_decisions=frozenset(vs))
 
 
+def drop_literals(d: NnfDag, literals: Iterable[int]) -> NnfDag:
+    """Replace each listed literal by True.
+
+    The result keeps d's max-min value under every weight map that leaves
+    the listed literals unlisted (weight 1).  Their variables' Ors lose
+    their decision labels, since those Ors may no longer decide them.
+    """
+    lits = set(literals)
+    return _rewrite(d, dict.fromkeys(lits, True), drop_decisions=frozenset(map(abs, lits)))
+
+
 def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
     b = NnfBuilder()
-    new_id = [0] * len(d.nodes)
-    for i, (op, arg, kids) in enumerate(d.nodes):
+    conj, disj = b.conj, b.disj
+    new_id: list[int] = []
+    put, at = new_id.append, new_id.__getitem__
+    for op, arg, kids in d.nodes:
         if op == "L":
             v = assign.get(arg)
-            if v is None:
-                new_id[i] = b.literal(arg)
-            else:
-                new_id[i] = b.true() if v else b.false()
+            put(b.literal(arg) if v is None else b.true() if v else b.false())
         elif op == "A":
-            new_id[i] = b.conj([new_id[c] for c in kids])
+            put(conj(map(at, kids)))
         else:
-            dec = 0 if arg in drop_decisions else arg
-            new_id[i] = b.disj([new_id[c] for c in kids], decision=dec)
+            put(disj(map(at, kids), 0 if arg in drop_decisions else arg))
     return b.freeze(new_id[d.root], d.num_vars)
 
 

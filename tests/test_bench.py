@@ -22,7 +22,6 @@ from posskc.bench import (
     even_pool,
     random_network,
     run_comparison,
-    write_comparison_csv,
 )
 from posskc.circuits import encode_pf
 from posskc.cnf import cnf_stats

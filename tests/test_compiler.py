@@ -1,7 +1,7 @@
 """Compiler engine: equivalence with brute-force enumeration, structural
 properties of the output, determinism of runs, the int clause form
-against reference splits and counts, DAG sizes and CNF texts pinned
-against the same search, and the loud budget."""
+against reference splits and counts, DAG sizes, CNF texts and DAG texts
+pinned against the same search, and the loud budget."""
 
 import hashlib
 import inspect
@@ -270,8 +270,8 @@ class TestSplit:
 class TestSameSearch:
     """pf and pkb DAG sizes of a fixed set of networks, recorded before
     clauses became ints: the search must make the same decisions, splits
-    and cache hits.  The CNF texts those searches start from are pinned
-    too, by hash.  Binary and multi-valued networks on the fine degree
+    and cache hits.  The CNF texts those searches start from, and the DAG
+    texts they end at, are pinned too, by hash.  Binary and multi-valued networks on the fine degree
     pool, and multi-valued ones on the nine-level scale, whose pkb CNFs
     are stratified."""
 
@@ -339,12 +339,53 @@ class TestSameSearch:
         digests = tuple(hashlib.sha256(to_dimacs(f).encode()).hexdigest()[:16] for f in cnfs)
         assert digests == self.DIMACS[name]
 
+    NNF = {  # name: sha256 prefixes of write_nnf of the compiled (pf local, pf plain, pkb)
+        "alarm": ("6f516d1cd0008bad", "07f8dc21d6585027", "e64c71a374e09123"),
+        "binary-1": ("1db187c02793be43", "f042c12aca300346", "54ef959a4df230b2"),
+        "binary-2": ("8e50b15547f5f77e", "2548d2a8736f1483", "d5600d6a885546f6"),
+        "binary-3": ("02206a48efdcabc5", "71c8d35937ed3700", "0408861f5fa7d9b1"),
+        "binary-4": ("4f173045981a2555", "75aeeec64585154a", "8f060ae785c8b1ef"),
+        "multi-1": ("d8ad81f13855227e", "10ce9d44e50e1645", "608bbd9a76c2f480"),
+        "multi-2": ("8de5231cb6058707", "84c34247e09d8d8b", "f32f112c8e10e034"),
+        "multi-3": ("34021d64b9c8767f", "2514b1e59a44ae01", "7f92dd1991df51e7"),
+        "multi-4": ("70b13c2d6891e611", "91cfd9df586b8a4e", "069c3ef1279a0b30"),
+        "nine-1": ("dd09e5ce246b04e6", "10ce9d44e50e1645", "1d741712adc366c1"),
+        "nine-2": ("d632029f92eda0c9", "84c34247e09d8d8b", "21a3d92bf6d09ea9"),
+        "nine-3": ("bdffd20b222a8287", "2514b1e59a44ae01", "c5e8368783d54b92"),
+        "nine-4": ("d9051ce02a8d8480", "91cfd9df586b8a4e", "9ffe67f043a336ec"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NNF))
+    def test_dag_text(self, name, alarm):
+        """The compiler writes, byte for byte, the DAGs it wrote when the
+        hashes were recorded."""
+        net = self.network(name, alarm)
+        cnfs = (encode_pf(net, True).cnf, encode_pf(net, False).cnf,
+                encode_pkb(to_possibilistic_base(net)))
+        digests = tuple(
+            hashlib.sha256(write_nnf(compile_cnf(f)).encode()).hexdigest()[:16] for f in cnfs
+        )
+        assert digests == self.NNF[name]
+
 
 class TestBudget:
     def test_budget_failure_is_loud(self):
         f = formula(12, [[i, i + 1] for i in range(1, 12)])
         with pytest.raises(CompileBudgetError):
             compile_cnf(f, node_budget=3)
+
+    @pytest.mark.parametrize("case, pool", [("chain", 59), ("pf-local", 47), ("pf-plain", 71)])
+    def test_smallest_budget_is_the_pool_size(self, alarm, case, pool):
+        """A budget bounds the pool, unreachable nodes included, so the
+        smallest budget that compiles is the final pool size (recorded when
+        the budget was checked at every step) wherever the check runs."""
+        if case == "chain":
+            f = formula(12, [[i, i + 1] for i in range(1, 12)])
+        else:
+            f = encode_pf(alarm, case == "pf-local").cnf
+        compile_cnf(f, node_budget=pool)
+        with pytest.raises(CompileBudgetError):
+            compile_cnf(f, node_budget=pool - 1)
 
     def test_budget_generous_enough_succeeds(self):
         f = formula(12, [[i, i + 1] for i in range(1, 12)])

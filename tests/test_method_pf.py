@@ -1,5 +1,7 @@
 """Pipeline 1: indicator/parameter encoding and possibilistic circuits."""
 
+import itertools
+
 import pytest
 
 from posskc.bench import GenConfig, random_network
@@ -31,6 +33,12 @@ def small_nets(count, max_nodes, seed, binary_only=True):
         )
         nets.append(random_network(cfg))
     return nets
+
+
+def every_term(net):
+    """Every partial assignment: each variable absent or at one of its values."""
+    for vals in itertools.product(*([None, *v.domain] for v in net.variables)):
+        yield {v.name: x for v, x in zip(net.variables, vals) if x is not None}
 
 
 class TestEvaluateFmin:
@@ -156,6 +164,26 @@ class TestCircuit:
             p = PfPipeline(net)
             for w in enumerate_worlds(net):
                 assert p.possibility(w) == chain_rule_joint(net, w)
+
+    @pytest.mark.parametrize("local", [True, False], ids=["local", "plain"])
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_circuit_equals_dag_on_every_term(self, binary_only, local):
+        """Every query weighs each negative literal 1, so the circuit, which
+        drops them, reads on every term exactly what the compiled DAG reads."""
+        nets = small_nets(6, 5, seed=41, binary_only=binary_only)
+        assert binary_only or any(len(v.domain) > 2 for net in nets for v in net.variables)
+        values = set()
+        for net in nets:
+            p = PfPipeline(net, local_structure=local)
+            dag = compile_cnf(encode_pf(net, local).cnf)
+            assert all(lit > 0 for op, lit, _ in p.circuit.nodes if op == "L")
+            for term in every_term(net):
+                w = indicator_weights(p, term)
+                assert all(lit > 0 for lit in w)
+                got = pi_evaluate(p.circuit, w)
+                assert got == pi_evaluate(dag, w)
+                values.add(got)
+        assert ONE in values and len(values) > 2  # degrees strictly between 0 and 1 too
 
 
 class TestQueryPf:

@@ -1,5 +1,5 @@
 """NNF DAGs: builder simplification, max-min evaluation, conditioning,
-forgetting, smoothing, entailment, serialization, and the structural
+forgetting, dropping weight-1 literals, smoothing, entailment, serialization, and the structural
 property checks, all cross-checked against brute-force semantics."""
 
 import random
@@ -15,6 +15,7 @@ from posskc.nnf import (
     NnfBuilder,
     NnfDag,
     condition,
+    drop_literals,
     entails_clause,
     forget,
     is_consistent,
@@ -189,6 +190,28 @@ class TestConditionForget:
                 if any(c in base for c in completions):
                     want.add(tuple(a[i] for i in range(1, n + 1)))
             assert got == want
+
+    def test_drop_literals_keeps_value_under_weight_one(self):
+        """A dropped literal becomes True, so the value is the same under
+        every weight map that leaves the dropped literals unlisted, and no
+        Or decides a dropped literal's variable any more."""
+        rng = random.Random(7)
+        degrees = [ZERO, D("0.3"), D("0.6"), ONE]
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            d = compile_cnf(random_cnf(rng, n, rng.randint(1, 2 * n)))
+            dropped = {v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, n))}
+            g = drop_literals(d, dropped)
+            assert not any(op == "L" and lit in dropped for op, lit, _ in g.nodes)
+            assert not any(op == "O" and abs(v) in map(abs, dropped) for op, v, _ in g.nodes)
+            for _ in range(5):
+                w = {
+                    lit: rng.choice(degrees)
+                    for v in range(1, n + 1)
+                    for lit in (v, -v)
+                    if lit not in dropped and rng.random() < 0.5
+                }
+                assert pi_evaluate(g, w) == pi_evaluate(d, w)
 
     def test_flags_after_transformations(self):
         f = CnfFormula()

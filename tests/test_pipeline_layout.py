@@ -1,7 +1,8 @@
 """A built pipeline, and the compiled-base memo on its network, keep only
 what a query reads: no CNF, clause, possibilistic base or weighted
 formula is reachable from them.  ``cnf`` and pkb's ``base`` rebuild the
-encoders' output on access."""
+encoders' output on access.  pf keeps its circuit, not its compiled DAG,
+and its ``dag`` compiles the encoder's CNF again."""
 
 import gc
 import types
@@ -11,8 +12,10 @@ import pytest
 from posskc.bench import GenConfig, even_pool, random_network
 from posskc.circuits import PfPipeline, encode_pf
 from posskc.cnf import Clause, CnfFormula, stratified_levels, to_dimacs
+from posskc.compiler import compile_cnf
 from posskc.logical import LogicalPipeline, encode_logical
 from posskc.network import parse_network
+from posskc.nnf import write_nnf
 from posskc.pkb import (
     PkbPipeline,
     PossibilisticBase,
@@ -77,6 +80,12 @@ def test_walk_finds_what_an_encoder_returns(net):
 def test_pf_cnf_is_the_encoders(net, local):
     pf = PfPipeline(net, local_structure=local)
     assert to_dimacs(pf.cnf) == to_dimacs(encode_pf(net, local).cnf)
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["local", "plain"])
+def test_pf_dag_is_the_encoders_compile(net, local):
+    pf = PfPipeline(net, local_structure=local)
+    assert write_nnf(pf.dag) == write_nnf(compile_cnf(encode_pf(net, local).cnf))
 
 
 def test_logical_and_pkb_cnf_and_base_are_the_encoders(net):
