@@ -306,6 +306,8 @@ def compare_network(
         t0 = time.perf_counter()
         try:
             pipeline = build(own, node_budget=node_budget)
+            compile_ms = (time.perf_counter() - t0) * 1000.0
+            nstats = nnf_stats(pipeline.dag)
         except CompileBudgetError:
             elapsed = (time.perf_counter() - t0) * 1000.0
             stats = cnf_stats(encode(net, True))
@@ -316,11 +318,10 @@ def compare_network(
                 )
             )
             continue
-        compile_ms = (time.perf_counter() - t0) * 1000.0
         t1 = time.perf_counter()
         pipeline.query(x, e)
         query_ms = (time.perf_counter() - t1) * 1000.0
-        cstats, nstats = cnf_stats(pipeline.cnf), nnf_stats(pipeline.dag)
+        cstats = cnf_stats(pipeline.cnf)
         rows.append(
             ComparisonRow(
                 seed, len(net.variables), method,

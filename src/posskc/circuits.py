@@ -6,9 +6,9 @@ one evidence indicator per value and parameter variables for the table
 entries; compiling the CNF and rereading And as min / Or as max yields a
 circuit that evaluates any Pi(term) in one bottom-up pass, with the
 indicators switched per query.  Every query weighs each negative literal
-1, so the circuit a pipeline keeps is the compiled DAG with those
-literals replaced by True: it has the same value under every query's
-weights and a third fewer nodes.
+1, so a pipeline compiles its circuit with those literals built as True
+(``compile_cnf``'s ``weight_one``): the compiled DAG's value under every
+query's weights, from the same search, with a third fewer nodes.
 
 Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
@@ -25,7 +25,7 @@ from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ZERO
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
-from .nnf import NnfDag, WeightMap, drop_literals, pi_evaluate
+from .nnf import NnfDag, WeightMap, pi_evaluate
 
 
 @dataclass
@@ -116,9 +116,10 @@ class PfPipeline:
     """Compile once, then answer any number of queries on the circuit.
 
     The pipeline keeps what a query reads: the circuit, the parameter
-    degrees, the indicator ids and the encoding mode.  ``cnf`` encodes the
-    network again on each access, and ``dag`` compiles that CNF again under
-    the same node budget."""
+    degrees, the indicator ids and the encoding mode; the node budget
+    bounds the circuit.  ``cnf`` encodes the network again on each access,
+    and ``dag`` compiles that CNF again to the full decision-labelled DAG,
+    which may exceed the budget (CompileBudgetError)."""
 
     def __init__(
         self,
@@ -131,8 +132,8 @@ class PfPipeline:
         self.node_budget = node_budget
         enc = encode_pf(net, local_structure)
         self.weight_map, self.indicators = enc.weight_map, enc.indicators
-        dag = compile_cnf(enc.cnf, node_budget=node_budget)
-        self.circuit = drop_literals(dag, range(-1, -dag.num_vars - 1, -1))
+        negative = range(-1, -enc.cnf.num_vars - 1, -1)
+        self.circuit = compile_cnf(enc.cnf, node_budget=node_budget, weight_one=negative)
         self.evidence = EvidenceMemo()
 
     @property

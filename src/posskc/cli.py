@@ -182,11 +182,11 @@ def _cmd_stats(args) -> int:
     for method, (build, _) in METHODS.items():
         try:
             pipeline = build(net, node_budget=args.node_budget)
+            n = nnf_stats(pipeline.dag)
         except CompileBudgetError:
             print(f"{method:<8} {'budget exceeded':>40}")
             continue
         c = cnf_stats(pipeline.cnf)
-        n = nnf_stats(pipeline.dag)
         print(
             f"{method:<8} {c['vars']:>8} {c['clauses']:>11} "
             f"{n['nodes']:>9} {n['edges']:>9}"

@@ -20,7 +20,11 @@ itself names the variables decided before all others: the level
 variables of a stratified base (``cnf.stratified_levels``), which the
 same rule orders among themselves.  So a CNF compiles the same from a
 pipeline or from its DIMACS file.  Output DAGs are decomposable and
-deterministic by construction (every Or is a binary decision node).
+deterministic by construction (every Or is a binary decision node).  A
+caller that weighs some literals 1 may name them (``weight_one``): the
+same search builds each as True, and the Ors deciding their variables
+carry no decision label.  That circuit is no d-DNNF of the CNF, but has
+its DAG's max-min value under every weight map leaving those unlisted.
 
 The search runs without recursion: each subproblem is a generator that
 yields its child clause sets and receives their node ids, and one loop
@@ -39,7 +43,7 @@ from typing import Iterable
 
 from .cnf import CnfFormula, stratified_levels
 from .errors import CompileBudgetError
-from .nnf import NnfBuilder, NnfDag
+from .nnf import FALSE, TRUE, NnfBuilder, NnfDag
 
 DEFAULT_NODE_BUDGET = 1_000_000
 CACHE_CAP = 500_000
@@ -103,15 +107,20 @@ def decide(masks: list[int], first: int) -> int:
     return best & -best
 
 
-def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag:
+def compile_cnf(
+    f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET, weight_one: Iterable[int] = ()
+) -> NnfDag:
     """Compile a CNF into an equivalent decomposable, deterministic DAG,
-    deciding the variables ``stratified_levels(f)`` names before any other."""
+    deciding the variables ``stratified_levels(f)`` names before any other
+    (or, given ``weight_one``, into the circuit the module docstring names)."""
     shift = f.num_vars + 1
     low = (1 << shift) - 1
     first = clause_bits(stratified_levels(f), shift)
+    weight_one = set(weight_one)
+    unlabelled = clause_bits(map(abs, weight_one), shift)
     builder = NnfBuilder()
     cache: dict[ClauseSet, int] = {}
-    lit_ids: dict[int, int] = {}  # literal bit -> its node id
+    lit_ids = {clause_bits((l,), shift): TRUE for l in weight_one}  # literal bit -> node id
 
     def literal(bit: int) -> int:
         idx = lit_ids.get(bit)
@@ -158,7 +167,7 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
         if not connected:
             prop = propagate(clauses)
             if prop is None:
-                return builder.false()
+                return FALSE
             implied, residual = prop
             units = [literal(u) for u in implied]
             if not residual:
@@ -177,13 +186,13 @@ def compile_cnf(f: CnfFormula, node_budget: int = DEFAULT_NODE_BUDGET) -> NnfDag
         lo = yield condition_set(residual, neg, pos), False
         node = builder.disj(
             [builder.conj([literal(pos), hi]), builder.conj([literal(neg), lo])],
-            decision=pos.bit_length() - 1,
+            decision=0 if pos & unlabelled else pos.bit_length() - 1,
         )
         return builder.conj(units + [node])
 
     start = tuple(sorted({clause_bits(c.literals, shift) for c in f.clauses}))
     if start[:1] == (0,):
-        return builder.freeze(builder.false(), f.num_vars)
+        return builder.freeze(FALSE, f.num_vars)
     # reply carries a finished subproblem's id to its parent, and the
     # root's id once the stack is empty.  The pool only grows, so checking
     # it once per finished subproblem raises for the same budgets.

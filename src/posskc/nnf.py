@@ -7,19 +7,20 @@ parents, so every traversal here is a single iterative bottom-up pass
 kernel: And is min, Or is max, unlisted literals weigh 1.  On decomposable
 DAGs a literal weighing 0 conditions on its negation and an unlisted
 variable is forgotten, so consistency and clausal entailment are that pass
-too; ``condition``, ``forget``, ``drop_literals`` and ``smooth`` build new
-DAGs, no query does.
+too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query
+does.
 
 Each node is the tuple of its c2d line, ``(op, arg, children)``:
 ``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
 ``("O", decision, kids)`` for an Or, with decision 0 for none.  The
 builder interns these tuples as they are, and ``write_nnf``/``parse_nnf``
 print and read them field by field.  As in c2d, True is the empty And
-(``A 0``) and False the empty Or (``O 0 0``).  A DAG stores no property
-flags; ``structural_properties`` reads decomposability (And children
-share no variables), determinism (every Or is a binary decision on one
-variable) and smoothness (Or children mention identical variable sets)
-off the structure.
+(``A 0``) and False the empty Or (``O 0 0``); a built DAG holds one only
+as its single node.  A DAG stores no property flags;
+``structural_properties`` reads decomposability (And children share no
+variables), determinism (every Or is a binary decision on one variable)
+and smoothness (Or children mention identical variable sets) off the
+structure.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def nnf_stats(d: NnfDag) -> dict:
     return {"nodes": d.node_count(), "edges": d.edge_count()}
 
 
+TRUE, FALSE = -1, -2  # the builder's ids for the constants, which it never pools
+
+
 class NnfBuilder:
     """Pool builder with structural interning and local simplification.
 
@@ -69,14 +73,13 @@ class NnfBuilder:
     collapses on False; Or drops False children and collapses on True;
     single-child nodes collapse to the child; duplicate children merge.
     And children are kept sorted so shared conjunctions intern to one
-    node.  True and False are interned once, so a child is a constant
-    exactly when its id is one of theirs.
+    node.  True and False are the fixed ids ``TRUE`` and ``FALSE``, never
+    pooled, so no node has a constant child.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self._intern: dict[Node, int] = {}
-        self._true = self._false = -1
 
     def _make(self, node: Node) -> int:
         idx = self._intern.get(node)
@@ -85,14 +88,6 @@ class NnfBuilder:
             self.nodes.append(node)
         return idx
 
-    def true(self) -> int:
-        self._true = self._make(("A", 0, ()))
-        return self._true
-
-    def false(self) -> int:
-        self._false = self._make(("O", 0, ()))
-        return self._false
-
     def literal(self, lit: int) -> int:
         if lit == 0:
             raise ValueError("0 is not a literal")
@@ -100,24 +95,27 @@ class NnfBuilder:
 
     def conj(self, children: Iterable[int]) -> int:
         kids = set(children)
-        if self._false in kids:
-            return self.false()
-        kids.discard(self._true)
+        if FALSE in kids:
+            return FALSE
+        kids.discard(TRUE)
         if len(kids) > 1:
             return self._make(("A", 0, tuple(sorted(kids))))
-        return kids.pop() if kids else self.true()
+        return kids.pop() if kids else TRUE
 
     def disj(self, children: Iterable[int], decision: int = 0) -> int:
         kids = set(children)
-        if self._true in kids:
-            return self.true()
-        kids.discard(self._false)
+        if TRUE in kids:
+            return TRUE
+        kids.discard(FALSE)
         if len(kids) > 1:
             return self._make(("O", decision, tuple(sorted(kids))))
-        return kids.pop() if kids else self.false()
+        return kids.pop() if kids else FALSE
 
     def freeze(self, root: int, num_vars: int) -> NnfDag:
-        """Compact to the nodes reachable from root, preserving order."""
+        """Compact to the nodes reachable from root, preserving order; a
+        constant root is the DAG's one node."""
+        if root < 0:
+            return NnfDag((("A", 0, ()) if root == TRUE else ("O", 0, ()),), 0, num_vars)
         nodes = self.nodes
         live = [False] * len(nodes)
         live[root] = True
@@ -174,8 +172,7 @@ def condition(d: NnfDag, term: Iterable[int]) -> NnfDag:
             raise ValueError(f"conditioning term contains complementary literals {l}/{-l}")
     assign = {}
     for l in lits:
-        assign[l] = True
-        assign[-l] = False
+        assign[l], assign[-l] = TRUE, FALSE
     return _rewrite(d, assign, drop_decisions=frozenset())
 
 
@@ -190,20 +187,8 @@ def forget(d: NnfDag, variables: Iterable[int]) -> NnfDag:
         return d
     assign = {}
     for v in vs:
-        assign[v] = True
-        assign[-v] = True
+        assign[v] = assign[-v] = TRUE
     return _rewrite(d, assign, drop_decisions=frozenset(vs))
-
-
-def drop_literals(d: NnfDag, literals: Iterable[int]) -> NnfDag:
-    """Replace each listed literal by True.
-
-    The result keeps d's max-min value under every weight map that leaves
-    the listed literals unlisted (weight 1).  Their variables' Ors lose
-    their decision labels, since those Ors may no longer decide them.
-    """
-    lits = set(literals)
-    return _rewrite(d, dict.fromkeys(lits, True), drop_decisions=frozenset(map(abs, lits)))
 
 
 def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
@@ -214,7 +199,7 @@ def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
     for op, arg, kids in d.nodes:
         if op == "L":
             v = assign.get(arg)
-            put(b.literal(arg) if v is None else b.true() if v else b.false())
+            put(b.literal(arg) if v is None else v)
         elif op == "A":
             put(conj(map(at, kids)))
         else:

@@ -219,6 +219,14 @@ class TestCompareNetwork:
             assert r.nnf_nodes == 0
             assert r.nnf_edges == 0
 
+    def test_budget_between_circuit_and_dag(self, alarm):
+        """Budget 40 builds alarm's 32-node pf circuit but not its 47-node
+        DAG, so the pf row is a budget row and the others are measured."""
+        rows = compare_network(alarm, node_budget=40)
+        assert [r.status for r in rows] == ["budget", "ok", "ok"]
+        assert (rows[0].cnf_vars, rows[0].nnf_nodes) == (12, 0)
+        assert [(r.nnf_nodes, r.nnf_edges) for r in rows[1:]] == [(27, 34)] * 2
+
     def test_csv_line_field_count(self, alarm):
         rows = compare_network(alarm)
         for r in rows:

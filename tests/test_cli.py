@@ -273,6 +273,18 @@ class TestStats:
         logical = lines[2].split()
         assert logical[1:3] == ["7", "6"]
 
+    def test_budget_between_circuit_and_dag(self, capsys):
+        """Budget 40 builds alarm's 32-node pf circuit but not its 47-node
+        DAG: the pf row reads as a budget failure, the others still print."""
+        code, out, _ = run(capsys, "stats", ALARM, "--node-budget", "40")
+        assert code == EXIT_OK
+        rows = [l.split() for l in out.splitlines()[1:]]
+        assert rows == [
+            ["pf", "budget", "exceeded"],
+            ["logical", "7", "6", "27", "34"],
+            ["pkb", "7", "6", "27", "34"],
+        ]
+
 
 class TestBenchAndCheck:
     def test_bench_writes_csv(self, capsys, tmp_path):

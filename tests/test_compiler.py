@@ -20,7 +20,7 @@ from posskc.cnf import (
     stratified_levels,
     to_dimacs,
 )
-from posskc.circuits import encode_pf
+from posskc.circuits import PfPipeline, encode_pf
 from posskc.compiler import clause_bits, compile_cnf, decide, split
 from posskc.degrees import parse_degree
 from posskc.errors import CompileBudgetError
@@ -367,6 +367,33 @@ class TestSameSearch:
         )
         assert digests == self.NNF[name]
 
+    CIRCUIT = {  # name: sha256 prefixes of write_nnf of PfPipeline(net, local).circuit (local, plain)
+        "alarm": ("89a3cd6e494a6f15", "2ba4d3cb647e9064"),
+        "binary-1": ("a15401459cb84b71", "83fef5ec37e4b634"),
+        "binary-2": ("97bbcfc60af0d85f", "44d60d76214e4def"),
+        "binary-3": ("48c06895bac0d542", "f7fa94b4def3925b"),
+        "binary-4": ("f8e764227ef1d6c2", "39223a187b1db95e"),
+        "multi-1": ("c6cad818700f42c7", "b432e4de2acf3159"),
+        "multi-2": ("5a30fbcecf853b56", "c2fa4c6968337476"),
+        "multi-3": ("4e78188dd398dd23", "262501a6ee0e3995"),
+        "multi-4": ("f4a57d963b1243fb", "0a6a949744860efc"),
+        "nine-1": ("a14f7de799a44539", "b432e4de2acf3159"),
+        "nine-2": ("1cc1393059b2c291", "c2fa4c6968337476"),
+        "nine-3": ("e9fedd1ce90fd882", "262501a6ee0e3995"),
+        "nine-4": ("c71e9d0354fbbad1", "0a6a949744860efc"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CIRCUIT))
+    def test_circuit_text(self, name, alarm):
+        """pf pipelines keep, byte for byte, the circuits recorded when each
+        was the compiled DAG rewritten with every negative literal True."""
+        net = self.network(name, alarm)
+        digests = tuple(
+            hashlib.sha256(write_nnf(PfPipeline(net, local).circuit).encode()).hexdigest()[:16]
+            for local in (True, False)
+        )
+        assert digests == self.CIRCUIT[name]
+
 
 class TestBudget:
     def test_budget_failure_is_loud(self):
@@ -374,11 +401,11 @@ class TestBudget:
         with pytest.raises(CompileBudgetError):
             compile_cnf(f, node_budget=3)
 
-    @pytest.mark.parametrize("case, pool", [("chain", 59), ("pf-local", 47), ("pf-plain", 71)])
+    @pytest.mark.parametrize("case, pool", [("chain", 58), ("pf-local", 47), ("pf-plain", 71)])
     def test_smallest_budget_is_the_pool_size(self, alarm, case, pool):
-        """A budget bounds the pool, unreachable nodes included, so the
-        smallest budget that compiles is the final pool size (recorded when
-        the budget was checked at every step) wherever the check runs."""
+        """A budget bounds the pool, unreachable nodes included and the
+        constants excluded, so the smallest budget that compiles is the
+        final pool size wherever the check runs."""
         if case == "chain":
             f = formula(12, [[i, i + 1] for i in range(1, 12)])
         else:
@@ -386,6 +413,15 @@ class TestBudget:
         compile_cnf(f, node_budget=pool)
         with pytest.raises(CompileBudgetError):
             compile_cnf(f, node_budget=pool - 1)
+
+    def test_pf_budget_bounds_the_circuit(self, alarm):
+        """The smallest budget that builds a pf pipeline is the node count of
+        the circuit it keeps."""
+        circuit = PfPipeline(alarm).circuit
+        assert circuit.node_count() == 32
+        PfPipeline(alarm, node_budget=32)
+        with pytest.raises(CompileBudgetError):
+            PfPipeline(alarm, node_budget=31)
 
     def test_budget_generous_enough_succeeds(self):
         f = formula(12, [[i, i + 1] for i in range(1, 12)])

@@ -1,6 +1,7 @@
 """NNF DAGs: builder simplification, max-min evaluation, conditioning,
-forgetting, dropping weight-1 literals, smoothing, entailment, serialization, and the structural
-property checks, all cross-checked against brute-force semantics."""
+forgetting, compiling weight-1 literals as True, smoothing, entailment,
+serialization, and the structural property checks, all cross-checked
+against brute-force semantics."""
 
 import random
 from itertools import product
@@ -12,10 +13,11 @@ from posskc.compiler import compile_cnf
 from posskc.degrees import Degree, ONE, ZERO, parse_degree
 from posskc.errors import FormatError
 from posskc.nnf import (
+    FALSE,
+    TRUE,
     NnfBuilder,
     NnfDag,
     condition,
-    drop_literals,
     entails_clause,
     forget,
     is_consistent,
@@ -53,10 +55,11 @@ class TestBuilder:
     def test_absorption(self):
         b = NnfBuilder()
         x = b.literal(1)
-        assert b.conj([b.true(), x]) == x
-        assert b.disj([b.false(), x]) == x
-        assert b.conj([b.false(), x]) == b.false()
-        assert b.disj([b.true(), x]) == b.true()
+        assert b.conj([TRUE, x]) == x
+        assert b.disj([FALSE, x]) == x
+        assert b.conj([FALSE, x]) == FALSE
+        assert b.disj([TRUE, x]) == TRUE
+        assert b.nodes == [("L", 1, ())]  # the constants are never pooled
 
     def test_interning_shares_structure(self):
         b = NnfBuilder()
@@ -75,7 +78,7 @@ class TestBuilder:
 class TestEvaluate:
     def test_true_node(self):
         b = NnfBuilder()
-        d = b.freeze(b.true(), num_vars=0)
+        d = b.freeze(TRUE, num_vars=0)
         assert pi_evaluate(d, {}) == ONE
 
     def test_max_of_mins(self):
@@ -113,7 +116,7 @@ class TestEvaluate:
 class TestConditionForget:
     def test_condition_true_stays_true(self):
         b = NnfBuilder()
-        d = b.freeze(b.true(), num_vars=1)
+        d = b.freeze(TRUE, num_vars=1)
         assert pi_evaluate(condition(d, [1]), {}) == ONE
 
     def test_condition_literal_to_false(self):
@@ -192,16 +195,17 @@ class TestConditionForget:
             assert got == want
 
     def test_drop_literals_keeps_value_under_weight_one(self):
-        """A dropped literal becomes True, so the value is the same under
-        every weight map that leaves the dropped literals unlisted, and no
-        Or decides a dropped literal's variable any more."""
+        """A literal compiled as weighing 1 becomes True, so the value is the
+        same under every weight map that leaves those literals unlisted, and
+        no Or decides such a literal's variable."""
         rng = random.Random(7)
         degrees = [ZERO, D("0.3"), D("0.6"), ONE]
         for _ in range(40):
             n = rng.randint(2, 8)
-            d = compile_cnf(random_cnf(rng, n, rng.randint(1, 2 * n)))
+            f = random_cnf(rng, n, rng.randint(1, 2 * n))
+            d = compile_cnf(f)
             dropped = {v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, n))}
-            g = drop_literals(d, dropped)
+            g = compile_cnf(f, weight_one=dropped)
             assert not any(op == "L" and lit in dropped for op, lit, _ in g.nodes)
             assert not any(op == "O" and abs(v) in map(abs, dropped) for op, v, _ in g.nodes)
             for _ in range(5):
@@ -237,7 +241,7 @@ class TestEntailment:
         sat = b.freeze(b.literal(1), num_vars=1)
         assert not entails_clause(sat, Clause([]))
         b2 = NnfBuilder()
-        unsat = b2.freeze(b2.false(), num_vars=1)
+        unsat = b2.freeze(FALSE, num_vars=1)
         assert entails_clause(unsat, Clause([]))
 
     def test_matches_model_check(self):
@@ -305,7 +309,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "const,line,value",
-        [("true", "A 0", ONE), ("false", "O 0 0", ZERO)],
+        [(TRUE, "A 0", ONE), (FALSE, "O 0 0", ZERO)],
         ids=["true", "false"],
     )
     def test_constant_dag(self, const, line, value):
@@ -313,7 +317,7 @@ class TestSerialization:
         as c2d writes them, evaluate to 1 and 0, and every transform
         keeps them."""
         b = NnfBuilder()
-        d = b.freeze(getattr(b, const)(), num_vars=2)
+        d = b.freeze(const, num_vars=2)
         text = f"nnf 1 0 2\n{line}\n"
         assert nnf_stats(d) == {"nodes": 1, "edges": 0}
         assert write_nnf(d) == text
@@ -375,6 +379,6 @@ class TestValidateProperties:
 class TestEvaluateWeightTypes:
     def test_true_false_conventions(self):
         b = NnfBuilder()
-        root = b.disj([b.conj([b.literal(1), b.false()]), b.literal(2)])
+        root = b.disj([b.conj([b.literal(1), FALSE]), b.literal(2)])
         d = b.freeze(root, num_vars=2)
         assert pi_evaluate(d, {2: Degree(0)}) == ZERO
