@@ -77,13 +77,12 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
 
     for v in net.variables:
         pnames = net.parents[v.name]
+        table = net.cpt[v.name]
+        own = [(val, indicators[(v.name, val)]) for val in v.domain]
         for cfg in net.parent_configs(v.name):
-            neg_parents = [
-                -indicators[(p, pv)] for p, pv in zip(pnames, cfg)
-            ]
-            for val in v.domain:
-                d = net.cpt[v.name][(val, cfg)]
-                lam = indicators[(v.name, val)]
+            neg_parents = [-indicators[(p, pv)] for p, pv in zip(pnames, cfg)]
+            for val, lam in own:
+                d = table[(val, cfg)]
                 if local_structure:
                     if d.num == SCALE:
                         continue

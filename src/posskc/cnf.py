@@ -7,6 +7,14 @@ level-first decision order of a stratified base (``stratified_levels``),
 can be rebuilt from a serialized encoding alone.  Literals are plain signed
 integers: ``+v`` is the positive literal of variable ``v``, ``-v`` its
 negation.
+
+A ``CnfFormula`` stores plain values: one role (or None) per variable and
+one canonical literal tuple per clause, the order ``Clause`` gives,
+checked as ``add_clause`` stores it.  The encoders, the compiler, the
+level readers and ``to_dimacs`` read those values (``roles``,
+``clause_literals``); ``PropVariable`` and ``Clause`` objects are made
+only when ``variables``, ``var`` or ``clauses`` is read, and
+``parse_dimacs`` reads each clause through a ``Clause``.
 """
 
 from __future__ import annotations
@@ -64,10 +72,12 @@ def stratified_levels(f: CnfFormula) -> frozenset[int]:
     as its private relaxation literal, so a ladder through them or an
     order that decides them first would only join otherwise independent
     components."""
-    levels = frozenset(v.id for v in f.variables if isinstance(v.role, Level))
+    levels = frozenset(vid for vid, role in enumerate(f.roles, start=1) if isinstance(role, Level))
+    if not levels:
+        return levels
     negated = {-v for v in levels}
     weighted = sum(
-        1 for c in f.clauses if not levels.isdisjoint(c.literals) and negated.isdisjoint(c.literals)
+        1 for c in f.clause_literals if not levels.isdisjoint(c) and negated.isdisjoint(c)
     )
     return levels if weighted >= 2 * len(levels) else frozenset()
 
@@ -123,49 +133,66 @@ class CnfFormula:
     """
 
     def __init__(self) -> None:
-        self._variables: list[PropVariable] = []
-        self._clauses: list[Clause] = []
+        self._roles: list[Role | None] = []
+        self._clauses: list[tuple[int, ...]] = []
 
     @property
-    def variables(self) -> tuple[PropVariable, ...]:
-        return tuple(self._variables)
+    def roles(self) -> tuple[Role | None, ...]:
+        """Each variable's role, variable ``v``'s at index ``v - 1``."""
+        return tuple(self._roles)
 
     @property
-    def clauses(self) -> tuple[Clause, ...]:
+    def clause_literals(self) -> tuple[tuple[int, ...], ...]:
+        """Each clause's canonical literal tuple, in insertion order."""
         return tuple(self._clauses)
 
     @property
+    def variables(self) -> tuple[PropVariable, ...]:
+        return tuple(PropVariable(vid, role) for vid, role in enumerate(self._roles, start=1))
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        return tuple(map(Clause, self._clauses))
+
+    @property
     def num_vars(self) -> int:
-        return len(self._variables)
+        return len(self._roles)
 
     @property
     def num_clauses(self) -> int:
         return len(self._clauses)
 
     def var(self, vid: int) -> PropVariable:
-        if not 1 <= vid <= len(self._variables):
+        if not 1 <= vid <= len(self._roles):
             raise KeyError(f"variable {vid} not registered")
-        return self._variables[vid - 1]
+        return PropVariable(vid, self._roles[vid - 1])
 
     def new_var(self, role: Role | None = None) -> int:
-        vid = len(self._variables) + 1
-        self._variables.append(PropVariable(vid, role))
-        return vid
+        self._roles.append(role)
+        return len(self._roles)
 
-    def add_clause(self, literals: Iterable[int]) -> Clause:
-        cl = literals if isinstance(literals, Clause) else Clause(literals)
-        lits = cl.literals
-        if lits and abs(lits[-1]) > len(self._variables):  # sorted by variable
-            raise ValueError(f"literal {lits[-1]} names an unregistered variable")
-        if cl.is_tautology():
+    def add_clause(self, literals: Iterable[int]) -> tuple[int, ...]:
+        """Store a clause as its canonical literal tuple, ``Clause``'s, and
+        return that tuple.  Raises ValueError on literal 0, on a variable
+        not registered yet and on a tautology, in that order."""
+        if isinstance(literals, Clause):
+            lits = list(literals.literals)
+        else:  # without a complementary pair, sorting by variable alone is canonical
+            lits = sorted(set(literals), key=abs)
+        n = len(self._roles)
+        if lits and (not lits[0] or abs(lits[-1]) > n or len({abs(l) for l in lits}) < len(lits)):
+            lits = Clause(lits).literals  # raises on 0
+            if abs(lits[-1]) > n:  # sorted by variable
+                raise ValueError(f"literal {lits[-1]} names an unregistered variable")
             raise ValueError(f"tautological clause {lits} not allowed in a formula")
-        self._clauses.append(cl)
-        return cl
+        lits = tuple(lits)
+        self._clauses.append(lits)
+        return lits
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CnfFormula):
             return NotImplemented
-        return self._variables == other._variables and self._clauses == other._clauses
+        return self._roles == other._roles and self._clauses == other._clauses
 
     def __repr__(self) -> str:
         return f"CnfFormula(vars={self.num_vars}, clauses={self.num_clauses})"
@@ -206,12 +233,12 @@ def _parse_role(tokens: list[str], line_no: int) -> Role:
 def to_dimacs(f: CnfFormula) -> str:
     """Serialize with role metadata in ``c var <id> <role> ...`` comments."""
     out = []
-    for v in f.variables:
-        if v.role is not None:
-            out.append("c var " + str(v.id) + " " + " ".join(_role_tokens(v.role)))
+    for vid, role in enumerate(f.roles, start=1):
+        if role is not None:
+            out.append("c var " + str(vid) + " " + " ".join(_role_tokens(role)))
     out.append(f"p cnf {f.num_vars} {f.num_clauses}")
-    for c in f.clauses:
-        out.append(" ".join(str(l) for l in c.literals) + " 0")
+    for lits in f.clause_literals:
+        out.append(" ".join(map(str, lits)) + " 0")
     return "\n".join(out) + "\n"
 
 
@@ -264,7 +291,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise FormatError(f"bad literal token {tok!r}", ln) from exc
         if lit == 0:
             try:
-                f.add_clause(current)
+                f.add_clause(Clause(current))
             except ValueError as exc:
                 raise FormatError(str(exc), ln) from exc
             current = []

@@ -53,7 +53,10 @@ ClauseSet = tuple  # sorted tuple of distinct clause ints
 
 def clause_bits(literals: Iterable[int], shift: int) -> int:
     """A clause as one int: bit ``v`` for ``+v``, bit ``v + shift`` for ``-v``."""
-    return sum(1 << (l if l > 0 else shift - l) for l in set(literals))
+    bits = 0
+    for l in literals:
+        bits |= 1 << (l if l > 0 else shift - l)
+    return bits
 
 
 def split(clauses: ClauseSet, masks: list[int]) -> list[ClauseSet]:
@@ -116,11 +119,11 @@ def compile_cnf(
     shift = f.num_vars + 1
     low = (1 << shift) - 1
     first = clause_bits(stratified_levels(f), shift)
-    weight_one = set(weight_one)
-    unlabelled = clause_bits(map(abs, weight_one), shift)
     builder = NnfBuilder()
     cache: dict[ClauseSet, int] = {}
-    lit_ids = {clause_bits((l,), shift): TRUE for l in weight_one}  # literal bit -> node id
+    lit_ids = {1 << (l if l > 0 else shift - l): TRUE for l in weight_one}  # literal bit -> node id
+    unlabelled = sum(lit_ids)  # distinct bits: their sum is their union
+    unlabelled = (unlabelled | unlabelled >> shift) & low
 
     def literal(bit: int) -> int:
         idx = lit_ids.get(bit)
@@ -190,7 +193,7 @@ def compile_cnf(
         )
         return builder.conj(units + [node])
 
-    start = tuple(sorted({clause_bits(c.literals, shift) for c in f.clauses}))
+    start = tuple(sorted({clause_bits(lits, shift) for lits in f.clause_literals}))
     if start[:1] == (0,):
         return builder.freeze(FALSE, f.num_vars)
     # reply carries a finished subproblem's id to its parent, and the

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
 
-from .degrees import Degree, ONE, ZERO, min_condition, parse_degree
+from .degrees import SCALE, Degree, ONE, ZERO, min_condition, parse_degree
 from .errors import DegreeError, FormatError, NetworkValidationError, QueryError, SizeGuardError
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -117,29 +117,27 @@ class PossNetwork:
         self._check_acyclic()
         for v in self.variables:
             table = self.cpt[v.name]
-            expected = set()
-            for cfg in self.parent_configs(v.name):
-                for val in v.domain:
-                    expected.add((val, cfg))
-            extra = set(table) - expected
+            configs = list(self.parent_configs(v.name))
+            expected = {(val, cfg) for cfg in configs for val in v.domain}
+            extra = table.keys() - expected
             if extra:
                 val, cfg = sorted(extra)[0]
                 raise NetworkValidationError(
                     f"unexpected CPT entry for {v.name}: value {val!r} under {cfg!r}"
                 )
-            missing = expected - set(table)
+            missing = expected - table.keys()
             if missing:
                 val, cfg = sorted(missing)[0]
                 raise NetworkValidationError(
                     f"missing CPT entry for {v.name}: value {val!r} under {cfg!r}"
                 )
-            for cfg in self.parent_configs(v.name):
-                col_max = max(table[(val, cfg)] for val in v.domain)
-                if col_max != ONE:
+            for cfg in configs:
+                col_max = max([table[(val, cfg)].num for val in v.domain])
+                if col_max != SCALE:
                     where = f" under {' '.join(cfg)}" if cfg else ""
                     raise NetworkValidationError(
                         f"normalization violation in cpt {v.name}{where}: "
-                        f"max over values is {col_max}, expected 1"
+                        f"max over values is {Degree(col_max)}, expected 1"
                     )
 
     def _check_acyclic(self) -> None:
@@ -302,10 +300,13 @@ def parse_network(text: str) -> PossNetwork:
     theirs), and one ``cpt <var>`` block per variable whose entries read
     ``value | pval1 pval2 ... : degree`` (root entries omit the bar).
     ``#`` starts a comment; parent values follow the declaration order.
-    Equal value strings, and equal parent-value tuples, are one object
-    across the parsed network.
+    Equal value strings, equal parent-value tuples and equal degree texts
+    are one object across the parsed network, and each distinct degree
+    text is parsed once.
     """
     share = {}.setdefault  # a str never equals a tuple, so one dict serves both
+    degrees: dict[str, Degree] = {}  # degree text -> its Degree
+    entry_keys: dict[str, CptKey] = {}  # text before an entry's ':' -> its table key
     name: str | None = None
     variables: list[NetVariable] = []
     var_names: set[str] = set()
@@ -364,27 +365,28 @@ def parse_network(text: str) -> PossNetwork:
             if ":" not in line:
                 raise FormatError(f"cpt entry missing ':' separator: {line!r}", ln)
             lhs, _, rhs = line.rpartition(":")
-            try:
-                degree = parse_degree(rhs.strip())
-            except DegreeError as exc:
-                raise FormatError(str(exc), ln) from exc
-            lhs = lhs.strip()
-            if "|" in lhs:
-                val_part, _, par_part = lhs.partition("|")
-                own = val_part.strip()
-                cfg = tuple(share(t, t) for t in par_part.split())
-                cfg = share(cfg, cfg)
-            else:
-                own = lhs
-                cfg = ()
-            if not own or len(own.split()) != 1:
-                raise FormatError(f"cpt entry needs exactly one own value: {line!r}", ln)
-            key = (share(own, own), cfg)
-            if key in cpt[current_cpt]:
+            rhs = rhs.strip()
+            degree = degrees.get(rhs)
+            if degree is None:
+                try:
+                    degree = degrees[rhs] = parse_degree(rhs)
+                except DegreeError as exc:
+                    raise FormatError(str(exc), ln) from exc
+            key = entry_keys.get(lhs)
+            if key is None:
+                own, bar, par_part = lhs.strip().partition("|")
+                own = own.strip()
+                if not own or len(own.split()) != 1:
+                    raise FormatError(f"cpt entry needs exactly one own value: {line!r}", ln)
+                cfg = tuple(share(t, t) for t in par_part.split()) if bar else ()
+                key = entry_keys[lhs] = (share(own, own), share(cfg, cfg))
+            table = cpt[current_cpt]
+            if key in table:
+                own, cfg = key
                 raise NetworkValidationError(
                     f"duplicate CPT entry for {current_cpt}: {own} | {' '.join(cfg)} (line {ln})"
                 )
-            cpt[current_cpt][key] = degree
+            table[key] = degree
 
     if name is None:
         raise FormatError("missing 'network' line")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .cnf import Clause, CnfFormula, Level, stratified_levels
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import Degree, ONE, ZERO, complement, parse_degree
+from .degrees import SCALE, Degree, ONE, ZERO, complement, parse_degree
 from .encodings import InstanceMap
 from .errors import DegreeError, FormatError
 from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
@@ -46,7 +46,7 @@ class WeightedFormula:
     weight: Degree
 
     def __post_init__(self) -> None:
-        if self.weight == ZERO:
+        if not self.weight.num:
             raise ValueError("weighted formulas carry nonzero weight")
 
 
@@ -64,24 +64,26 @@ class PossibilisticBase:
     levels: tuple[Degree, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.levels = tuple(
-            sorted({wf.weight for wf in self.formulas if wf.weight < ONE}, reverse=True)
-        )
+        # keyed and sorted by numerator: ints hash and compare faster than Degrees
+        levels = {wf.weight.num: wf.weight for wf in self.formulas if wf.weight.num < SCALE}
+        self.levels = tuple(levels[num] for num in sorted(levels, reverse=True))
 
 
 def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
     """Transform a network into its equivalent possibilistic base."""
     imap = InstanceMap(net)
+    literal = imap.literal
     formulas: list[WeightedFormula] = []
     for v in net.variables:
         pnames = net.parents[v.name]
+        table = net.cpt[v.name]
         for cfg in net.parent_configs(v.name):
-            neg_parents = [-imap.literal(p, pv) for p, pv in zip(pnames, cfg)]
+            neg_parents = [-literal(p, pv) for p, pv in zip(pnames, cfg)]
             for val in v.domain:
-                d = net.cpt[v.name][(val, cfg)]
-                if d == ONE:
+                d = table[(val, cfg)]
+                if d.num == SCALE:
                     continue
-                clause = Clause([-imap.literal(v.name, val), *neg_parents])
+                clause = Clause([-literal(v.name, val), *neg_parents])
                 formulas.append(WeightedFormula(clause, complement(d)))
     return PossibilisticBase(tuple(formulas), imap)
 
@@ -118,12 +120,13 @@ def encode_pkb(base: PossibilisticBase) -> CnfFormula:
     f = CnfFormula()
     for role in base.imap.roles:
         f.new_var(role)
-    level = {w: f.new_var(Level(rank, w)) for rank, w in enumerate(base.levels, start=1)}
+    level = {w.num: f.new_var(Level(rank, w)) for rank, w in enumerate(base.levels, start=1)}
     for wf in base.formulas:
-        if wf.weight == ONE:
+        num = wf.weight.num
+        if num == SCALE:
             f.add_clause(wf.clause)
         else:
-            f.add_clause([*wf.clause.literals, level[wf.weight]])
+            f.add_clause([*wf.clause.literals, level[num]])
     for c in base.imap.exactly_one_clauses():
         f.add_clause(c)
     if stratified_levels(f):
@@ -151,7 +154,9 @@ def compile_base(
 
 def level_vars(cnf: CnfFormula) -> tuple[tuple[int, Degree], ...]:
     """(id, weight) of each level variable of ``cnf``, in rank order."""
-    return tuple((v.id, v.role.weight) for v in cnf.variables if isinstance(v.role, Level))
+    return tuple(
+        (vid, role.weight) for vid, role in enumerate(cnf.roles, start=1) if isinstance(role, Level)
+    )
 
 
 def serialize_base(base: PossibilisticBase) -> str:

@@ -2,6 +2,7 @@
 definition of satisfaction, and DIMACS round-trips with role metadata."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -50,7 +51,7 @@ class TestClause:
             Clause([3, 0, -2])
         f = CnfFormula()
         f.new_var(), f.new_var()
-        assert f.add_clause([2, -1, 2]).literals == (-1, 2)
+        assert f.add_clause([2, -1, 2]) == (-1, 2)
         for bad in ([1, -3], [-3, 1], [3]):
             with pytest.raises(ValueError, match="unregistered"):
                 f.add_clause(bad)
@@ -81,6 +82,53 @@ class TestFormula:
 
     def test_empty_formula_stats(self):
         assert cnf_stats(CnfFormula()) == {"vars": 0, "clauses": 0}
+
+    def test_add_clause_contract_on_random_literal_lists(self):
+        """Seeded lists with 0, repeats, complementary pairs and ids beyond
+        the registry, as lists or as ``Clause``s, against the contract
+        written with ``Clause``: 0 first, then an unregistered variable
+        (the last literal by variable), then a tautology, each a
+        ValueError with this message; otherwise the stored clause is
+        ``Clause(lits).literals``, and DIMACS writes it so."""
+        rng = random.Random(19)
+        outcomes = Counter()
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            f = CnfFormula()
+            for _ in range(n):
+                f.new_var()
+            stored = []
+            for _ in range(25):
+                lits = [
+                    rng.choice((-1, 1))
+                    * (rng.randint(1, n) if rng.random() < 0.9 else rng.choice((0, n + 1, n + 2)))
+                    for _ in range(rng.randint(0, 6))
+                ]
+                try:
+                    want = Clause(lits)
+                    last = want.literals[-1:]
+                    if last and abs(last[0]) > n:
+                        raise ValueError(f"literal {last[0]} names an unregistered variable")
+                    if want.is_tautology():
+                        raise ValueError(
+                            f"tautological clause {want.literals} not allowed in a formula"
+                        )
+                except ValueError as exc:
+                    outcomes[str(exc).split()[-1]] += 1
+                    with pytest.raises(ValueError) as got:
+                        f.add_clause(lits)
+                    assert str(got.value) == str(exc)
+                else:
+                    outcomes["stored"] += 1
+                    arg = want if rng.random() < 0.5 else lits
+                    assert f.add_clause(arg) == want.literals
+                    stored.append(want)
+            assert f.clauses == tuple(stored)
+            assert to_dimacs(f) == f"p cnf {n} {len(stored)}\n" + "".join(
+                " ".join(map(str, c.literals)) + " 0\n" for c in stored
+            )
+        # every outcome occurs: stored, literal 0, unregistered, tautology
+        assert min(outcomes[k] for k in ("stored", "literal", "variable", "formula")) >= 50
 
 
 class TestEnumerateModels:

@@ -17,6 +17,7 @@ from posskc.cnf import (
     Clause,
     CnfFormula,
     Level,
+    parse_dimacs,
     stratified_levels,
     to_dimacs,
 )
@@ -31,7 +32,7 @@ from posskc.nnf import (
     structural_properties,
     write_nnf,
 )
-from posskc.pkb import encode_pkb, to_possibilistic_base
+from posskc.pkb import PkbPipeline, encode_pkb, to_possibilistic_base
 
 from helpers import (
     dag_model_mask,
@@ -393,6 +394,20 @@ class TestSameSearch:
             for local in (True, False)
         )
         assert digests == self.CIRCUIT[name]
+
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_dimacs_route(self, name, alarm):
+        """A pipeline's CNF, written to DIMACS and read back (the one route
+        that canonicalizes clauses through ``Clause``), compiles to the
+        pipeline's own kb DAG and pf circuits."""
+        net = self.network(name, alarm)
+        kb = PkbPipeline(net)
+        assert write_nnf(compile_cnf(parse_dimacs(to_dimacs(kb.cnf)))) == write_nnf(kb.dag)
+        for local in (True, False):
+            pf = PfPipeline(net, local)
+            f = parse_dimacs(to_dimacs(pf.cnf))
+            negative = range(-1, -f.num_vars - 1, -1)
+            assert write_nnf(compile_cnf(f, weight_one=negative)) == write_nnf(pf.circuit)
 
 
 class TestBudget:

@@ -1,6 +1,7 @@
 """Memory layout of the value types: slotted instances without a
 per-instance dict, the degrees 0 and 1 shared by every parse, and one
-object per value string and per table column in a parsed network."""
+object per value string, per table column and per degree text in a
+parsed network."""
 
 import gc
 
@@ -8,7 +9,7 @@ import pytest
 
 from posskc.cnf import Clause, Indicator, Instance, Level, Parameter, PropVariable
 from posskc.degrees import ONE, ZERO, Degree, parse_degree
-from posskc.network import NetVariable
+from posskc.network import NetVariable, parse_network
 from posskc.pkb import WeightedFormula
 
 VALUES = [
@@ -51,3 +52,18 @@ def test_parse_network_shares_values_and_columns(alarm):
             for name, val in zip((v.name, *alarm.parents[v.name]), (own, *cfg)):
                 assert any(val is d for d in alarm.domain_of(name))
     assert len(columns) == 4  # D's, under its parents F and B
+
+
+def test_parse_network_shares_degrees():
+    """Equal degree texts in one network are one Degree, parsed once, and
+    the texts 1 and 0 parse to ``ONE`` and ``ZERO`` themselves."""
+    net = parse_network(
+        "network N\nvar A a1 a2\nvar B b1 b2 b3\nparents B A\n"
+        "cpt A\na1 : 0.3\na2 : 1\n"
+        "cpt B\nb1 | a1 : 1\nb2 | a1 : 0.3\nb3 | a1 : 0\n"
+        "b1 | a2 : 0.3\nb2 | a2 : 1\nb3 | a2 : 0\n"
+    )
+    a, b = net.cpt["A"], net.cpt["B"]
+    assert a[("a1", ())] is b[("b2", ("a1",))] is b[("b1", ("a2",))]
+    assert a[("a2", ())] is ONE and b[("b1", ("a1",))] is ONE
+    assert b[("b3", ("a1",))] is ZERO and b[("b3", ("a2",))] is ZERO
