@@ -10,15 +10,14 @@ from pathlib import Path
 
 from posskc import (
     Clause,
+    LogicalPipeline,
     PkbPipeline,
     cnf_stats,
     compile_cnf,
     condition,
-    encode_logical,
     encode_pf,
     encode_pkb,
     entails_clause,
-    explore,
     forget,
     nnf_stats,
     parse_network,
@@ -38,8 +37,8 @@ def main() -> None:
 
     print("=== the CNF encodings ===")
     encodings = {
-        "pf (local structure)": encode_pf(net, local_structure=True).cnf,
-        "pf (one parameter per entry)": encode_pf(net, local_structure=False).cnf,
+        "pf (local structure)": encode_pf(net, local_structure=True),
+        "pf (one parameter per entry)": encode_pf(net, local_structure=False),
         "logical = pkb": encode_pkb(to_possibilistic_base(net)),
     }
     for name, cnf in encodings.items():
@@ -78,18 +77,18 @@ def main() -> None:
     print()
 
     print("=== condition / forget / evaluate, step by step ===")
-    enc = encode_logical(net)
-    dag = compile_cnf(enc.cnf)
+    logical = LogicalPipeline(net)
+    dag = logical.dag
     print(f"  compiled logical DAG: {nnf_stats(dag)}")
     term = {"F": "f2", "D": "d1"}
-    lits = enc.imap.term_literals(term)
+    lits = logical.imap.term_literals(term)
     step1 = condition(dag, lits)
     print(f"  condition on {term} -> {nnf_stats(step1)}")
-    step2 = forget(step1, enc.imap.all_vars())
+    step2 = forget(step1, logical.imap.all_vars())
     print(f"  forget the instance layer -> {nnf_stats(step2)}")
-    degree = pi_evaluate(step2, enc.theta_weights)
+    degree = pi_evaluate(step2, logical.theta_weights)
     print(f"  max-min evaluation -> Pi{tuple(term.items())} = {degree}")
-    one_pass = explore(dag, enc, term)
+    one_pass = logical.possibility(term)
     print(f"  the same as one pass over the compiled DAG -> {one_pass}")
     print()
 

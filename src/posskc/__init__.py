@@ -19,7 +19,7 @@ from .bench import (
     random_network,
     run_comparison,
 )
-from .circuits import PfEncoding, PfPipeline, encode_pf, indicator_weights
+from .circuits import PfPipeline, encode_pf, indicator_weights
 from .cnf import Clause, CnfFormula, cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement, min_condition, parse_degree
@@ -32,7 +32,7 @@ from .errors import (
     QueryError,
     SizeGuardError,
 )
-from .logical import LogicalEncoding, LogicalPipeline, encode_logical, explore
+from .logical import LogicalPipeline, encode_logical
 from .network import (
     Conditional,
     PossNetwork,

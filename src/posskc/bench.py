@@ -255,8 +255,8 @@ class Pipeline(Protocol):
 
 
 METHODS: dict[str, tuple[Callable[..., Pipeline], Callable[..., CnfFormula]]] = {
-    "pf": (PfPipeline, lambda net, local: encode_pf(net, local).cnf),
-    "logical": (LogicalPipeline, lambda net, local: encode_logical(net).cnf),
+    "pf": (PfPipeline, encode_pf),
+    "logical": (LogicalPipeline, lambda net, local: encode_logical(net)),
     "pkb": (PkbPipeline, lambda net, local: encode_pkb(to_possibilistic_base(net))),
 }
 """Method name -> (pipeline class, CNF encoder), in the paper's order.

@@ -5,7 +5,9 @@ of the min of indicator values and table degrees.  Its CNF encoding uses
 one evidence indicator per value and parameter variables for the table
 entries; compiling the CNF and rereading And as min / Or as max yields a
 circuit that evaluates any Pi(term) in one bottom-up pass, with the
-indicators switched per query.  Every query weighs each negative literal
+indicators switched per query.  The encoding is the CNF alone: the
+parameter degrees and indicator ids are read off its roles, so a DIMACS
+text carries them too.  Every query weighs each negative literal
 1, so a pipeline compiles its circuit with those literals built as True
 (``compile_cnf``'s ``weight_one``): the compiled DAG's value under every
 query's weights, from the same search, with a third fewer nodes.
@@ -19,8 +21,6 @@ degree within each variable's table, linked by a single clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ZERO
@@ -28,16 +28,7 @@ from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditio
 from .nnf import NnfDag, WeightMap, pi_evaluate
 
 
-@dataclass
-class PfEncoding:
-    """Indicator/parameter CNF plus the degree map for its parameters."""
-
-    cnf: CnfFormula
-    weight_map: WeightMap
-    indicators: dict  # (variable name, value) -> variable id
-
-
-def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
+def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
     """CNF encoding of the possibilistic function.
 
     Indicator block per variable: ``cnf.exactly_one`` over its
@@ -49,7 +40,6 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
     for v in net.variables:
         for val in v.domain:
             indicators[(v.name, val)] = f.new_var(Indicator(v.name, val))
-    weight_map: WeightMap = {}
 
     theta_ids: dict = {}
     if local_structure:
@@ -58,18 +48,14 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
             # hash faster than Degrees
             degrees = {d.num: d for d in net.cpt[v.name].values() if 0 < d.num < SCALE}
             for num, d in sorted(degrees.items(), reverse=True):
-                vid = f.new_var(Parameter(v.name, d))
-                theta_ids[(v.name, num)] = vid
-                weight_map[vid] = d
+                theta_ids[(v.name, num)] = f.new_var(Parameter(v.name, d))
     else:
         for v in net.variables:
             for cfg in net.parent_configs(v.name):
                 for val in v.domain:
                     d = net.cpt[v.name][(val, cfg)]
                     owner = f"{v.name}={val}|{','.join(cfg)}"
-                    vid = f.new_var(Parameter(owner, d))
-                    theta_ids[(v.name, val, cfg)] = vid
-                    weight_map[vid] = d
+                    theta_ids[(v.name, val, cfg)] = f.new_var(Parameter(owner, d))
 
     for v in net.variables:
         for c in exactly_one([indicators[(v.name, val)] for val in v.domain]):
@@ -96,16 +82,15 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> PfEncoding:
                     f.add_clause([-theta, lam])
                     for p, pv in zip(pnames, cfg):
                         f.add_clause([-theta, indicators[(p, pv)]])
-    return PfEncoding(f, weight_map, indicators)
+    return f
 
 
-def indicator_weights(enc: PfEncoding | PfPipeline, term: EventTerm) -> WeightMap:
+def indicator_weights(pf: PfPipeline, term: EventTerm) -> WeightMap:
     """Per-query weights: the parameter degrees, plus weight 0 on each
     indicator the term excludes; the other indicators, and every negative
-    literal, are unlisted, so they weigh 1.  ``enc`` is an encoding or a
-    built pipeline: both carry ``weight_map`` and ``indicators``."""
-    w: WeightMap = dict(enc.weight_map)
-    for (var, val), vid in enc.indicators.items():
+    literal, are unlisted, so they weigh 1."""
+    w: WeightMap = dict(pf.weight_map)
+    for (var, val), vid in pf.indicators.items():
         if var in term and term[var] != val:
             w[vid] = ZERO
     return w
@@ -115,8 +100,9 @@ class PfPipeline:
     """Compile once, then answer any number of queries on the circuit.
 
     The pipeline keeps what a query reads: the circuit, the parameter
-    degrees, the indicator ids and the encoding mode; the node budget
-    bounds the circuit.  ``cnf`` encodes the network again on each access,
+    degrees and indicator ids, read off the CNF's ``Parameter`` and
+    ``Indicator`` roles, and the encoding mode; the node budget bounds
+    the circuit.  ``cnf`` encodes the network again on each access,
     and ``dag`` compiles that CNF again to the full decision-labelled DAG,
     which may exceed the budget (CompileBudgetError)."""
 
@@ -129,15 +115,21 @@ class PfPipeline:
         self.net = net
         self.local_structure = local_structure
         self.node_budget = node_budget
-        enc = encode_pf(net, local_structure)
-        self.weight_map, self.indicators = enc.weight_map, enc.indicators
-        negative = range(-1, -enc.cnf.num_vars - 1, -1)
-        self.circuit = compile_cnf(enc.cnf, node_budget=node_budget, weight_one=negative)
+        cnf = encode_pf(net, local_structure)
+        self.weight_map: WeightMap = {}
+        self.indicators: dict = {}  # (variable name, value) -> variable id
+        for vid, role in enumerate(cnf.roles, start=1):
+            if isinstance(role, Parameter):
+                self.weight_map[vid] = role.degree
+            else:  # an Indicator
+                self.indicators[(role.var, role.value)] = vid
+        negative = range(-1, -cnf.num_vars - 1, -1)
+        self.circuit = compile_cnf(cnf, node_budget=node_budget, weight_one=negative)
         self.evidence = EvidenceMemo()
 
     @property
     def cnf(self) -> CnfFormula:
-        return encode_pf(self.net, self.local_structure).cnf
+        return encode_pf(self.net, self.local_structure)
 
     @property
     def dag(self) -> NnfDag:

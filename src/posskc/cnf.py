@@ -10,11 +10,10 @@ negation.
 
 A ``CnfFormula`` stores plain values: one role (or None) per variable and
 one canonical literal tuple per clause, the order ``Clause`` gives,
-checked as ``add_clause`` stores it.  The encoders, the compiler, the
-level readers and ``to_dimacs`` read those values (``roles``,
-``clause_literals``); ``PropVariable`` and ``Clause`` objects are made
-only when ``variables``, ``var`` or ``clauses`` is read, and
-``parse_dimacs`` reads each clause through a ``Clause``.
+checked as ``add_clause`` stores it.  Those values (``roles``,
+``clause_literals``) are the whole encoding: the encoders return the
+formula itself, and the pipelines, the compiler, the level readers and
+``to_dimacs`` read them.
 """
 
 from __future__ import annotations
@@ -86,12 +85,6 @@ Role = Union[Instance, Indicator, Parameter, Level]
 
 
 @dataclass(frozen=True, slots=True)
-class PropVariable:
-    id: int
-    role: Role | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class Clause:
     """A disjunction of literals, stored sorted by variable then sign.
 
@@ -147,25 +140,12 @@ class CnfFormula:
         return tuple(self._clauses)
 
     @property
-    def variables(self) -> tuple[PropVariable, ...]:
-        return tuple(PropVariable(vid, role) for vid, role in enumerate(self._roles, start=1))
-
-    @property
-    def clauses(self) -> tuple[Clause, ...]:
-        return tuple(map(Clause, self._clauses))
-
-    @property
     def num_vars(self) -> int:
         return len(self._roles)
 
     @property
     def num_clauses(self) -> int:
         return len(self._clauses)
-
-    def var(self, vid: int) -> PropVariable:
-        if not 1 <= vid <= len(self._roles):
-            raise KeyError(f"variable {vid} not registered")
-        return PropVariable(vid, self._roles[vid - 1])
 
     def new_var(self, role: Role | None = None) -> int:
         self._roles.append(role)
@@ -175,10 +155,8 @@ class CnfFormula:
         """Store a clause as its canonical literal tuple, ``Clause``'s, and
         return that tuple.  Raises ValueError on literal 0, on a variable
         not registered yet and on a tautology, in that order."""
-        if isinstance(literals, Clause):
-            lits = list(literals.literals)
-        else:  # without a complementary pair, sorting by variable alone is canonical
-            lits = sorted(set(literals), key=abs)
+        # without a complementary pair, sorting by variable alone is canonical
+        lits = sorted(set(literals), key=abs)
         n = len(self._roles)
         if lits and (not lits[0] or abs(lits[-1]) > n or len({abs(l) for l in lits}) < len(lits)):
             lits = Clause(lits).literals  # raises on 0
@@ -291,7 +269,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise FormatError(f"bad literal token {tok!r}", ln) from exc
         if lit == 0:
             try:
-                f.add_clause(Clause(current))
+                f.add_clause(current)
             except ValueError as exc:
                 raise FormatError(str(exc), ln) from exc
             current = []

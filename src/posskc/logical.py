@@ -1,9 +1,10 @@
-"""Pipeline 2: logical encoding explored by one max-min pass.
+"""Pipeline 2: logical encoding evaluated by one max-min pass.
 
 The logical CNF is the knowledge-base CNF of ``pkb``: instance
 propositions plus one level variable A_i per distinct weight w_i strictly
 between 0 and 1, disjoined with every weighted clause of that weight.
-This method reads A_i as the paper's global parameter theta_{1-w_i}.
+This method reads A_i as the paper's global parameter theta_{1-w_i}, its
+degree 1 - w_i read off the A_i's ``Level`` role (``pkb.level_vars``).
 The two methods read one compiled base, memoised per network
 (``pkb.compile_base``), ladder and level-first decision order included
 for a stratified base (``cnf.stratified_levels``).  Pi(term) is the
@@ -15,46 +16,19 @@ weighs 1 (forgetting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cnf import CnfFormula
 # compile_cnf: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import ZERO, Degree, complement
-from .encodings import InstanceMap
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 # condition, forget: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
-from .nnf import NnfDag, WeightMap, condition, forget, pi_evaluate
-from .pkb import compile_base, encode_pkb, level_vars, to_possibilistic_base
+from .nnf import condition, forget, pi_evaluate
+from .pkb import compile_base, encode_pkb, to_possibilistic_base
 
 
-@dataclass
-class LogicalEncoding:
-    """The knowledge-base CNF with the degree 1 - w of each level
-    variable of weight w, derived from the CNF."""
-
-    cnf: CnfFormula
-    imap: InstanceMap
-    theta_weights: WeightMap = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.theta_weights = {vid: complement(w) for vid, w in level_vars(self.cnf)}
-
-
-def encode_logical(net: PossNetwork) -> LogicalEncoding:
-    """Build the knowledge-base CNF and weigh its level variables."""
-    base = to_possibilistic_base(net)
-    return LogicalEncoding(encode_pkb(base), base.imap)
-
-
-def explore(compiled: NnfDag, enc: LogicalEncoding | LogicalPipeline, term: EventTerm) -> Degree:
-    """Pi(term): one max-min pass under the theta weights, with weight 0
-    on each negated term literal; unlisted instance literals weigh 1.
-    ``enc`` is an encoding or a built pipeline: both carry ``imap`` and
-    ``theta_weights``."""
-    check_event(enc.imap.net, term)
-    refuted = {-l: ZERO for l in enc.imap.term_literals(term)}
-    return pi_evaluate(compiled, {**enc.theta_weights, **refuted})
+def encode_logical(net: PossNetwork) -> CnfFormula:
+    """The knowledge-base CNF, whose level variables this method weighs."""
+    return encode_pkb(to_possibilistic_base(net))
 
 
 class LogicalPipeline:
@@ -72,10 +46,14 @@ class LogicalPipeline:
 
     @property
     def cnf(self) -> CnfFormula:
-        return encode_logical(self.net).cnf
+        return encode_logical(self.net)
 
     def possibility(self, term: EventTerm) -> Degree:
-        return explore(self.dag, self, term)
+        """Pi(term): one max-min pass under the theta weights, with weight 0
+        on each negated term literal; unlisted instance literals weigh 1."""
+        check_event(self.net, term)
+        refuted = {-l: ZERO for l in self.imap.term_literals(term)}
+        return pi_evaluate(self.dag, {**self.theta_weights, **refuted})
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""

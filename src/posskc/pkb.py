@@ -211,8 +211,11 @@ def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
             except KeyError as exc:
                 raise FormatError(f"unknown literal {tok!r}", ln) from exc
             lits.append(-lit if negated else lit)
+        clause = Clause(lits)
+        if clause.is_tautology():
+            raise FormatError(f"tautological clause {lhs.strip()!r}", ln)
         try:
-            formulas.append(WeightedFormula(Clause(lits), weight))
+            formulas.append(WeightedFormula(clause, weight))
         except ValueError as exc:
             raise FormatError(str(exc), ln) from exc
     return PossibilisticBase(tuple(formulas), imap)

@@ -33,7 +33,7 @@ def models_by_definition(f: CnfFormula) -> set:
     """Model set computed by checking every clause on every assignment."""
     out = set()
     for a in all_assignments(f.num_vars):
-        if all(any(a[abs(l)] == (l > 0) for l in c) for c in f.clauses):
+        if all(any(a[abs(l)] == (l > 0) for l in c) for c in f.clause_literals):
             out.add(tuple(a[i] for i in range(1, f.num_vars + 1)))
     return out
 
@@ -126,7 +126,7 @@ def model_mask(f: CnfFormula) -> int:
         raise SizeGuardError(f"model enumeration over {n} variables exceeds guard {ENUMERATION_GUARD}")
     full, pos = subcube_patterns(n)
     mask = full
-    for c in f.clauses:
+    for c in f.clause_literals:
         cm = 0
         for l in c:
             cm |= pos[abs(l)] if l > 0 else (full ^ pos[abs(l)])
@@ -236,13 +236,14 @@ def reference_pi_evaluate(d, w) -> Degree:
     return Degree(val[d.root])
 
 
-def reference_explore(compiled, enc, term):
+def reference_explore(compiled, logical, term):
     """Logical Pi(term) by rebuilding: condition the DAG on the term,
-    forget the instance layer, then evaluate the theta weights."""
-    check_event(enc.imap.net, term)
-    conditioned = condition(compiled, enc.imap.term_literals(term))
-    projected = forget(conditioned, enc.imap.all_vars())
-    return pi_evaluate(projected, enc.theta_weights)
+    forget the instance layer, then evaluate the theta weights of the
+    built ``LogicalPipeline``."""
+    check_event(logical.imap.net, term)
+    conditioned = condition(compiled, logical.imap.term_literals(term))
+    projected = forget(conditioned, logical.imap.all_vars())
+    return pi_evaluate(projected, logical.theta_weights)
 
 
 def reference_query_detail(kb, x, e):

@@ -106,8 +106,8 @@ def test_criterion_3_encoding_size_laws(acceptance_log):
     for i in range(total):
         n = 10 + (i * 40) // (total - 1)
         net = random_network(GenConfig(n_nodes=n, max_parents=3, seed=9000 + i))
-        pf = cnf_stats(encode_pf(net, local_structure=True).cnf)
-        lg = cnf_stats(encode_logical(net).cnf)
+        pf = cnf_stats(encode_pf(net, local_structure=True))
+        lg = cnf_stats(encode_logical(net))
         kb = cnf_stats(encode_pkb(to_possibilistic_base(net)))
         circuit_base = baseline_counts(net, "circuit")
         logical_base = baseline_counts(net, "logical")

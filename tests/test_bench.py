@@ -178,7 +178,7 @@ class TestBaselines:
             "cpt Y\ny1 | x1 : 1\ny2 | x1 : 0\ny1 | x2 : 0\ny2 | x2 : 1"
         )
         assert baseline_counts(net, "circuit") == cnf_stats(
-            encode_pf(net, local_structure=True).cnf
+            encode_pf(net, local_structure=True)
         )
 
 
@@ -188,7 +188,7 @@ class TestSizeOrdering:
         # the whole indicator block
         for seed in range(8):
             net = random_network(GenConfig(n_nodes=7, seed=100 + seed))
-            pf = cnf_stats(encode_pf(net, local_structure=True).cnf)
+            pf = cnf_stats(encode_pf(net, local_structure=True))
             kb = cnf_stats(encode_pkb(to_possibilistic_base(net)))
             assert kb["vars"] < pf["vars"]
             assert kb["clauses"] < pf["clauses"]

@@ -123,7 +123,7 @@ class TestFormula:
                     arg = want if rng.random() < 0.5 else lits
                     assert f.add_clause(arg) == want.literals
                     stored.append(want)
-            assert f.clauses == tuple(stored)
+            assert f.clause_literals == tuple(c.literals for c in stored)
             assert to_dimacs(f) == f"p cnf {n} {len(stored)}\n" + "".join(
                 " ".join(map(str, c.literals)) + " 0\n" for c in stored
             )
@@ -195,6 +195,14 @@ class TestDimacs:
         g = parse_dimacs(to_dimacs(f))
         assert g == f
         assert to_dimacs(g) == to_dimacs(f)
+
+    def test_tautological_clause(self):
+        """The line and the message name the clause in ``Clause``'s order,
+        by variable with -v before +v."""
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs("p cnf 2 1\n2 1 -2 0\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: tautological clause (1, -2, 2) not allowed in a formula"
 
     def test_literal_beyond_declared_vars(self):
         with pytest.raises(FormatError):

@@ -16,15 +16,18 @@ from posskc.bench import FINE_POOL_SIZE, GenConfig, even_pool, random_network
 from posskc.cnf import (
     Clause,
     CnfFormula,
+    Indicator,
     Level,
+    Parameter,
     parse_dimacs,
     stratified_levels,
     to_dimacs,
 )
 from posskc.circuits import PfPipeline, encode_pf
 from posskc.compiler import clause_bits, compile_cnf, decide, split
-from posskc.degrees import parse_degree
+from posskc.degrees import complement, parse_degree
 from posskc.errors import CompileBudgetError
+from posskc.logical import LogicalPipeline
 from posskc.nnf import (
     entails_clause,
     is_consistent,
@@ -32,7 +35,7 @@ from posskc.nnf import (
     structural_properties,
     write_nnf,
 )
-from posskc.pkb import PkbPipeline, encode_pkb, to_possibilistic_base
+from posskc.pkb import PkbPipeline, encode_pkb, level_vars, to_possibilistic_base
 
 from helpers import (
     dag_model_mask,
@@ -150,7 +153,7 @@ class TestStructure:
         assert dag_model_mask(moved, 4) == model_mask(f)
         single = formula(4, [[1, 2], [1, 3], [-1, 4], [2, 3]], levels={4})
         assert stratified_levels(single) == frozenset()
-        assert write_nnf(compile_cnf(single)) == write_nnf(compile_cnf(formula(4, single.clauses)))
+        assert write_nnf(compile_cnf(single)) == write_nnf(compile_cnf(formula(4, single.clause_literals)))
 
     def test_first_set_keeps_the_models(self):
         rng = random.Random(41)
@@ -159,7 +162,7 @@ class TestStructure:
             n = rng.randint(2, 9)
             g = random_cnf(rng, n, rng.randint(n, 3 * n))
             levels = set(rng.sample(range(1, n + 1), rng.randint(1, n // 2)))
-            f = formula(n, g.clauses, levels)
+            f = formula(n, g.clause_literals, levels)
             stratified += bool(stratified_levels(f))
             d = compile_cnf(f)
             assert dag_model_mask(d, n) == model_mask(f)
@@ -242,7 +245,7 @@ class TestSplit:
         for _ in range(30):
             n = rng.randint(2, 9)
             f = random_cnf(rng, n, rng.randint(1, 3 * n))
-            clauses = [c.literals for c in f.clauses if len(c) > 1]
+            clauses = [c for c in f.clause_literals if len(c) > 1]
             self.assert_compiles_to_models(n, clauses)
 
     def test_same_partition_as_union_find(self):
@@ -251,7 +254,7 @@ class TestSplit:
         for _ in range(300):
             n = rng.randint(1, 30)
             f = random_cnf(rng, n, rng.randint(1, n))
-            ints, masks = canonical([c.literals for c in f.clauses], n + 1)
+            ints, masks = canonical(list(f.clause_literals), n + 1)
             comps = split(ints, masks)
             ref = union_find_components(tuple(literals(c, n + 1) for c in ints))
             assert {frozenset(literals(c, n + 1) for c in comp) for comp in comps} == {
@@ -307,7 +310,7 @@ class TestSameSearch:
     @pytest.mark.parametrize("name", sorted(SIZES))
     def test_dag_sizes(self, name, alarm):
         net = self.network(name, alarm)
-        pf_cnf = encode_pf(net, True).cnf
+        pf_cnf = encode_pf(net, True)
         pkb_cnf = encode_pkb(to_possibilistic_base(net))
         assert bool(stratified_levels(pkb_cnf)) == name.startswith("nine")
         stats = [nnf_stats(compile_cnf(f)) for f in (pf_cnf, pkb_cnf)]
@@ -335,7 +338,7 @@ class TestSameSearch:
         hashes were recorded; an encoding changed on purpose records new
         ones."""
         net = self.network(name, alarm)
-        cnfs = (encode_pf(net, True).cnf, encode_pf(net, False).cnf,
+        cnfs = (encode_pf(net, True), encode_pf(net, False),
                 encode_pkb(to_possibilistic_base(net)))
         digests = tuple(hashlib.sha256(to_dimacs(f).encode()).hexdigest()[:16] for f in cnfs)
         assert digests == self.DIMACS[name]
@@ -361,7 +364,7 @@ class TestSameSearch:
         """The compiler writes, byte for byte, the DAGs it wrote when the
         hashes were recorded."""
         net = self.network(name, alarm)
-        cnfs = (encode_pf(net, True).cnf, encode_pf(net, False).cnf,
+        cnfs = (encode_pf(net, True), encode_pf(net, False),
                 encode_pkb(to_possibilistic_base(net)))
         digests = tuple(
             hashlib.sha256(write_nnf(compile_cnf(f)).encode()).hexdigest()[:16] for f in cnfs
@@ -397,9 +400,10 @@ class TestSameSearch:
 
     @pytest.mark.parametrize("name", sorted(SIZES))
     def test_dimacs_route(self, name, alarm):
-        """A pipeline's CNF, written to DIMACS and read back (the one route
-        that canonicalizes clauses through ``Clause``), compiles to the
-        pipeline's own kb DAG and pf circuits."""
+        """A pipeline's CNF, written to DIMACS and read back, compiles to the
+        pipeline's own kb DAG and pf circuits, and its roles give the
+        pipelines' query weights: pf's parameter degrees and indicator ids,
+        and logical's theta weights, 1 - w for each level of weight w."""
         net = self.network(name, alarm)
         kb = PkbPipeline(net)
         assert write_nnf(compile_cnf(parse_dimacs(to_dimacs(kb.cnf)))) == write_nnf(kb.dag)
@@ -408,6 +412,16 @@ class TestSameSearch:
             f = parse_dimacs(to_dimacs(pf.cnf))
             negative = range(-1, -f.num_vars - 1, -1)
             assert write_nnf(compile_cnf(f, weight_one=negative)) == write_nnf(pf.circuit)
+            roles = list(enumerate(f.roles, start=1))
+            assert pf.weight_map and pf.weight_map == {
+                vid: r.degree for vid, r in roles if isinstance(r, Parameter)
+            }
+            assert pf.indicators == {
+                (r.var, r.value): vid for vid, r in roles if isinstance(r, Indicator)
+            }
+        lp = LogicalPipeline(net)
+        levels = level_vars(parse_dimacs(to_dimacs(lp.cnf)))
+        assert lp.theta_weights and lp.theta_weights == {vid: complement(w) for vid, w in levels}
 
 
 class TestBudget:
@@ -424,7 +438,7 @@ class TestBudget:
         if case == "chain":
             f = formula(12, [[i, i + 1] for i in range(1, 12)])
         else:
-            f = encode_pf(alarm, case == "pf-local").cnf
+            f = encode_pf(alarm, case == "pf-local")
         compile_cnf(f, node_budget=pool)
         with pytest.raises(CompileBudgetError):
             compile_cnf(f, node_budget=pool - 1)

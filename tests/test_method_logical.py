@@ -3,15 +3,10 @@
 import pytest
 
 from posskc.bench import GenConfig, random_network
-from posskc.cnf import Clause, Instance, Level, cnf_stats
-from posskc.compiler import compile_cnf
+from posskc.cnf import Instance, Level, cnf_stats
 from posskc.degrees import SCALE, Degree, complement, parse_degree
 from posskc.errors import QueryError
-from posskc.logical import (
-    LogicalPipeline,
-    encode_logical,
-    explore,
-)
+from posskc.logical import LogicalPipeline, encode_logical
 from posskc.network import (
     chain_rule_joint,
     enumerate_worlds,
@@ -36,89 +31,83 @@ def small_nets(count, max_nodes, seed, binary_only=True):
 
 class TestEncodeLogical:
     def test_example_counts(self, alarm):
-        enc = encode_logical(alarm)
-        assert cnf_stats(enc.cnf) == {"vars": 7, "clauses": 6}
+        assert cnf_stats(encode_logical(alarm)) == {"vars": 7, "clauses": 6}
 
     def test_example_roles(self, alarm):
-        enc = encode_logical(alarm)
-        roles = [v.role for v in enc.cnf.variables]
+        roles = encode_logical(alarm).roles
         assert sum(isinstance(r, Instance) for r in roles) == 3
         levels = [r for r in roles if isinstance(r, Level)]
         assert len(levels) == len(roles) - 3
         assert [complement(l.weight) for l in levels] == [D("0.2"), D("0.4"), D("0.7"), D("0.8")]
 
     def test_imap_vars_are_the_instance_layer(self, alarm):
-        # explore forgets exactly these by leaving them out of the weight map
-        enc = encode_logical(alarm)
+        # possibility forgets exactly these by leaving them out of the weight map
+        lp = LogicalPipeline(alarm)
         inst_ids = {
-            v.id for v in enc.cnf.variables if isinstance(v.role, Instance)
+            vid for vid, r in enumerate(lp.cnf.roles, start=1) if isinstance(r, Instance)
         }
-        assert enc.imap.all_vars() == frozenset(inst_ids)
-        assert not inst_ids & {abs(l) for l in enc.theta_weights}
+        assert lp.imap.all_vars() == frozenset(inst_ids)
+        assert not inst_ids & {abs(l) for l in lp.theta_weights}
 
     def test_theta_weights_map_parameter_ids(self, alarm):
         # the weight map covers exactly the level variables, each at 1 - w
-        enc = encode_logical(alarm)
-        level_ids = {v.id for v in enc.cnf.variables if isinstance(v.role, Level)}
-        assert set(enc.theta_weights) == level_ids
-        for vid, d in enc.theta_weights.items():
-            assert d == complement(enc.cnf.var(vid).role.weight)
+        lp = LogicalPipeline(alarm)
+        roles = lp.cnf.roles
+        level_ids = {vid for vid, r in enumerate(roles, start=1) if isinstance(r, Level)}
+        assert set(lp.theta_weights) == level_ids
+        for vid, d in lp.theta_weights.items():
+            assert d == complement(roles[vid - 1].weight)
 
     def test_parameters_shared_across_tables(self, alarm):
         # degree 0.4 appears in both B's and D's tables but yields one level
         # variable, which tags B's clause (over B alone) and D's (over F, B, D)
-        enc = encode_logical(alarm)
-        levels = [v.role for v in enc.cnf.variables if isinstance(v.role, Level)]
+        lp = LogicalPipeline(alarm)
+        cnf = lp.cnf
+        levels = [r for r in cnf.roles if isinstance(r, Level)]
         assert len(levels) == len({l.weight for l in levels}) == 4
-        (a,) = [vid for vid, d in enc.theta_weights.items() if d == D("0.4")]
+        (a,) = [vid for vid, d in lp.theta_weights.items() if d == D("0.4")]
         scopes = sorted(
-            sorted(abs(l) for l in c if l != a) for c in enc.cnf.clauses if a in c.literals
+            sorted(abs(l) for l in c if l != a) for c in cnf.clause_literals if a in c
         )
-        f, b, d = (abs(enc.imap.literal(*x)) for x in (("F", "f1"), ("B", "b1"), ("D", "d1")))
+        f, b, d = (abs(lp.imap.literal(*x)) for x in (("F", "f1"), ("B", "b1"), ("D", "d1")))
         assert scopes == sorted([[b], sorted([f, b, d])])
 
     def test_uniform_single_binary_root(self):
         net = parse_network("network u\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 1")
-        enc = encode_logical(net)
-        assert cnf_stats(enc.cnf) == {"vars": 1, "clauses": 0}
+        assert cnf_stats(encode_logical(net)) == {"vars": 1, "clauses": 0}
 
     def test_degree_zero_yields_hard_clause(self):
         net = parse_network("network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0")
-        enc = encode_logical(net)
-        assert cnf_stats(enc.cnf) == {"vars": 1, "clauses": 1}
-        assert enc.cnf.clauses[0] == Clause([1])
-        assert enc.theta_weights == {}
+        cnf = encode_logical(net)
+        assert cnf_stats(cnf) == {"vars": 1, "clauses": 1}
+        assert cnf.clause_literals[0] == (1,)
+        assert LogicalPipeline(net).theta_weights == {}
 
     def test_multivalued_gets_exactly_one_block(self):
         net = parse_network(
             "network m\nvar X a b c\ncpt X\na : 1\nb : 0.5\nc : 0.5"
         )
-        enc = encode_logical(net)
         # 3 instance vars + 1 theta; 2 entry clauses + 1 ALO + 3 AMO
-        assert cnf_stats(enc.cnf) == {"vars": 4, "clauses": 6}
+        assert cnf_stats(encode_logical(net)) == {"vars": 4, "clauses": 6}
 
 
 class TestExplore:
+    """Pi(term) by ``LogicalPipeline.possibility``: one max-min pass that
+    conditions, forgets and evaluates the compiled DAG at once."""
+
     def test_example_joint(self, alarm):
-        enc = encode_logical(alarm)
-        dag = compile_cnf(enc.cnf)
-        assert explore(dag, enc, {"F": "f2", "D": "d1"}) == D("0.4")
+        assert LogicalPipeline(alarm).possibility({"F": "f2", "D": "d1"}) == D("0.4")
 
     def test_empty_term_is_one(self, alarm):
-        enc = encode_logical(alarm)
-        dag = compile_cnf(enc.cnf)
-        assert explore(dag, enc, {}) == D("1")
+        assert LogicalPipeline(alarm).possibility({}) == D("1")
 
     def test_example_pair(self, alarm):
-        enc = encode_logical(alarm)
-        dag = compile_cnf(enc.cnf)
-        assert explore(dag, enc, {"D": "d1", "B": "b1"}) == D("0.7")
+        assert LogicalPipeline(alarm).possibility({"D": "d1", "B": "b1"}) == D("0.7")
 
     def test_complete_worlds_match_chain_rule(self, alarm):
-        enc = encode_logical(alarm)
-        dag = compile_cnf(enc.cnf)
+        p = LogicalPipeline(alarm)
         for w in enumerate_worlds(alarm):
-            assert explore(dag, enc, w) == chain_rule_joint(alarm, w)
+            assert p.possibility(w) == chain_rule_joint(alarm, w)
 
     def test_complete_worlds_on_random_nets(self):
         for net in small_nets(10, 6, seed=19):
@@ -127,10 +116,8 @@ class TestExplore:
                 assert p.possibility(w) == chain_rule_joint(net, w)
 
     def test_rejects_unknown_variable(self, alarm):
-        enc = encode_logical(alarm)
-        dag = compile_cnf(enc.cnf)
         with pytest.raises(QueryError):
-            explore(dag, enc, {"Q": "q1"})
+            LogicalPipeline(alarm).possibility({"Q": "q1"})
 
 
 class TestQueryLogical:
@@ -169,15 +156,14 @@ class TestQueryLogical:
 
 class TestSizeParity:
     def test_same_counts_as_base_encoding_on_example(self, alarm):
-        enc = encode_logical(alarm)
         kb_cnf = encode_pkb(to_possibilistic_base(alarm))
-        assert cnf_stats(enc.cnf) == cnf_stats(kb_cnf)
+        assert cnf_stats(encode_logical(alarm)) == cnf_stats(kb_cnf)
 
     def test_same_counts_as_base_encoding_random(self):
         for net in small_nets(10, 9, seed=307) + small_nets(
             6, 6, seed=311, binary_only=False
         ):
-            assert cnf_stats(encode_logical(net).cnf) == cnf_stats(
+            assert cnf_stats(encode_logical(net)) == cnf_stats(
                 encode_pkb(to_possibilistic_base(net))
             )
 
@@ -185,7 +171,7 @@ class TestSizeParity:
         from posskc.bench import baseline_counts
 
         for net in small_nets(10, 8, seed=401):
-            got = cnf_stats(encode_logical(net).cnf)
+            got = cnf_stats(encode_logical(net))
             base = baseline_counts(net, "logical")
             assert got["vars"] <= base["vars"]
             assert got["clauses"] <= base["clauses"]
@@ -193,7 +179,7 @@ class TestSizeParity:
     def test_strictly_smaller_on_example(self, alarm):
         from posskc.bench import baseline_counts
 
-        got = cnf_stats(encode_logical(alarm).cnf)
+        got = cnf_stats(encode_logical(alarm))
         base = baseline_counts(alarm, "logical")
         assert got["vars"] < base["vars"]
         assert got["clauses"] < base["clauses"]
@@ -212,4 +198,4 @@ class TestSizeParity:
             nets.append(random_network(cfg))
         assert len(nets) == 29
         for net in nets:
-            assert encode_logical(net).cnf == encode_pkb(to_possibilistic_base(net))
+            assert encode_logical(net) == encode_pkb(to_possibilistic_base(net))

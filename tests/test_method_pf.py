@@ -1,11 +1,12 @@
 """Pipeline 1: indicator/parameter encoding and possibilistic circuits."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from posskc.bench import GenConfig, random_network
-from posskc.circuits import PfEncoding, PfPipeline, encode_pf, indicator_weights
+from posskc.circuits import PfPipeline, encode_pf, indicator_weights
 from posskc.cnf import CnfFormula, Indicator, Parameter, cnf_stats
 from posskc.degrees import ONE, parse_degree
 from posskc.errors import QueryError, SizeGuardError
@@ -74,16 +75,16 @@ class TestEvaluateFmin:
 
 class TestEncodePf:
     def test_example_local_counts(self, alarm):
-        enc = encode_pf(alarm, local_structure=True)
-        assert cnf_stats(enc.cnf) == {"vars": 12, "clauses": 12}
+        cnf = encode_pf(alarm, local_structure=True)
+        assert cnf_stats(cnf) == {"vars": 12, "clauses": 12}
 
     def test_example_full_counts(self, alarm):
-        enc = encode_pf(alarm, local_structure=False)
-        assert cnf_stats(enc.cnf) == {"vars": 18, "clauses": 46}
+        cnf = encode_pf(alarm, local_structure=False)
+        assert cnf_stats(cnf) == {"vars": 18, "clauses": 46}
 
     def test_indicator_per_value(self, alarm):
-        enc = encode_pf(alarm)
-        assert set(enc.indicators) == {
+        pf = PfPipeline(alarm)
+        assert set(pf.indicators) == {
             ("F", "f1"),
             ("F", "f2"),
             ("B", "b1"),
@@ -91,46 +92,46 @@ class TestEncodePf:
             ("D", "d1"),
             ("D", "d2"),
         }
-        for (var, val), vid in enc.indicators.items():
-            role = enc.cnf.var(vid).role
+        roles = encode_pf(alarm).roles
+        for (var, val), vid in pf.indicators.items():
+            role = roles[vid - 1]
             assert isinstance(role, Indicator)
             assert (role.var, role.value) == (var, val)
 
     def test_local_parameters_shared_per_distinct_degree(self, alarm):
-        enc = encode_pf(alarm, local_structure=True)
-        params = [v.role for v in enc.cnf.variables if isinstance(v.role, Parameter)]
+        cnf = encode_pf(alarm, local_structure=True)
+        params = [r for r in cnf.roles if isinstance(r, Parameter)]
         assert len(params) == 6
         d_degrees = sorted(p.degree for p in params if p.owner == "D")
         assert d_degrees == [D("0.2"), D("0.4"), D("0.7"), D("0.8")]
 
     def test_full_mode_parameter_per_entry(self, alarm):
-        enc = encode_pf(alarm, local_structure=False)
-        params = [v.role for v in enc.cnf.variables if isinstance(v.role, Parameter)]
+        cnf = encode_pf(alarm, local_structure=False)
+        params = [r for r in cnf.roles if isinstance(r, Parameter)]
         assert len(params) == 12
 
     def test_weight_map_covers_parameters_only(self, alarm):
         for local in (True, False):
-            enc = encode_pf(alarm, local_structure=local)
+            pf = PfPipeline(alarm, local_structure=local)
             param_ids = {
-                v.id for v in enc.cnf.variables if isinstance(v.role, Parameter)
+                vid for vid, r in enumerate(pf.cnf.roles, start=1) if isinstance(r, Parameter)
             }
-            assert set(enc.weight_map) == param_ids
+            assert set(pf.weight_map) == param_ids
 
     def test_degree_zero_becomes_hard_clause(self):
         net = parse_network(
             "network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0"
         )
-        enc = encode_pf(net, local_structure=True)
         # one ALO, one AMO, one hard clause excluding x2; no parameters
-        assert cnf_stats(enc.cnf) == {"vars": 2, "clauses": 3}
-        assert enc.weight_map == {}
+        assert cnf_stats(encode_pf(net, local_structure=True)) == {"vars": 2, "clauses": 3}
+        assert PfPipeline(net, local_structure=True).weight_map == {}
 
     def test_uniform_net_has_no_parameters(self):
         net = parse_network(
             "network u\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 1"
         )
-        enc = encode_pf(net, local_structure=True)
-        assert cnf_stats(enc.cnf) == {"vars": 2, "clauses": 2}
+        cnf = encode_pf(net, local_structure=True)
+        assert cnf_stats(cnf) == {"vars": 2, "clauses": 2}
 
 
 class TestCircuit:
@@ -143,16 +144,17 @@ class TestCircuit:
         v = f.new_var(Indicator("X", "x1"))
         f.add_clause([v])
         f.add_clause([-v])
-        enc = PfEncoding(f, {}, {("X", "x1"): v})
-        assert pi_evaluate(compile_cnf(enc.cnf), indicator_weights(enc, {})) == D("0")
+        # the two fields indicator_weights reads off a built pipeline
+        pf = SimpleNamespace(weight_map={}, indicators={("X", "x1"): v})
+        assert pi_evaluate(compile_cnf(f), indicator_weights(pf, {})) == D("0")
 
     def test_indicator_weights_respect_term(self, alarm):
-        enc = encode_pf(alarm)
-        w = indicator_weights(enc, {"F": "f1"})
-        assert w.get(enc.indicators[("F", "f1")], ONE) == D("1")
-        assert w.get(enc.indicators[("F", "f2")], ONE) == D("0")
-        assert w.get(enc.indicators[("B", "b1")], ONE) == D("1")
-        assert w.get(enc.indicators[("B", "b2")], ONE) == D("1")
+        pf = PfPipeline(alarm)
+        w = indicator_weights(pf, {"F": "f1"})
+        assert w.get(pf.indicators[("F", "f1")], ONE) == D("1")
+        assert w.get(pf.indicators[("F", "f2")], ONE) == D("0")
+        assert w.get(pf.indicators[("B", "b1")], ONE) == D("1")
+        assert w.get(pf.indicators[("B", "b2")], ONE) == D("1")
 
     def test_circuit_possibility_equals_chain_rule_on_worlds(self, alarm):
         p = PfPipeline(alarm)
@@ -175,7 +177,7 @@ class TestCircuit:
         values = set()
         for net in nets:
             p = PfPipeline(net, local_structure=local)
-            dag = compile_cnf(encode_pf(net, local).cnf)
+            dag = compile_cnf(encode_pf(net, local))
             assert all(lit > 0 for op, lit, _ in p.circuit.nodes if op == "L")
             for term in every_term(net):
                 w = indicator_weights(p, term)
@@ -235,9 +237,9 @@ class TestEncodingSizeBound:
         from posskc.bench import baseline_counts
 
         for net in small_nets(12, 8, seed=23):
-            enc = encode_pf(net, local_structure=True)
+            cnf = encode_pf(net, local_structure=True)
             base = baseline_counts(net, "circuit")
-            got = cnf_stats(enc.cnf)
+            got = cnf_stats(cnf)
             assert got["vars"] <= base["vars"]
             assert got["clauses"] <= base["clauses"]
             # generated tables always carry a sub-unit degree, so the
@@ -252,6 +254,6 @@ class TestEncodingSizeBound:
             "cpt X\nx1 : 1\nx2 : 1\n"
             "cpt Y\ny1 | x1 : 1\ny2 | x1 : 0\ny1 | x2 : 0\ny2 | x2 : 1"
         )
-        enc = encode_pf(net, local_structure=True)
+        cnf = encode_pf(net, local_structure=True)
         base = baseline_counts(net, "circuit")
-        assert cnf_stats(enc.cnf) == base
+        assert cnf_stats(cnf) == base

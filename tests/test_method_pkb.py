@@ -138,32 +138,33 @@ class TestEncodePkb:
 
     def test_level_variables_ranked_by_descending_weight(self, alarm):
         cnf = encode_pkb(to_possibilistic_base(alarm))
-        levels = [v for v in cnf.variables if isinstance(v.role, Level)]
-        assert [(v.role.rank, v.role.weight) for v in levels] == [
+        ids = range(1, cnf.num_vars + 1)
+        levels = [(vid, r) for vid, r in zip(ids, cnf.roles) if isinstance(r, Level)]
+        assert [(r.rank, r.weight) for _, r in levels] == [
             (1, D("0.8")),
             (2, D("0.6")),
             (3, D("0.3")),
             (4, D("0.2")),
         ]
-        inst = [v for v in cnf.variables if isinstance(v.role, Instance)]
+        inst = [vid for vid, r in zip(ids, cnf.roles) if isinstance(r, Instance)]
         assert len(inst) == 3
-        assert max(v.id for v in inst) < min(v.id for v in levels)
+        assert max(inst) < min(vid for vid, _ in levels)
 
     def test_weighted_clause_carries_its_level_literal(self, alarm):
         base = to_possibilistic_base(alarm)
         cnf = encode_pkb(base)
         by_weight = {
-            v.role.weight: v.id for v in cnf.variables if isinstance(v.role, Level)
+            r.weight: vid for vid, r in enumerate(cnf.roles, start=1) if isinstance(r, Level)
         }
-        for wf, clause in zip(base.formulas, cnf.clauses):
-            assert set(clause.literals) == {*wf.clause.literals, by_weight[wf.weight]}
+        for wf, clause in zip(base.formulas, cnf.clause_literals):
+            assert set(clause) == {*wf.clause.literals, by_weight[wf.weight]}
 
     def test_hard_formula_kept_verbatim(self):
         net = parse_network("network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0")
         cnf = encode_pkb(to_possibilistic_base(net))
         assert cnf_stats(cnf) == {"vars": 1, "clauses": 1}
-        assert cnf.clauses[0] == Clause([1])
-        assert not any(isinstance(v.role, Level) for v in cnf.variables)
+        assert cnf.clause_literals[0] == (1,)
+        assert not any(isinstance(r, Level) for r in cnf.roles)
 
     def test_empty_base_empty_cnf(self):
         net = parse_network("network u\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 1")
@@ -288,6 +289,15 @@ class TestBaseSerialization:
         with pytest.raises(FormatError):
             parse_base("F=f2 : 0", alarm)
 
+    def test_parse_rejects_tautological_clause(self, alarm):
+        """A clause with both values of a variable would reach the CNF as a
+        tautology, which a formula refuses."""
+        with pytest.raises(FormatError, match=r"^line 2: tautological clause 'F=f1 F=f2'$"):
+            parse_base("B=b1 : 0.5\nF=f1 F=f2 : 0.5\n", alarm)
+        multi = parse_network("network m\nvar X a b c\ncpt X\na : 1\nb : 0.5\nc : 0.5")
+        with pytest.raises(FormatError, match=r"^line 1: tautological clause 'X=b !X=b'$"):
+            parse_base("X=b !X=b : 1\n", multi)
+
 
 class TestBaseQueriesFromParsedText:
     def test_parsed_base_answers_like_network(self, alarm):
@@ -318,9 +328,10 @@ def without_ladder(kb: PkbPipeline) -> CnfFormula:
     """The pipeline's CNF minus its trailing L - 1 ladder clauses and its
     roles, so it compiles in the default decision order."""
     f = CnfFormula()
-    for _ in kb.cnf.variables:
+    cnf = kb.cnf
+    for _ in cnf.roles:
         f.new_var()
-    for c in kb.cnf.clauses[: kb.cnf.num_clauses - (len(kb.level_vars) - 1)]:
+    for c in cnf.clause_literals[: cnf.num_clauses - (len(kb.level_vars) - 1)]:
         f.add_clause(c)
     return f
 
@@ -359,13 +370,13 @@ class TestStratifiedLadder:
         base = to_possibilistic_base(net)
         cnf = encode_pkb(base)
         ranked = [vid for vid, _ in level_vars(cnf)]
-        exactly_one = [Clause(c) for c in base.imap.exactly_one_clauses()]
+        exactly_one = [Clause(c).literals for c in base.imap.exactly_one_clauses()]
         assert exactly_one
         head = len(base.formulas)
-        assert list(cnf.clauses[head : head + len(exactly_one)]) == exactly_one
-        ladder = list(cnf.clauses[head + len(exactly_one) :])
+        assert list(cnf.clause_literals[head : head + len(exactly_one)]) == exactly_one
+        ladder = list(cnf.clause_literals[head + len(exactly_one) :])
         assert len(ladder) == len(base.levels) - 1
-        assert ladder == [Clause([-a, b]) for a, b in zip(ranked, ranked[1:])]
+        assert ladder == [Clause([-a, b]).literals for a, b in zip(ranked, ranked[1:])]
         assert stratified_levels(cnf) == frozenset(ranked)
 
     @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])

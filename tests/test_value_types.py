@@ -7,7 +7,7 @@ import gc
 
 import pytest
 
-from posskc.cnf import Clause, Indicator, Instance, Level, Parameter, PropVariable
+from posskc.cnf import Clause, Indicator, Instance, Level, Parameter
 from posskc.degrees import ONE, ZERO, Degree, parse_degree
 from posskc.network import NetVariable, parse_network
 from posskc.pkb import WeightedFormula
@@ -18,7 +18,6 @@ VALUES = [
     Indicator("A", "a1"),
     Parameter("A", ONE),
     Level(1, ONE),
-    PropVariable(1, Instance("A", "a1")),
     Clause([1, -2]),
     NetVariable("A", ("a1", "a2")),
     WeightedFormula(Clause([1]), ONE),
