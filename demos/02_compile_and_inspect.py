@@ -39,7 +39,7 @@ def main() -> None:
     encodings = {
         "pf (local structure)": encode_pf(net, local_structure=True),
         "pf (one parameter per entry)": encode_pf(net, local_structure=False),
-        "logical = pkb": encode_pkb(to_possibilistic_base(net)),
+        "logical = pkb": encode_pkb(net),
     }
     for name, cnf in encodings.items():
         s = cnf_stats(cnf)

@@ -13,7 +13,6 @@ from .bench import (
     METHODS,
     GenConfig,
     Pipeline,
-    baseline_counts,
     compare_network,
     cross_validate,
     random_network,
@@ -63,7 +62,6 @@ from .pkb import (
     PossibilisticBase,
     WeightedFormula,
     encode_pkb,
-    parse_base,
     pi_sigma,
     serialize_base,
     to_possibilistic_base,

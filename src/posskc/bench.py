@@ -1,4 +1,4 @@
-"""Random networks, baseline size counters, and the comparison sweep.
+"""Random networks and the comparison sweep.
 
 All randomness flows through a splitmix64 generator so sweeps reproduce
 bit-for-bit across platforms: the 64-bit state advances by
@@ -7,10 +7,6 @@ xorshift-multiply rounds (constants 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB) followed by a final 31-bit xorshift.  Bounded draws
 take the remainder of one output, which is plenty uniform for sampling
 benchmark instances.
-
-The baseline counters reproduce the sizes of the classical probability-
-oriented encodings by formula alone; they exist so the compactness
-comparisons have a fixed reference, not as inference engines.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from typing import IO, Callable, Iterable, Protocol, Sequence
 from .circuits import PfPipeline, encode_pf
 from .cnf import CnfFormula, cnf_stats
 from .compiler import DEFAULT_NODE_BUDGET
-from .degrees import Degree, ONE, SCALE, ZERO
+from .degrees import Degree, ONE, SCALE
 from .errors import CompileBudgetError
 from .logical import LogicalPipeline, encode_logical
 from .network import (
@@ -37,7 +33,7 @@ from .network import (
     serialize_network,
 )
 from .nnf import NnfDag, nnf_stats
-from .pkb import PkbPipeline, encode_pkb, to_possibilistic_base
+from .pkb import PkbPipeline, encode_pkb
 
 MASK64 = (1 << 64) - 1
 
@@ -181,41 +177,6 @@ def random_network(cfg: GenConfig) -> PossNetwork:
     return PossNetwork("random", variables, parents, cpt)
 
 
-def baseline_counts(net: PossNetwork, scheme: str) -> dict:
-    """CNF size of the probability-style reference encodings, by formula.
-
-    circuit scheme: one indicator per value plus one parameter per entry
-    with degree outside {0,1}; clauses are the exactly-one block plus the
-    (m+2)-clause biconditional per such entry plus one hard clause per
-    degree-0 entry.  logical scheme: one proposition per instance
-    proposition plus one parameter per table entry, one clause per entry.
-    """
-    inst_props = sum(1 if len(v.domain) == 2 else len(v.domain) for v in net.variables)
-    total_values = sum(len(v.domain) for v in net.variables)
-    eo_clauses = sum(
-        1 + len(v.domain) * (len(v.domain) - 1) // 2 for v in net.variables
-    )
-    all_entries = 0
-    soft_entries = []  # (parent count,) per entry with degree outside {0,1}
-    zero_entries = 0
-    for v in net.variables:
-        m = len(net.parents[v.name])
-        for d in net.cpt[v.name].values():
-            all_entries += 1
-            if d == ZERO:
-                zero_entries += 1
-            elif d != ONE:
-                soft_entries.append(m)
-    if scheme == "circuit":
-        return {
-            "vars": total_values + len(soft_entries),
-            "clauses": eo_clauses + sum(m + 2 for m in soft_entries) + zero_entries,
-        }
-    if scheme == "logical":
-        return {"vars": inst_props + all_entries, "clauses": all_entries}
-    raise ValueError(f"unknown baseline scheme {scheme!r}")
-
-
 @dataclass
 class ComparisonRow:
     """One measured (network, method) pair of the sweep."""
@@ -257,7 +218,7 @@ class Pipeline(Protocol):
 METHODS: dict[str, tuple[Callable[..., Pipeline], Callable[..., CnfFormula]]] = {
     "pf": (PfPipeline, encode_pf),
     "logical": (LogicalPipeline, lambda net, local: encode_logical(net)),
-    "pkb": (PkbPipeline, lambda net, local: encode_pkb(to_possibilistic_base(net))),
+    "pkb": (PkbPipeline, lambda net, local: encode_pkb(net)),
 }
 """Method name -> (pipeline class, CNF encoder), in the paper's order.
 

@@ -62,15 +62,22 @@ class Level:
     weight: Degree
 
 
-def stratified_levels(f: CnfFormula) -> frozenset[int]:
-    """The stratification rule: every ``Level`` variable of ``f`` when its
-    weighted clauses (a positive level literal and no negative one, so
-    not the ladder) average at least two per level; none otherwise.
+def stratified(weighted: int, levels: int) -> bool:
+    """The stratification rule, on a base's weighted-clause and level
+    counts: its levels are stratified when the weighted clauses average at
+    least two per level.
 
     Below two per level, most level variables tag a single clause and act
     as its private relaxation literal, so a ladder through them or an
     order that decides them first would only join otherwise independent
     components."""
+    return weighted >= 2 * levels
+
+
+def stratified_levels(f: CnfFormula) -> frozenset[int]:
+    """Every ``Level`` variable of ``f`` when ``stratified`` holds for its
+    weighted clauses (a positive level literal and no negative one, so not
+    the ladder) and levels; none otherwise."""
     levels = frozenset(vid for vid, role in enumerate(f.roles, start=1) if isinstance(role, Level))
     if not levels:
         return levels
@@ -78,7 +85,7 @@ def stratified_levels(f: CnfFormula) -> frozenset[int]:
     weighted = sum(
         1 for c in f.clause_literals if not levels.isdisjoint(c) and negated.isdisjoint(c)
     )
-    return levels if weighted >= 2 * len(levels) else frozenset()
+    return levels if stratified(weighted, len(levels)) else frozenset()
 
 
 Role = Union[Instance, Indicator, Parameter, Level]

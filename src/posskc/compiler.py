@@ -20,9 +20,10 @@ itself names the variables decided before all others: the level
 variables of a stratified base (``cnf.stratified_levels``), which the
 same rule orders among themselves.  So a CNF compiles the same from a
 pipeline or from its DIMACS file.  Output DAGs are decomposable and
-deterministic by construction (every Or is a binary decision node).  A
-caller that weighs some literals 1 may name them (``weight_one``): the
-same search builds each as True, and the Ors deciding their variables
+deterministic by construction: every Or is a binary decision node, built
+with its two Ands in one ``NnfBuilder.decision`` call.  A caller that
+weighs some literals 1 may name them (``weight_one``): the same search
+has the builder build each as True, and the Ors deciding their variables
 carry no decision label.  That circuit is no d-DNNF of the CNF, but has
 its DAG's max-min value under every weight map leaving those unlisted.
 
@@ -43,7 +44,7 @@ from typing import Iterable
 
 from .cnf import CnfFormula, stratified_levels
 from .errors import CompileBudgetError
-from .nnf import FALSE, TRUE, NnfBuilder, NnfDag
+from .nnf import FALSE, NnfBuilder, NnfDag
 
 DEFAULT_NODE_BUDGET = 1_000_000
 CACHE_CAP = 500_000
@@ -119,18 +120,15 @@ def compile_cnf(
     shift = f.num_vars + 1
     low = (1 << shift) - 1
     first = clause_bits(stratified_levels(f), shift)
-    builder = NnfBuilder()
+    weight_one = tuple(weight_one)
+    builder = NnfBuilder(weight_one)
     cache: dict[ClauseSet, int] = {}
-    lit_ids = {1 << (l if l > 0 else shift - l): TRUE for l in weight_one}  # literal bit -> node id
-    unlabelled = sum(lit_ids)  # distinct bits: their sum is their union
+    unlabelled = clause_bits(weight_one, shift)
     unlabelled = (unlabelled | unlabelled >> shift) & low
 
     def literal(bit: int) -> int:
-        idx = lit_ids.get(bit)
-        if idx is None:
-            v = bit.bit_length() - 1
-            idx = lit_ids[bit] = builder.literal(v if v < shift else shift - v)
-        return idx
+        v = bit.bit_length() - 1
+        return builder.literal(v if v < shift else shift - v)
 
     def propagate(clauses: ClauseSet):
         """Unit propagation to fixpoint: (implied literal bits, canonical
@@ -187,11 +185,9 @@ def compile_cnf(
         neg = pos << shift
         hi = yield condition_set(residual, pos, neg), False
         lo = yield condition_set(residual, neg, pos), False
-        node = builder.disj(
-            [builder.conj([literal(pos), hi]), builder.conj([literal(neg), lo])],
-            decision=0 if pos & unlabelled else pos.bit_length() - 1,
-        )
-        return builder.conj(units + [node])
+        var = pos.bit_length() - 1
+        node = builder.decision(var, hi, lo, 0 if pos & unlabelled else var)
+        return builder.conj(units + [node]) if units else node
 
     start = tuple(sorted({clause_bits(lits, shift) for lits in f.clause_literals}))
     if start[:1] == (0,):

@@ -23,12 +23,12 @@ from .degrees import ZERO, Degree, complement
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 # condition, forget: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import condition, forget, pi_evaluate
-from .pkb import compile_base, encode_pkb, to_possibilistic_base
+from .pkb import compile_base, encode_pkb
 
 
 def encode_logical(net: PossNetwork) -> CnfFormula:
     """The knowledge-base CNF, whose level variables this method weighs."""
-    return encode_pkb(to_possibilistic_base(net))
+    return encode_pkb(net)
 
 
 class LogicalPipeline:

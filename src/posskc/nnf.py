@@ -74,12 +74,15 @@ class NnfBuilder:
     single-child nodes collapse to the child; duplicate children merge.
     And children are kept sorted so shared conjunctions intern to one
     node.  True and False are the fixed ids ``TRUE`` and ``FALSE``, never
-    pooled, so no node has a constant child.
+    pooled, so no node has a constant child; the literals named in
+    ``true_literals`` build as ``TRUE``.  ``decision`` builds a decision
+    node and its two Ands in one call, as ``disj`` of two ``conj`` would.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, true_literals: Iterable[int] = ()) -> None:
         self.nodes: list[Node] = []
         self._intern: dict[Node, int] = {}
+        self._literals: dict[int, int] = dict.fromkeys(true_literals, TRUE)
 
     def _make(self, node: Node) -> int:
         idx = self._intern.get(node)
@@ -89,9 +92,12 @@ class NnfBuilder:
         return idx
 
     def literal(self, lit: int) -> int:
-        if lit == 0:
-            raise ValueError("0 is not a literal")
-        return self._make(("L", lit, ()))
+        idx = self._literals.get(lit)
+        if idx is None:
+            if lit == 0:
+                raise ValueError("0 is not a literal")
+            idx = self._literals[lit] = self._make(("L", lit, ()))
+        return idx
 
     def conj(self, children: Iterable[int]) -> int:
         kids = set(children)
@@ -110,6 +116,30 @@ class NnfBuilder:
         if len(kids) > 1:
             return self._make(("O", decision, tuple(sorted(kids))))
         return kids.pop() if kids else FALSE
+
+    def decision(self, var: int, hi: int, lo: int, label: int) -> int:
+        """The decision on ``var``: ``disj([conj([literal(var), hi]),
+        conj([literal(-var), lo])], label)``, built from the two pairs
+        directly, in that order, under the same folding rules."""
+        a = self._pair(self.literal(var), hi)
+        b = self._pair(self.literal(-var), lo)
+        if a == TRUE or b == TRUE:
+            return TRUE
+        if b == FALSE or a == b:
+            return a
+        if a == FALSE:
+            return b
+        return self._make(("O", label, (a, b) if a < b else (b, a)))
+
+    def _pair(self, x: int, y: int) -> int:
+        """``conj([x, y])``."""
+        if x == FALSE or y == FALSE:
+            return FALSE
+        if x == TRUE or x == y:
+            return y
+        if y == TRUE:
+            return x
+        return self._make(("A", 0, (x, y) if x < y else (y, x)))
 
     def freeze(self, root: int, num_vars: int) -> NnfDag:
         """Compact to the nodes reachable from root, preserving order; a

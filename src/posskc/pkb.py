@@ -3,9 +3,11 @@
 Every table entry with degree below 1 becomes a weighted clause (negate
 the entry's value and its parent values) whose weight is one minus the
 degree; the resulting base induces the same joint distribution as the
-network.  The base compiles to CNF by tagging each weighted clause with
-a level variable shared by all clauses of equal weight, and queries run
-level by level on the compiled DAG.  The logical method reads the same
+network.  Its CNF tags each weighted clause with a level variable shared
+by all clauses of equal weight, and is written from one walk over the
+tables (``encode_pkb``) without building the base, which only
+``serialize_base``, ``pi_sigma`` and a pipeline's ``base`` read.  Queries
+run level by level on the compiled DAG.  The logical method reads the same
 compiled base, memoised per network (``compile_base``), and weighs its
 level variables instead.  The memo keeps only what queries read: the
 instance map, the level variables and the DAG; a pipeline's ``base``
@@ -18,21 +20,22 @@ Each step is one entailment pass over the compiled DAG, with the active
 level variables added to the checked clause; the DAG is never rebuilt.
 
 When the levels span several clauses each (a stratified base,
-``cnf.stratified_levels``), the CNF also chains the level variables into
-a ladder, strongest first, and the compiler, reading the same rule off
-the CNF, decides them before any instance variable, so each branch
-leaves a hard instance CNF that splits along the network.
+``cnf.stratified``), the CNF also chains the level variables into a
+ladder, strongest first, and the compiler, reading the same rule off the
+CNF (``cnf.stratified_levels``), decides them before any instance
+variable, so each branch leaves a hard instance CNF that splits along
+the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .cnf import Clause, CnfFormula, Level, stratified_levels
+from .cnf import Clause, CnfFormula, Level, stratified
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import SCALE, Degree, ONE, ZERO, complement, parse_degree
+from .degrees import SCALE, Degree, ONE, ZERO, complement
 from .encodings import InstanceMap
-from .errors import DegreeError, FormatError
 from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, condition, entails_clause, is_consistent
@@ -69,22 +72,26 @@ class PossibilisticBase:
         self.levels = tuple(levels[num] for num in sorted(levels, reverse=True))
 
 
-def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
-    """Transform a network into its equivalent possibilistic base."""
-    imap = InstanceMap(net)
-    literal = imap.literal
-    formulas: list[WeightedFormula] = []
+def _table_clauses(imap: InstanceMap) -> Iterator[tuple[list[int], Degree]]:
+    """Each table entry of degree below 1, in table order: its clause's
+    literals (the entry's value and parent values, negated) and its degree."""
+    net, literal = imap.net, imap.literal
     for v in net.variables:
         pnames = net.parents[v.name]
         table = net.cpt[v.name]
+        own = [(val, -literal(v.name, val)) for val in v.domain]
         for cfg in net.parent_configs(v.name):
             neg_parents = [-literal(p, pv) for p, pv in zip(pnames, cfg)]
-            for val in v.domain:
+            for val, lit in own:
                 d = table[(val, cfg)]
-                if d.num == SCALE:
-                    continue
-                clause = Clause([-literal(v.name, val), *neg_parents])
-                formulas.append(WeightedFormula(clause, complement(d)))
+                if d.num != SCALE:
+                    yield [lit, *neg_parents], d
+
+
+def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
+    """Transform a network into its equivalent possibilistic base."""
+    imap = InstanceMap(net)
+    formulas = (WeightedFormula(Clause(lits), complement(d)) for lits, d in _table_clauses(imap))
     return PossibilisticBase(tuple(formulas), imap)
 
 
@@ -105,31 +112,37 @@ def pi_sigma(base: PossibilisticBase, w: World) -> Degree:
     return ONE if worst is None else complement(worst)
 
 
-def encode_pkb(base: PossibilisticBase) -> CnfFormula:
-    """Level-variable CNF of the base: the instance propositions, then one
-    level variable per distinct sub-1 weight, ranked by descending weight.
-    Each weighted clause is disjoined with its weight's level variable,
-    hard clauses pass through, and exactly-one clauses append as hard
-    ones.
+def encode_pkb(net: PossNetwork) -> CnfFormula:
+    """Level-variable CNF of the network's base: the instance propositions,
+    then one level variable per distinct sub-1 weight, ranked by
+    descending weight.  Each weighted clause is disjoined with its
+    weight's level variable, hard clauses pass through, and exactly-one
+    clauses append as hard ones.  One walk over the tables
+    (``_table_clauses``) gives the clauses; no base is built.
 
-    A stratified base (``cnf.stratified_levels``) also gets the ladder:
-    one hard clause (-A_i, A_i+1) per pair of adjacent ranks, so relaxing
-    a stratum relaxes every weaker one.  Answers stay the same, since an
-    optimal model of either query procedure can set every weaker level
-    true, and only L + 1 of the 2^L level assignments remain."""
+    A stratified base (``cnf.stratified``, on the weighted-clause and
+    level counts the walk gives) also gets the ladder: one hard clause
+    (-A_i, A_i+1) per pair of adjacent ranks, so relaxing a stratum
+    relaxes every weaker one.  Answers stay the same, since an optimal
+    model of either query procedure can set every weaker level true, and
+    only L + 1 of the 2^L level assignments remain."""
+    imap = InstanceMap(net)
+    clauses = list(_table_clauses(imap))
     f = CnfFormula()
-    for role in base.imap.roles:
+    for role in imap.roles:
         f.new_var(role)
-    level = {w.num: f.new_var(Level(rank, w)) for rank, w in enumerate(base.levels, start=1)}
-    for wf in base.formulas:
-        num = wf.weight.num
-        if num == SCALE:
-            f.add_clause(wf.clause)
-        else:
-            f.add_clause([*wf.clause.literals, level[num]])
-    for c in base.imap.exactly_one_clauses():
+    # keyed and sorted by numerator: ints hash and compare faster than Degrees
+    degrees = sorted({d.num: d for _, d in clauses if d.num}.items())
+    level = {num: f.new_var(Level(rank, complement(d))) for rank, (num, d) in enumerate(degrees, 1)}
+    weighted = 0
+    for lits, d in clauses:
+        if d.num:
+            lits.append(level[d.num])
+            weighted += 1
+        f.add_clause(lits)
+    for c in imap.exactly_one_clauses():
         f.add_clause(c)
-    if stratified_levels(f):
+    if stratified(weighted, len(level)):
         ranked = list(level.values())
         for stronger, weaker in zip(ranked, ranked[1:]):
             f.add_clause([-stronger, weaker])
@@ -141,13 +154,12 @@ def compile_base(
 ) -> tuple[InstanceMap, tuple[tuple[int, Degree], ...], NnfDag]:
     """The network's compiled base as (instance map, ``level_vars`` of its
     CNF, DAG), memoised on the network as (node budget, that triple).
-    The base and its CNF are dropped once compiled; a budget failure
-    stores nothing."""
+    The CNF is encoded straight from the network (``encode_pkb``) and
+    dropped once compiled; a budget failure stores nothing."""
     held, compiled = net.compiled_base or (None, None)
     if held != node_budget:
-        base = to_possibilistic_base(net)
-        cnf = encode_pkb(base)
-        compiled = (base.imap, level_vars(cnf), compile_cnf(cnf, node_budget=node_budget))
+        cnf = encode_pkb(net)
+        compiled = (InstanceMap(net), level_vars(cnf), compile_cnf(cnf, node_budget=node_budget))
         net.compiled_base = (node_budget, compiled)
     return compiled
 
@@ -184,43 +196,6 @@ def serialize_base(base: PossibilisticBase) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
-    """Parse the base serialization against a known network."""
-    imap = InstanceMap(net)
-    formulas: list[WeightedFormula] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs, sep, rhs = line.rpartition(":")
-        if not sep:
-            raise FormatError(f"missing ':' separator: {line!r}", ln)
-        try:
-            weight = parse_degree(rhs.strip())
-        except DegreeError as exc:
-            raise FormatError(f"bad weight: {exc}", ln) from exc
-        lits: list[int] = []
-        for tok in lhs.split():
-            negated = tok.startswith("!")
-            body = tok[1:] if negated else tok
-            var, sep2, val = body.partition("=")
-            if not sep2:
-                raise FormatError(f"bad literal token {tok!r}", ln)
-            try:
-                lit = imap.literal(var, val)
-            except KeyError as exc:
-                raise FormatError(f"unknown literal {tok!r}", ln) from exc
-            lits.append(-lit if negated else lit)
-        clause = Clause(lits)
-        if clause.is_tautology():
-            raise FormatError(f"tautological clause {lhs.strip()!r}", ln)
-        try:
-            formulas.append(WeightedFormula(clause, weight))
-        except ValueError as exc:
-            raise FormatError(str(exc), ln) from exc
-    return PossibilisticBase(tuple(formulas), imap)
-
-
 class PkbPipeline:
     """Read the network's compiled base; query level by level.
 
@@ -239,7 +214,7 @@ class PkbPipeline:
 
     @property
     def cnf(self) -> CnfFormula:
-        return encode_pkb(self.base)
+        return encode_pkb(self.net)
 
     def evidence_stratum(self, e: EventTerm) -> int:
         """The stratum whose activation refutes the evidence: 0 when the

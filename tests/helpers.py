@@ -8,7 +8,14 @@ queries the rebuilding way (condition, forget, then a boolean or max-min
 pass over the new DAG), as a cross-check of the one-pass query kernel.
 The union-find component split is the reference for the compiler's
 split, and a generator-per-node max-min pass is the reference for the
-map-driven ``pi_evaluate``.
+map-driven ``pi_evaluate``.  ``reference_kb_cnf`` encodes a
+possibilistic base formula by formula, the reference for
+``encode_pkb``'s one table walk.
+
+Two fixtures live here because only the tests read them:
+``baseline_counts``, the sizes of the probability-style reference
+encodings, and ``parse_base``, the reader of ``serialize_base``'s text,
+which tests use to hand-write bases and to round-trip the writer.
 """
 
 from __future__ import annotations
@@ -16,11 +23,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from posskc.cnf import Clause, CnfFormula
-from posskc.degrees import ONE, SCALE, ZERO, Degree, complement
-from posskc.errors import SizeGuardError
-from posskc.network import check_event, conflicts
+from posskc.cnf import Clause, CnfFormula, Level, stratified_levels
+from posskc.degrees import ONE, SCALE, ZERO, Degree, complement, parse_degree
+from posskc.encodings import InstanceMap
+from posskc.errors import DegreeError, FormatError, SizeGuardError
+from posskc.network import PossNetwork, check_event, conflicts
 from posskc.nnf import condition, forget, pi_evaluate
+from posskc.pkb import PossibilisticBase, WeightedFormula
 
 
 def all_assignments(n: int):
@@ -272,3 +281,100 @@ def reference_query_detail(kb, x, e):
         if _rebuild_entails(condition(k, e_lits), not_x):
             return complement(weight), iterations
     return ONE, iterations
+
+
+def reference_kb_cnf(base: PossibilisticBase) -> CnfFormula:
+    """The knowledge-base CNF built formula by formula from a base: the
+    instance propositions, one level variable per distinct sub-1 weight
+    by descending weight, each weighted clause with its level variable,
+    the hard clauses, the exactly-one clauses, and the ladder when
+    ``stratified_levels`` reads the formula as stratified."""
+    f = CnfFormula()
+    for role in base.imap.roles:
+        f.new_var(role)
+    level = {w.num: f.new_var(Level(rank, w)) for rank, w in enumerate(base.levels, start=1)}
+    for wf in base.formulas:
+        num = wf.weight.num
+        if num == SCALE:
+            f.add_clause(wf.clause)
+        else:
+            f.add_clause([*wf.clause.literals, level[num]])
+    for c in base.imap.exactly_one_clauses():
+        f.add_clause(c)
+    if stratified_levels(f):
+        ranked = list(level.values())
+        for stronger, weaker in zip(ranked, ranked[1:]):
+            f.add_clause([-stronger, weaker])
+    return f
+
+
+def baseline_counts(net: PossNetwork, scheme: str) -> dict:
+    """CNF size of the probability-style reference encodings, by formula.
+
+    circuit scheme: one indicator per value plus one parameter per entry
+    with degree outside {0,1}; clauses are the exactly-one block plus the
+    (m+2)-clause biconditional per such entry plus one hard clause per
+    degree-0 entry.  logical scheme: one proposition per instance
+    proposition plus one parameter per table entry, one clause per entry.
+    """
+    inst_props = sum(1 if len(v.domain) == 2 else len(v.domain) for v in net.variables)
+    total_values = sum(len(v.domain) for v in net.variables)
+    eo_clauses = sum(
+        1 + len(v.domain) * (len(v.domain) - 1) // 2 for v in net.variables
+    )
+    all_entries = 0
+    soft_entries = []  # (parent count,) per entry with degree outside {0,1}
+    zero_entries = 0
+    for v in net.variables:
+        m = len(net.parents[v.name])
+        for d in net.cpt[v.name].values():
+            all_entries += 1
+            if d == ZERO:
+                zero_entries += 1
+            elif d != ONE:
+                soft_entries.append(m)
+    if scheme == "circuit":
+        return {
+            "vars": total_values + len(soft_entries),
+            "clauses": eo_clauses + sum(m + 2 for m in soft_entries) + zero_entries,
+        }
+    if scheme == "logical":
+        return {"vars": inst_props + all_entries, "clauses": all_entries}
+    raise ValueError(f"unknown baseline scheme {scheme!r}")
+
+
+def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
+    """Parse the base serialization against a known network."""
+    imap = InstanceMap(net)
+    formulas: list[WeightedFormula] = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        lhs, sep, rhs = line.rpartition(":")
+        if not sep:
+            raise FormatError(f"missing ':' separator: {line!r}", ln)
+        try:
+            weight = parse_degree(rhs.strip())
+        except DegreeError as exc:
+            raise FormatError(f"bad weight: {exc}", ln) from exc
+        lits: list[int] = []
+        for tok in lhs.split():
+            negated = tok.startswith("!")
+            body = tok[1:] if negated else tok
+            var, sep2, val = body.partition("=")
+            if not sep2:
+                raise FormatError(f"bad literal token {tok!r}", ln)
+            try:
+                lit = imap.literal(var, val)
+            except KeyError as exc:
+                raise FormatError(f"unknown literal {tok!r}", ln) from exc
+            lits.append(-lit if negated else lit)
+        clause = Clause(lits)
+        if clause.is_tautology():
+            raise FormatError(f"tautological clause {lhs.strip()!r}", ln)
+        try:
+            formulas.append(WeightedFormula(clause, weight))
+        except ValueError as exc:
+            raise FormatError(str(exc), ln) from exc
+    return PossibilisticBase(tuple(formulas), imap)

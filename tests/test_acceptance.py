@@ -13,7 +13,6 @@ import time
 
 from posskc.bench import (
     GenConfig,
-    baseline_counts,
     cross_validate,
     default_query,
     random_network,
@@ -36,6 +35,7 @@ from posskc.nnf import (
 from posskc.pkb import PkbPipeline, encode_pkb, pi_sigma, to_possibilistic_base
 
 from helpers import (
+    baseline_counts,
     conditioned_models,
     dag_model_mask,
     dag_model_set,
@@ -108,7 +108,7 @@ def test_criterion_3_encoding_size_laws(acceptance_log):
         net = random_network(GenConfig(n_nodes=n, max_parents=3, seed=9000 + i))
         pf = cnf_stats(encode_pf(net, local_structure=True))
         lg = cnf_stats(encode_logical(net))
-        kb = cnf_stats(encode_pkb(to_possibilistic_base(net)))
+        kb = cnf_stats(encode_pkb(net))
         circuit_base = baseline_counts(net, "circuit")
         logical_base = baseline_counts(net, "logical")
         equal_kb_logical += kb == lg

@@ -15,7 +15,6 @@ from posskc.bench import (
     GenConfig,
     SplitMix64,
     aggregate_means,
-    baseline_counts,
     compare_network,
     cross_validate,
     default_query,
@@ -27,7 +26,9 @@ from posskc.circuits import encode_pf
 from posskc.cnf import cnf_stats
 from posskc.degrees import ONE, SCALE, ZERO, Degree, parse_degree
 from posskc.network import parse_network, serialize_network
-from posskc.pkb import encode_pkb, to_possibilistic_base
+from posskc.pkb import encode_pkb
+
+from helpers import baseline_counts
 
 D = parse_degree
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,7 +190,7 @@ class TestSizeOrdering:
         for seed in range(8):
             net = random_network(GenConfig(n_nodes=7, seed=100 + seed))
             pf = cnf_stats(encode_pf(net, local_structure=True))
-            kb = cnf_stats(encode_pkb(to_possibilistic_base(net)))
+            kb = cnf_stats(encode_pkb(net))
             assert kb["vars"] < pf["vars"]
             assert kb["clauses"] < pf["clauses"]
 

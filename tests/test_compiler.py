@@ -35,7 +35,7 @@ from posskc.nnf import (
     structural_properties,
     write_nnf,
 )
-from posskc.pkb import PkbPipeline, encode_pkb, level_vars, to_possibilistic_base
+from posskc.pkb import PkbPipeline, encode_pkb, level_vars
 
 from helpers import (
     dag_model_mask,
@@ -311,7 +311,7 @@ class TestSameSearch:
     def test_dag_sizes(self, name, alarm):
         net = self.network(name, alarm)
         pf_cnf = encode_pf(net, True)
-        pkb_cnf = encode_pkb(to_possibilistic_base(net))
+        pkb_cnf = encode_pkb(net)
         assert bool(stratified_levels(pkb_cnf)) == name.startswith("nine")
         stats = [nnf_stats(compile_cnf(f)) for f in (pf_cnf, pkb_cnf)]
         assert tuple((s["nodes"], s["edges"]) for s in stats) == self.SIZES[name]
@@ -339,7 +339,7 @@ class TestSameSearch:
         ones."""
         net = self.network(name, alarm)
         cnfs = (encode_pf(net, True), encode_pf(net, False),
-                encode_pkb(to_possibilistic_base(net)))
+                encode_pkb(net))
         digests = tuple(hashlib.sha256(to_dimacs(f).encode()).hexdigest()[:16] for f in cnfs)
         assert digests == self.DIMACS[name]
 
@@ -365,7 +365,7 @@ class TestSameSearch:
         hashes were recorded."""
         net = self.network(name, alarm)
         cnfs = (encode_pf(net, True), encode_pf(net, False),
-                encode_pkb(to_possibilistic_base(net)))
+                encode_pkb(net))
         digests = tuple(
             hashlib.sha256(write_nnf(compile_cnf(f)).encode()).hexdigest()[:16] for f in cnfs
         )
@@ -430,13 +430,24 @@ class TestBudget:
         with pytest.raises(CompileBudgetError):
             compile_cnf(f, node_budget=3)
 
-    @pytest.mark.parametrize("case, pool", [("chain", 58), ("pf-local", 47), ("pf-plain", 71)])
+    @pytest.mark.parametrize(
+        "case, pool",
+        [("chain", 58), ("pf-local", 47), ("pf-plain", 71), ("kb-alarm", 27), ("kb-nine", 275)],
+    )
     def test_smallest_budget_is_the_pool_size(self, alarm, case, pool):
         """A budget bounds the pool, unreachable nodes included and the
         constants excluded, so the smallest budget that compiles is the
-        final pool size wherever the check runs."""
+        final pool size wherever the check runs.  The kb cases are the
+        alarm base and a stratified base on the nine-level scale."""
         if case == "chain":
             f = formula(12, [[i, i + 1] for i in range(1, 12)])
+        elif case == "kb-alarm":
+            f = encode_pkb(alarm)
+        elif case == "kb-nine":
+            f = encode_pkb(random_network(
+                GenConfig(n_nodes=8, seed=1, binary_only=False, degree_pool=even_pool(9))
+            ))
+            assert stratified_levels(f)
         else:
             f = encode_pf(alarm, case == "pf-local")
         compile_cnf(f, node_budget=pool)

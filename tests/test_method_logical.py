@@ -13,7 +13,9 @@ from posskc.network import (
     oracle_conditional,
     parse_network,
 )
-from posskc.pkb import encode_pkb, to_possibilistic_base
+from posskc.pkb import encode_pkb
+
+from helpers import baseline_counts
 
 D = parse_degree
 
@@ -156,7 +158,7 @@ class TestQueryLogical:
 
 class TestSizeParity:
     def test_same_counts_as_base_encoding_on_example(self, alarm):
-        kb_cnf = encode_pkb(to_possibilistic_base(alarm))
+        kb_cnf = encode_pkb(alarm)
         assert cnf_stats(encode_logical(alarm)) == cnf_stats(kb_cnf)
 
     def test_same_counts_as_base_encoding_random(self):
@@ -164,12 +166,10 @@ class TestSizeParity:
             6, 6, seed=311, binary_only=False
         ):
             assert cnf_stats(encode_logical(net)) == cnf_stats(
-                encode_pkb(to_possibilistic_base(net))
+                encode_pkb(net)
             )
 
     def test_never_larger_than_entrywise_baseline(self):
-        from posskc.bench import baseline_counts
-
         for net in small_nets(10, 8, seed=401):
             got = cnf_stats(encode_logical(net))
             base = baseline_counts(net, "logical")
@@ -177,8 +177,6 @@ class TestSizeParity:
             assert got["clauses"] <= base["clauses"]
 
     def test_strictly_smaller_on_example(self, alarm):
-        from posskc.bench import baseline_counts
-
         got = cnf_stats(encode_logical(alarm))
         base = baseline_counts(alarm, "logical")
         assert got["vars"] < base["vars"]
@@ -198,4 +196,4 @@ class TestSizeParity:
             nets.append(random_network(cfg))
         assert len(nets) == 29
         for net in nets:
-            assert encode_logical(net) == encode_pkb(to_possibilistic_base(net))
+            assert encode_logical(net) == encode_pkb(net)

@@ -21,6 +21,8 @@ from posskc.network import (
 )
 from posskc.nnf import pi_evaluate
 
+from helpers import baseline_counts
+
 D = parse_degree
 
 
@@ -234,8 +236,6 @@ class TestQueryPf:
 
 class TestEncodingSizeBound:
     def test_local_never_larger_than_plain_circuit_baseline(self):
-        from posskc.bench import baseline_counts
-
         for net in small_nets(12, 8, seed=23):
             cnf = encode_pf(net, local_structure=True)
             base = baseline_counts(net, "circuit")
@@ -247,8 +247,6 @@ class TestEncodingSizeBound:
             assert got["clauses"] < base["clauses"]
 
     def test_equality_when_every_degree_is_zero_or_one(self):
-        from posskc.bench import baseline_counts
-
         net = parse_network(
             "network b\nvar X x1 x2\nvar Y y1 y2\nparents Y X\n"
             "cpt X\nx1 : 1\nx2 : 1\n"

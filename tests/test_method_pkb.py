@@ -5,6 +5,7 @@ import pytest
 
 from posskc import pkb
 from posskc.bench import (
+    FINE_POOL_SIZE,
     GenConfig,
     SplitMix64,
     compare_network,
@@ -12,12 +13,21 @@ from posskc.bench import (
     even_pool,
     random_network,
 )
-from posskc.cnf import Clause, CnfFormula, Instance, Level, cnf_stats, stratified_levels
+from posskc.cnf import (
+    Clause,
+    CnfFormula,
+    Instance,
+    Level,
+    cnf_stats,
+    stratified_levels,
+    to_dimacs,
+)
 from posskc.compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from posskc.degrees import ONE, ZERO, complement, parse_degree
 from posskc.errors import CompileBudgetError, FormatError
 from posskc.logical import LogicalPipeline
 from posskc.network import (
+    PossNetwork,
     chain_rule_joint,
     enumerate_worlds,
     oracle_conditional,
@@ -31,13 +41,12 @@ from posskc.pkb import (
     compile_base,
     encode_pkb,
     level_vars,
-    parse_base,
     pi_sigma,
     serialize_base,
     to_possibilistic_base,
 )
 
-from helpers import reference_query_detail
+from helpers import parse_base, reference_kb_cnf, reference_query_detail
 
 D = parse_degree
 
@@ -131,13 +140,61 @@ class TestPiSigma:
         assert pi_sigma(base, {"X": "x2"}) == ONE
 
 
+def with_zero_entries(net: PossNetwork) -> PossNetwork:
+    """The network with every entry of its smallest degree set to 0."""
+    smallest = min(d for table in net.cpt.values() for d in table.values())
+    cpt = {
+        name: {key: ZERO if d == smallest else d for key, d in table.items()}
+        for name, table in net.cpt.items()
+    }
+    return PossNetwork(net.name, net.variables, net.parents, cpt)
+
+
+class TestWalkMatchesBaseRoute:
+    """``encode_pkb``'s one table walk writes the CNF text that the
+    formula-by-formula reference writes from the network's base."""
+
+    @staticmethod
+    def same_text(net: PossNetwork) -> bool:
+        reference = reference_kb_cnf(to_possibilistic_base(net))
+        assert to_dimacs(encode_pkb(net)) == to_dimacs(reference)
+        return bool(stratified_levels(reference))
+
+    def test_alarm(self, alarm):
+        assert not self.same_text(alarm)
+
+    @pytest.mark.parametrize("degrees", [FINE_POOL_SIZE, 1, 3, 9])
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_random_networks_with_and_without_zero_entries(self, degrees, binary_only):
+        """On the 1-degree pool every base is stratified, with one level
+        and no ladder clause; on the fine pool none is."""
+        stratified = []
+        for i in range(8):
+            net = random_network(
+                GenConfig(
+                    n_nodes=4 + i,
+                    max_parents=2 if binary_only else 3,
+                    degree_pool=even_pool(degrees),
+                    seed=4100 + i,
+                    binary_only=binary_only,
+                )
+            )
+            zeros = with_zero_entries(net)
+            assert any(d.num == 0 for table in zeros.cpt.values() for d in table.values())
+            stratified += [self.same_text(net), self.same_text(zeros)]
+        if degrees == 1:
+            assert all(stratified[::2])
+        if degrees == FINE_POOL_SIZE:
+            assert not any(stratified)
+
+
 class TestEncodePkb:
     def test_example_counts(self, alarm):
-        cnf = encode_pkb(to_possibilistic_base(alarm))
+        cnf = encode_pkb(alarm)
         assert cnf_stats(cnf) == {"vars": 7, "clauses": 6}
 
     def test_level_variables_ranked_by_descending_weight(self, alarm):
-        cnf = encode_pkb(to_possibilistic_base(alarm))
+        cnf = encode_pkb(alarm)
         ids = range(1, cnf.num_vars + 1)
         levels = [(vid, r) for vid, r in zip(ids, cnf.roles) if isinstance(r, Level)]
         assert [(r.rank, r.weight) for _, r in levels] == [
@@ -152,7 +209,7 @@ class TestEncodePkb:
 
     def test_weighted_clause_carries_its_level_literal(self, alarm):
         base = to_possibilistic_base(alarm)
-        cnf = encode_pkb(base)
+        cnf = encode_pkb(alarm)
         by_weight = {
             r.weight: vid for vid, r in enumerate(cnf.roles, start=1) if isinstance(r, Level)
         }
@@ -161,14 +218,14 @@ class TestEncodePkb:
 
     def test_hard_formula_kept_verbatim(self):
         net = parse_network("network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0")
-        cnf = encode_pkb(to_possibilistic_base(net))
+        cnf = encode_pkb(net)
         assert cnf_stats(cnf) == {"vars": 1, "clauses": 1}
         assert cnf.clause_literals[0] == (1,)
         assert not any(isinstance(r, Level) for r in cnf.roles)
 
     def test_empty_base_empty_cnf(self):
         net = parse_network("network u\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 1")
-        cnf = encode_pkb(to_possibilistic_base(net))
+        cnf = encode_pkb(net)
         assert cnf_stats(cnf) == {"vars": 1, "clauses": 0}
 
 
@@ -342,33 +399,34 @@ class TestStratifiedLadder:
     average two or more per level."""
 
     @staticmethod
-    def assert_no_ladder(base: PossibilisticBase) -> None:
-        cnf = encode_pkb(base)
+    def assert_no_ladder(net) -> None:
+        base = to_possibilistic_base(net)
+        cnf = encode_pkb(net)
         assert stratified_levels(cnf) == frozenset()
         assert cnf.num_clauses == len(base.formulas) + len(base.imap.exactly_one_clauses())
 
     def test_alarm_gets_no_ladder(self, alarm):
         base = to_possibilistic_base(alarm)
         assert (len(base.levels), len(base.formulas)) == (4, 6)
-        self.assert_no_ladder(base)
+        self.assert_no_ladder(alarm)
 
     def test_fine_pool_acceptance_networks_get_no_ladder(self):
         """The networks of acceptance criteria 3 and 4 (default pool)."""
         for i in range(100):
             net = random_network(GenConfig(n_nodes=10 + (i * 40) // 99, seed=9000 + i))
-            self.assert_no_ladder(to_possibilistic_base(net))
+            self.assert_no_ladder(net)
         seeder = SplitMix64(2024)
         for n in (10, 20, 30, 40, 50):
             for _ in range(20):
                 net = random_network(GenConfig(n_nodes=n, seed=seeder.next_u64()))
-                self.assert_no_ladder(to_possibilistic_base(net))
+                self.assert_no_ladder(net)
 
     def test_nine_degree_network_gets_ladder_after_exactly_one_block(self):
         net = random_network(
             GenConfig(n_nodes=10, max_parents=2, degree_pool=even_pool(9), seed=77, binary_only=False)
         )
         base = to_possibilistic_base(net)
-        cnf = encode_pkb(base)
+        cnf = encode_pkb(net)
         ranked = [vid for vid, _ in level_vars(cnf)]
         exactly_one = [Clause(c).literals for c in base.imap.exactly_one_clauses()]
         assert exactly_one
@@ -386,7 +444,7 @@ class TestStratifiedLadder:
         nets = [
             net
             for net in nine_degree_nets(binary_only)
-            if stratified_levels(encode_pkb(to_possibilistic_base(net)))
+            if stratified_levels(encode_pkb(net))
         ]
         assert len(nets) >= 6
         for net in nets:
@@ -440,7 +498,7 @@ class TestCompiledBaseMemo:
         net = parse_network(alarm_text)
         imap, levels, dag = compile_base(net, DEFAULT_NODE_BUDGET)
         base = to_possibilistic_base(net)
-        cnf = encode_pkb(base)
+        cnf = encode_pkb(net)
         assert imap.roles == base.imap.roles
         assert levels == level_vars(cnf)
         assert write_nnf(dag) == write_nnf(compile_cnf(cnf))

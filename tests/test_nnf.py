@@ -67,6 +67,29 @@ class TestBuilder:
         a2 = b.conj([b.literal(2), b.literal(1)])
         assert a1 == a2
 
+    @pytest.mark.parametrize("true_literals", [(), (-1,), (1,)], ids=["none", "neg", "pos"])
+    def test_decision_is_the_disj_of_two_conjs(self, true_literals):
+        """``decision`` returns the id, and leaves the pool node for node
+        in the order, that the general ``disj``/``conj`` calls give, for
+        every mix of constant, equal and distinct children in both
+        orders; a negative literal built as True is the pf circuit's
+        case."""
+        def child(b, kind):
+            return {"T": TRUE, "F": FALSE}[kind] if isinstance(kind, str) else b.literal(kind)
+
+        for label in (0, 1):
+            for hi, lo in product(("T", "F", 2, -3, 1, -1), repeat=2):
+                got, want = NnfBuilder(true_literals), NnfBuilder(true_literals)
+                kids = [(child(b, hi), child(b, lo)) for b in (got, want)]
+                assert kids[0] == kids[1]
+                b_hi, b_lo = kids[0]
+                node = got.decision(1, b_hi, b_lo, label)
+                ref = want.disj(
+                    [want.conj([want.literal(1), b_hi]), want.conj([want.literal(-1), b_lo])],
+                    label,
+                )
+                assert (node, got.nodes) == (ref, want.nodes)
+
     def test_freeze_drops_unreachable(self):
         b = NnfBuilder()
         b.conj([b.literal(1), b.literal(2)])

@@ -48,7 +48,7 @@ def _multivalued():
         GenConfig(n_nodes=8, degree_pool=even_pool(9), seed=5, binary_only=False)
     )
     assert any(len(v.domain) > 2 for v in net.variables)
-    assert stratified_levels(encode_pkb(to_possibilistic_base(net)))
+    assert stratified_levels(encode_pkb(net))
     return net
 
 
@@ -93,5 +93,5 @@ def test_logical_and_pkb_cnf_and_base_are_the_encoders(net):
     logical, kb = LogicalPipeline(net), PkbPipeline(net)
     base = to_possibilistic_base(net)
     assert to_dimacs(logical.cnf) == to_dimacs(encode_logical(net))
-    assert to_dimacs(kb.cnf) == to_dimacs(encode_pkb(base))
+    assert to_dimacs(kb.cnf) == to_dimacs(encode_pkb(net))
     assert serialize_base(kb.base) == serialize_base(base)
