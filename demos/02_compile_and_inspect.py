@@ -9,7 +9,6 @@ evaluation, and clause entailment against the compiled knowledge base.
 from pathlib import Path
 
 from posskc import (
-    Clause,
     LogicalPipeline,
     PkbPipeline,
     cnf_stats,
@@ -70,10 +69,10 @@ def main() -> None:
 
     print("=== entailment on the compiled base ===")
     print("  does the base force d2 once the strongest stratum is active?")
-    print(f"    entails (A1 or d2): {entails_clause(kb.dag, Clause([a1, -d1_lit]))}")
+    print(f"    entails (A1 or d2): {entails_clause(kb.dag, [a1, -d1_lit])}")
     print("  switch off the two strongest strata and assert d1:")
     conditioned = condition(kb.dag, [-a1, -a2, d1_lit])
-    print(f"    now entails f1: {entails_clause(conditioned, Clause([f1_lit]))}")
+    print(f"    now entails f1: {entails_clause(conditioned, [f1_lit])}")
     print()
 
     print("=== condition / forget / evaluate, step by step ===")

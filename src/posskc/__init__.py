@@ -19,7 +19,7 @@ from .bench import (
     run_comparison,
 )
 from .circuits import PfPipeline, encode_pf, indicator_weights
-from .cnf import Clause, CnfFormula, cnf_stats, parse_dimacs, to_dimacs
+from .cnf import CnfFormula, cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement, min_condition, parse_degree
 from .errors import (
@@ -60,7 +60,6 @@ from .nnf import (
 from .pkb import (
     PkbPipeline,
     PossibilisticBase,
-    WeightedFormula,
     encode_pkb,
     pi_sigma,
     serialize_base,

@@ -16,7 +16,9 @@ Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
 exploits structure: degree-1 entries vanish, degree-0 entries become
 hard clauses, and the remaining entries share one parameter per distinct
-degree within each variable's table, linked by a single clause.
+degree within each variable's table, linked by a single clause.  Both
+read the entries from the walk the kb encoder also reads
+(``encodings.table_entries``), over the indicators.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ZERO
+from .encodings import table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 from .nnf import NnfDag, WeightMap, pi_evaluate
 
@@ -32,14 +35,14 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
     """CNF encoding of the possibilistic function.
 
     Indicator block per variable: ``cnf.exactly_one`` over its
-    indicators.  Entry clauses follow table order; see the module
+    indicators.  Entry clauses follow table order, and a plain-mode
+    parameter is registered as its entry is walked; see the module
     docstring for the two modes.
     """
     f = CnfFormula()
-    indicators: dict = {}
-    for v in net.variables:
-        for val in v.domain:
-            indicators[(v.name, val)] = f.new_var(Indicator(v.name, val))
+    indicators = {
+        (v.name, x): f.new_var(Indicator(v.name, x)) for v in net.variables for x in v.domain
+    }
 
     theta_ids: dict = {}
     if local_structure:
@@ -49,39 +52,21 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
             degrees = {d.num: d for d in net.cpt[v.name].values() if 0 < d.num < SCALE}
             for num, d in sorted(degrees.items(), reverse=True):
                 theta_ids[(v.name, num)] = f.new_var(Parameter(v.name, d))
-    else:
-        for v in net.variables:
-            for cfg in net.parent_configs(v.name):
-                for val in v.domain:
-                    d = net.cpt[v.name][(val, cfg)]
-                    owner = f"{v.name}={val}|{','.join(cfg)}"
-                    theta_ids[(v.name, val, cfg)] = f.new_var(Parameter(owner, d))
 
     for v in net.variables:
         for c in exactly_one([indicators[(v.name, val)] for val in v.domain]):
             f.add_clause(c)
 
-    for v in net.variables:
-        pnames = net.parents[v.name]
-        table = net.cpt[v.name]
-        own = [(val, indicators[(v.name, val)]) for val in v.domain]
-        for cfg in net.parent_configs(v.name):
-            neg_parents = [-indicators[(p, pv)] for p, pv in zip(pnames, cfg)]
-            for val, lam in own:
-                d = table[(val, cfg)]
-                if local_structure:
-                    if d.num == SCALE:
-                        continue
-                    if not d.num:
-                        f.add_clause([-lam, *neg_parents])
-                    else:
-                        f.add_clause([-lam, *neg_parents, theta_ids[(v.name, d.num)]])
-                else:
-                    theta = theta_ids[(v.name, val, cfg)]
-                    f.add_clause([-lam, *neg_parents, theta])
-                    f.add_clause([-theta, lam])
-                    for p, pv in zip(pnames, cfg):
-                        f.add_clause([-theta, indicators[(p, pv)]])
+    for var, val, cfg, lit, neg_parents, d in table_entries(net, indicators):
+        if not local_structure:
+            theta = f.new_var(Parameter(f"{var}={val}|{','.join(cfg)}", d))
+            f.add_clause([lit, *neg_parents, theta])
+            for neg in (lit, *neg_parents):
+                f.add_clause([-theta, -neg])
+        elif not d.num:
+            f.add_clause([lit, *neg_parents])
+        elif d.num != SCALE:
+            f.add_clause([lit, *neg_parents, theta_ids[(var, d.num)]])
     return f
 
 

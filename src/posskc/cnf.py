@@ -9,8 +9,8 @@ integers: ``+v`` is the positive literal of variable ``v``, ``-v`` its
 negation.
 
 A ``CnfFormula`` stores plain values: one role (or None) per variable and
-one canonical literal tuple per clause, the order ``Clause`` gives,
-checked as ``add_clause`` stores it.  Those values (``roles``,
+one canonical literal tuple per clause (sorted by variable, -v before
++v), checked as ``add_clause`` stores it.  Those values (``roles``,
 ``clause_literals``) are the whole encoding: the encoders return the
 formula itself, and the pipelines, the compiler, the level readers and
 ``to_dimacs`` read them.
@@ -19,7 +19,7 @@ formula itself, and the pipelines, the compiler, the level readers and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .degrees import Degree, parse_degree
 from .errors import FormatError
@@ -91,34 +91,6 @@ def stratified_levels(f: CnfFormula) -> frozenset[int]:
 Role = Union[Instance, Indicator, Parameter, Level]
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    """A disjunction of literals, stored sorted by variable then sign.
-
-    The empty clause (false) is representable.  A clause may contain a
-    variable with both signs (a tautology); such clauses are legal as
-    standalone query objects but are rejected inside a CnfFormula.
-    """
-
-    literals: tuple[int, ...]
-
-    def __init__(self, literals: Iterable[int]):
-        # by value, then stably by variable: -v before +v, and 0 first
-        lits = sorted(sorted(set(literals)), key=abs)
-        if lits and not lits[0]:
-            raise ValueError("0 is not a literal")
-        object.__setattr__(self, "literals", tuple(lits))
-
-    def is_tautology(self) -> bool:
-        return len({abs(l) for l in self.literals}) < len(self.literals)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-
 def exactly_one(literals: list[int]) -> list[list[int]]:
     """Clauses forcing exactly one of ``literals`` true: all of them as one
     clause, then one clause per pair of their negations, in list order."""
@@ -159,17 +131,19 @@ class CnfFormula:
         return len(self._roles)
 
     def add_clause(self, literals: Iterable[int]) -> tuple[int, ...]:
-        """Store a clause as its canonical literal tuple, ``Clause``'s, and
-        return that tuple.  Raises ValueError on literal 0, on a variable
-        not registered yet and on a tautology, in that order."""
+        """Store a clause as its canonical literal tuple (repeats dropped,
+        sorted by variable, -v before +v) and return it.  Raises ValueError,
+        naming them so, on literal 0, an unregistered variable and a tautology."""
         # without a complementary pair, sorting by variable alone is canonical
         lits = sorted(set(literals), key=abs)
         n = len(self._roles)
         if lits and (not lits[0] or abs(lits[-1]) > n or len({abs(l) for l in lits}) < len(lits)):
-            lits = Clause(lits).literals  # raises on 0
-            if abs(lits[-1]) > n:  # sorted by variable
+            lits = sorted(sorted(lits), key=abs)  # by value, then stably by variable: 0 first
+            if not lits[0]:
+                raise ValueError("0 is not a literal")
+            if abs(lits[-1]) > n:
                 raise ValueError(f"literal {lits[-1]} names an unregistered variable")
-            raise ValueError(f"tautological clause {lits} not allowed in a formula")
+            raise ValueError(f"tautological clause {tuple(lits)} not allowed in a formula")
         lits = tuple(lits)
         self._clauses.append(lits)
         return lits
@@ -228,7 +202,7 @@ def to_dimacs(f: CnfFormula) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    roles: dict[int, Role] = {}
+    roles: dict[int, tuple[Role, int]] = {}  # variable id -> (role, comment line)
     header: tuple[int, int] | None = None
     lit_tokens: list[tuple[str, int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -240,9 +214,13 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) >= 4 and parts[1] == "var":
                 try:
                     vid = int(parts[2])
-                except ValueError as exc:
-                    raise FormatError(f"bad variable id in role comment: {parts[2]!r}", ln) from exc
-                roles[vid] = _parse_role(parts[3:], ln)
+                except ValueError:
+                    vid = 0
+                if vid < 1:
+                    raise FormatError(f"bad variable id in role comment: {parts[2]!r}", ln)
+                if vid in roles:
+                    raise FormatError(f"second role comment for variable {vid}", ln)
+                roles[vid] = (_parse_role(parts[3:], ln), ln)
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -264,10 +242,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     n_vars, n_clauses = header
     f = CnfFormula()
     for vid in range(1, n_vars + 1):
-        f.new_var(roles.pop(vid, None))
+        f.new_var(roles.pop(vid, (None, 0))[0])
     if roles:
         bad = min(roles)
-        raise FormatError(f"role comment for variable {bad} beyond declared {n_vars}")
+        message = f"role comment for variable {bad} beyond declared {n_vars}"
+        raise FormatError(message, roles[bad][1])
     current: list[int] = []
     for tok, ln in lit_tokens:
         try:

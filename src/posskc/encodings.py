@@ -1,4 +1,7 @@
-"""Shared mapping from network values to instance propositions.
+"""Shared mapping from network values to instance propositions, and
+``table_entries``, the one walk over the network's table entries: the kb
+CNF and the possibilistic base read it over the instance map's literals,
+the pf CNF over its indicators.
 
 Binary variables collapse to a single proposition whose positive literal
 is the first domain value and whose negation is the second.  Variables
@@ -10,7 +13,10 @@ map's.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .cnf import Instance, exactly_one
+from .degrees import Degree
 from .network import PossNetwork
 
 
@@ -18,34 +24,32 @@ class InstanceMap:
     """Instance proposition ids for a network.
 
     Ids run 1.. in declaration order, then domain order; ``roles`` lists
-    the proposition roles in id order, for a formula to register first.
+    the proposition roles in id order, for a formula to register first,
+    and ``literals`` maps each (variable, value) to the signed literal
+    asserting it.
     """
 
     def __init__(self, net: PossNetwork):
         self.net = net
         self.roles: list[Instance] = []
-        self._literal: dict[tuple[str, str], int] = {}
+        self.literals: dict[tuple[str, str], int] = {}
         for v in net.variables:
             if len(v.domain) == 2:
                 self.roles.append(Instance(v.name, v.domain[0]))
                 vid = len(self.roles)
-                self._literal[(v.name, v.domain[0])] = vid
-                self._literal[(v.name, v.domain[1])] = -vid
+                self.literals[(v.name, v.domain[0])] = vid
+                self.literals[(v.name, v.domain[1])] = -vid
             else:
                 for val in v.domain:
                     self.roles.append(Instance(v.name, val))
-                    self._literal[(v.name, val)] = len(self.roles)
-
-    def literal(self, var: str, value: str) -> int:
-        """Signed literal asserting var = value; KeyError if unknown."""
-        return self._literal[(var, value)]
+                    self.literals[(v.name, val)] = len(self.roles)
 
     def exactly_one_clauses(self) -> list[list[int]]:
         """Hard clauses forcing one value per multi-valued variable."""
         out: list[list[int]] = []
         for v in self.net.variables:
             if len(v.domain) > 2:
-                out += exactly_one([self._literal[(v.name, val)] for val in v.domain])
+                out += exactly_one([self.literals[(v.name, val)] for val in v.domain])
         return out
 
     def all_vars(self) -> frozenset:
@@ -53,4 +57,23 @@ class InstanceMap:
 
     def term_literals(self, term) -> list[int]:
         """Instance literals asserting an event term, sorted for stability."""
-        return sorted(self.literal(var, val) for var, val in term.items())
+        return sorted(self.literals[item] for item in term.items())
+
+
+def table_entries(
+    net: PossNetwork, literal: dict[tuple[str, str], int]
+) -> Iterator[tuple[str, str, tuple[str, ...], int, list[int], Degree]]:
+    """Each table entry, in table order (variables in declaration order,
+    then parent configurations, then values): its variable, value, parent
+    values, the negated literals of its clause (the value's, then a list
+    of the parent values', shared by the column, so read only) and its
+    degree.  ``literal`` maps (variable, value) to the literal asserting it."""
+    for v in net.variables:
+        name = v.name
+        pnames = net.parents[name]
+        table = net.cpt[name]
+        own = [(val, -literal[(name, val)]) for val in v.domain]
+        for cfg in net.parent_configs(name):
+            neg_parents = [-literal[(p, pv)] for p, pv in zip(pnames, cfg)]
+            for val, lit in own:
+                yield name, val, cfg, lit, neg_parents, table[(val, cfg)]

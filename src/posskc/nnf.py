@@ -30,7 +30,6 @@ from typing import Dict, Iterable
 
 from .degrees import Degree, SCALE, ZERO
 from .errors import FormatError
-from .cnf import Clause
 
 WeightMap = Dict[int, Degree]
 """Literal -> Degree; literals not listed weigh 1 (True maps to 1, False to 0)."""
@@ -237,15 +236,18 @@ def _rewrite(d: NnfDag, assign: dict, drop_decisions: frozenset) -> NnfDag:
     return b.freeze(new_id[d.root], d.num_vars)
 
 
-def entails_clause(d: NnfDag, c: Clause) -> bool:
-    """d entails the clause iff d evaluates to 0 with each clause literal at 0.
+def entails_clause(d: NnfDag, literals: Iterable[int]) -> bool:
+    """d entails the clause of ``literals`` iff d is 0 with each of them at 0.
 
     A tautological clause is entailed by anything; the empty clause is
-    entailed only by an inconsistent DAG.
+    entailed only by an inconsistent DAG.  Raises ValueError on literal 0.
     """
-    if c.is_tautology():
+    lits = set(literals)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
+    if any(-l in lits for l in lits):
         return True
-    return pi_evaluate(d, {l: ZERO for l in c}) == ZERO
+    return pi_evaluate(d, dict.fromkeys(lits, ZERO)) == ZERO
 
 
 def node_var_sets(d: NnfDag) -> list[frozenset]:
@@ -363,6 +365,8 @@ def parse_nnf(text: str) -> NnfDag:
         n_nodes, n_edges, n_vars = int(head[1]), int(head[2]), int(head[3])
     except ValueError as exc:
         raise FormatError(f"malformed NNF header: {lines[0]!r}", 1) from exc
+    if min(n_nodes, n_edges, n_vars) < 0:
+        raise FormatError(f"malformed NNF header: {lines[0]!r}", 1)
     if n_nodes < 1:
         raise FormatError("NNF must declare at least one node", 1)
     if len(lines) - 1 != n_nodes:

@@ -4,20 +4,20 @@ Every table entry with degree below 1 becomes a weighted clause (negate
 the entry's value and its parent values) whose weight is one minus the
 degree; the resulting base induces the same joint distribution as the
 network.  Its CNF tags each weighted clause with a level variable shared
-by all clauses of equal weight, and is written from one walk over the
-tables (``encode_pkb``) without building the base, which only
-``serialize_base``, ``pi_sigma`` and a pipeline's ``base`` read.  Queries
-run level by level on the compiled DAG.  The logical method reads the same
-compiled base, memoised per network (``compile_base``), and weighs its
-level variables instead.  The memo keeps only what queries read: the
-instance map, the level variables and the DAG; a pipeline's ``base``
-and ``cnf`` transform the network again.  A query finds the
-evidence stratum once per evidence term: the first stratum, strongest
-first, whose activation refutes the evidence, by bisection.  The target
-descent below it activates strata from the strongest down and stops
-when the active strata refute the target and the evidence.
-Each step is one entailment pass over the compiled DAG, with the active
-level variables added to the checked clause; the DAG is never rebuilt.
+by all clauses of equal weight, and is written from the walk over the
+tables (``encodings.table_entries``) without building the base, which
+only ``serialize_base``, ``pi_sigma`` and a pipeline's ``base`` read.
+Queries run level by level on the compiled DAG.  The logical method
+reads the same compiled base, memoised per network (``compile_base``),
+and weighs its level variables instead.  The memo keeps only what
+queries read: the instance map, the level variables and the DAG; a
+pipeline's ``base`` and ``cnf`` transform the network again.  A query
+finds the evidence stratum once per evidence term: the first stratum,
+strongest first, whose activation refutes the evidence, by bisection.
+The target descent below it activates strata from the strongest down and
+stops when the active strata refute the target and the evidence.  Each
+step is one entailment pass over the compiled DAG, with the active level
+variables added to the checked clause; the DAG is never rebuilt.
 
 When the levels span several clauses each (a stratified base,
 ``cnf.stratified``), the CNF also chains the level variables into a
@@ -30,85 +30,65 @@ the network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from .cnf import Clause, CnfFormula, Level, stratified
+from .cnf import CnfFormula, Level, stratified
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement
-from .encodings import InstanceMap
+from .encodings import InstanceMap, table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, condition, entails_clause, is_consistent
-
-
-@dataclass(frozen=True, slots=True)
-class WeightedFormula:
-    """A clause over instance literals, necessary to degree ``weight``."""
-
-    clause: Clause
-    weight: Degree
-
-    def __post_init__(self) -> None:
-        if not self.weight.num:
-            raise ValueError("weighted formulas carry nonzero weight")
 
 
 @dataclass
 class PossibilisticBase:
     """Weighted clauses plus their descending ladder of distinct weights.
 
-    The ladder is derived from the formulas; weight-1 formulas are hard
-    knowledge and stay outside it.  The instance map ties clause literals
-    back to network values.
+    Each formula is a (clause, weight) pair: a canonical literal tuple
+    over instance literals, necessary to a nonzero degree.  The ladder is
+    derived from the formulas; weight-1 formulas are hard knowledge and
+    stay outside it.  The instance map ties literals to network values.
     """
 
-    formulas: tuple[WeightedFormula, ...]
+    formulas: tuple[tuple[tuple[int, ...], Degree], ...]
     imap: InstanceMap
     levels: tuple[Degree, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         # keyed and sorted by numerator: ints hash and compare faster than Degrees
-        levels = {wf.weight.num: wf.weight for wf in self.formulas if wf.weight.num < SCALE}
+        levels: dict[int, Degree] = {}
+        for _, weight in self.formulas:
+            if not weight.num:
+                raise ValueError("weighted formulas carry nonzero weight")
+            if weight.num < SCALE:
+                levels[weight.num] = weight
         self.levels = tuple(levels[num] for num in sorted(levels, reverse=True))
 
 
-def _table_clauses(imap: InstanceMap) -> Iterator[tuple[list[int], Degree]]:
-    """Each table entry of degree below 1, in table order: its clause's
-    literals (the entry's value and parent values, negated) and its degree."""
-    net, literal = imap.net, imap.literal
-    for v in net.variables:
-        pnames = net.parents[v.name]
-        table = net.cpt[v.name]
-        own = [(val, -literal(v.name, val)) for val in v.domain]
-        for cfg in net.parent_configs(v.name):
-            neg_parents = [-literal(p, pv) for p, pv in zip(pnames, cfg)]
-            for val, lit in own:
-                d = table[(val, cfg)]
-                if d.num != SCALE:
-                    yield [lit, *neg_parents], d
-
-
 def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
-    """Transform a network into its equivalent possibilistic base."""
+    """Transform a network into its equivalent possibilistic base: one
+    formula per table entry of degree below 1, in table order."""
     imap = InstanceMap(net)
-    formulas = (WeightedFormula(Clause(lits), complement(d)) for lits, d in _table_clauses(imap))
-    return PossibilisticBase(tuple(formulas), imap)
+    entries = table_entries(net, imap.literals)
+    # an entry's literals name distinct variables, so sorting by variable is canonical
+    formulas = tuple(
+        (tuple(sorted([lit, *neg], key=abs)), complement(d))
+        for _, _, _, lit, neg, d in entries if d.num != SCALE
+    )
+    return PossibilisticBase(formulas, imap)
 
 
 def pi_sigma(base: PossibilisticBase, w: World) -> Degree:
     """Joint degree induced by the base: 1 when the world satisfies every
     formula, else one minus the largest violated weight."""
-    net = base.imap.net
-    assignment: dict[int, bool] = {}
-    for v in net.variables:
-        for val in v.domain:
-            lit = base.imap.literal(v.name, val)
-            assignment[abs(lit)] = (lit > 0) == (w[v.name] == val)
+    assignment = {
+        abs(lit): (lit > 0) == (w[var] == val) for (var, val), lit in base.imap.literals.items()
+    }
     worst: Degree | None = None
-    for wf in base.formulas:
-        satisfied = any(assignment[abs(l)] == (l > 0) for l in wf.clause)
-        if not satisfied and (worst is None or wf.weight > worst):
-            worst = wf.weight
+    for lits, weight in base.formulas:
+        satisfied = any(assignment[abs(l)] == (l > 0) for l in lits)
+        if not satisfied and (worst is None or weight > worst):
+            worst = weight
     return ONE if worst is None else complement(worst)
 
 
@@ -118,7 +98,7 @@ def encode_pkb(net: PossNetwork) -> CnfFormula:
     descending weight.  Each weighted clause is disjoined with its
     weight's level variable, hard clauses pass through, and exactly-one
     clauses append as hard ones.  One walk over the tables
-    (``_table_clauses``) gives the clauses; no base is built.
+    (``encodings.table_entries``) gives the clauses; no base is built.
 
     A stratified base (``cnf.stratified``, on the weighted-clause and
     level counts the walk gives) also gets the ladder: one hard clause
@@ -127,7 +107,8 @@ def encode_pkb(net: PossNetwork) -> CnfFormula:
     model of either query procedure can set every weaker level true, and
     only L + 1 of the 2^L level assignments remain."""
     imap = InstanceMap(net)
-    clauses = list(_table_clauses(imap))
+    entries = table_entries(net, imap.literals)
+    clauses = [([lit, *neg], d) for _, _, _, lit, neg, d in entries if d.num != SCALE]
     f = CnfFormula()
     for role in imap.roles:
         f.new_var(role)
@@ -178,21 +159,14 @@ def serialize_base(base: PossibilisticBase) -> str:
     binary variables print as the opposite value, other negatives as
     !VAR=value.  Hard formulas carry weight 1.
     """
-    net = base.imap.net
     names: dict[int, str] = {}
-    for v in net.variables:
-        if len(v.domain) == 2:
-            vid = base.imap.literal(v.name, v.domain[0])
-            names[vid] = f"{v.name}={v.domain[0]}"
-            names[-vid] = f"{v.name}={v.domain[1]}"
-        else:
-            for val in v.domain:
-                vid = base.imap.literal(v.name, val)
-                names[vid] = f"{v.name}={val}"
-                names[-vid] = f"!{v.name}={val}"
+    for (var, val), lit in base.imap.literals.items():
+        names[lit] = f"{var}={val}"
+        # a binary variable's second value names the negative literal over this default
+        names.setdefault(-lit, f"!{var}={val}")
     lines = []
-    for wf in base.formulas:
-        lines.append(" ".join(names[l] for l in wf.clause) + f" : {wf.weight}")
+    for lits, weight in base.formulas:
+        lines.append(" ".join(names[l] for l in lits) + f" : {weight}")
     return "\n".join(lines) + "\n"
 
 
@@ -226,13 +200,13 @@ class PkbPipeline:
         log2(L + 1) ``entails_clause`` passes.
         """
         not_e = [-l for l in self.imap.term_literals(e)]
-        if entails_clause(self.dag, Clause(not_e)):
+        if entails_clause(self.dag, not_e):
             return 0
         ids = [level_id for level_id, _ in self.level_vars]
         lo, hi = 1, len(ids) + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if entails_clause(self.dag, Clause([*ids[:mid], *not_e])):
+            if entails_clause(self.dag, [*ids[:mid], *not_e]):
                 hi = mid
             else:
                 lo = mid + 1
@@ -255,12 +229,12 @@ class PkbPipeline:
         if i == 0:
             return ONE, 0
         not_ex = [-l for l in (*self.imap.term_literals(e), *self.imap.term_literals(x))]
-        if conflicts(x, e) or entails_clause(self.dag, Clause(not_ex)):
+        if conflicts(x, e) or entails_clause(self.dag, not_ex):
             return ZERO, 0
         active: list[int] = []
         for level_id, weight in self.level_vars[: i - 1]:
             active.append(level_id)
-            if entails_clause(self.dag, Clause([*active, *not_ex])):
+            if entails_clause(self.dag, [*active, *not_ex]):
                 return complement(weight), len(active)
         return ONE, min(i, len(self.level_vars))
 

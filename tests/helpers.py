@@ -10,7 +10,8 @@ The union-find component split is the reference for the compiler's
 split, and a generator-per-node max-min pass is the reference for the
 map-driven ``pi_evaluate``.  ``reference_kb_cnf`` encodes a
 possibilistic base formula by formula, the reference for
-``encode_pkb``'s one table walk.
+``encode_pkb``'s one table walk, and ``canonical_clause`` is the
+reference for the clause order ``CnfFormula.add_clause`` stores.
 
 Two fixtures live here because only the tests read them:
 ``baseline_counts``, the sizes of the probability-style reference
@@ -23,13 +24,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from posskc.cnf import Clause, CnfFormula, Level, stratified_levels
+from posskc.cnf import CnfFormula, Level, stratified_levels
 from posskc.degrees import ONE, SCALE, ZERO, Degree, complement, parse_degree
 from posskc.encodings import InstanceMap
 from posskc.errors import DegreeError, FormatError, SizeGuardError
 from posskc.network import PossNetwork, check_event, conflicts
 from posskc.nnf import condition, forget, pi_evaluate
-from posskc.pkb import PossibilisticBase, WeightedFormula
+from posskc.pkb import PossibilisticBase
 
 
 def all_assignments(n: int):
@@ -202,7 +203,22 @@ def dag_satisfied_by(dag, assignment: dict) -> bool:
     return val[dag.root]
 
 
-def clause_holds_on(models: set, clause: Clause, n_vars: int) -> bool:
+def canonical_clause(literals) -> tuple[int, ...]:
+    """The reference canonical clause order: repeats dropped, by variable,
+    -v before +v.  ValueError on literal 0."""
+    lits = tuple(sorted(set(literals), key=lambda l: (abs(l), l)))
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
+    return lits
+
+
+def is_tautology(literals) -> bool:
+    """Whether the clause holds some variable under both signs."""
+    lits = set(literals)
+    return any(-l in lits for l in lits)
+
+
+def clause_holds_on(models: set, clause, n_vars: int) -> bool:
     """Whether every model (as a bool tuple) satisfies the clause."""
     for m in models:
         if not any(m[abs(l) - 1] == (l > 0) for l in clause):
@@ -224,8 +240,8 @@ def boolean_consistent(dag) -> bool:
     return sat[dag.root]
 
 
-def _rebuild_entails(dag, clause: Clause) -> bool:
-    if clause.is_tautology():
+def _rebuild_entails(dag, clause: list[int]) -> bool:
+    if is_tautology(clause):
         return True
     return not boolean_consistent(condition(dag, [-l for l in clause]))
 
@@ -264,7 +280,7 @@ def reference_query_detail(kb, x, e):
     e_lits = kb.imap.term_literals(e)
     x_lits = kb.imap.term_literals(x)
     not_e = [-l for l in e_lits]
-    not_x = Clause([-l for l in x_lits])
+    not_x = [-l for l in x_lits]
     if not boolean_consistent(condition(kb.dag, e_lits)):
         return ONE, 0
     if conflicts(x, e) or not boolean_consistent(
@@ -275,7 +291,7 @@ def reference_query_detail(kb, x, e):
     iterations = 0
     for level_id, weight in kb.level_vars:
         iterations += 1
-        if _rebuild_entails(k, Clause([level_id, *not_e])):
+        if _rebuild_entails(k, [level_id, *not_e]):
             return ONE, iterations
         k = condition(k, [-level_id])
         if _rebuild_entails(condition(k, e_lits), not_x):
@@ -293,12 +309,11 @@ def reference_kb_cnf(base: PossibilisticBase) -> CnfFormula:
     for role in base.imap.roles:
         f.new_var(role)
     level = {w.num: f.new_var(Level(rank, w)) for rank, w in enumerate(base.levels, start=1)}
-    for wf in base.formulas:
-        num = wf.weight.num
-        if num == SCALE:
-            f.add_clause(wf.clause)
+    for lits, weight in base.formulas:
+        if weight.num == SCALE:
+            f.add_clause(lits)
         else:
-            f.add_clause([*wf.clause.literals, level[num]])
+            f.add_clause([*lits, level[weight.num]])
     for c in base.imap.exactly_one_clauses():
         f.add_clause(c)
     if stratified_levels(f):
@@ -346,7 +361,7 @@ def baseline_counts(net: PossNetwork, scheme: str) -> dict:
 def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
     """Parse the base serialization against a known network."""
     imap = InstanceMap(net)
-    formulas: list[WeightedFormula] = []
+    formulas: list[tuple[tuple[int, ...], Degree]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -366,15 +381,13 @@ def parse_base(text: str, net: PossNetwork) -> PossibilisticBase:
             if not sep2:
                 raise FormatError(f"bad literal token {tok!r}", ln)
             try:
-                lit = imap.literal(var, val)
+                lit = imap.literals[(var, val)]
             except KeyError as exc:
                 raise FormatError(f"unknown literal {tok!r}", ln) from exc
             lits.append(-lit if negated else lit)
-        clause = Clause(lits)
-        if clause.is_tautology():
+        if is_tautology(lits):
             raise FormatError(f"tautological clause {lhs.strip()!r}", ln)
-        try:
-            formulas.append(WeightedFormula(clause, weight))
-        except ValueError as exc:
-            raise FormatError(str(exc), ln) from exc
+        if not weight.num:
+            raise FormatError("weighted formulas carry nonzero weight", ln)
+        formulas.append((canonical_clause(lits), weight))
     return PossibilisticBase(tuple(formulas), imap)

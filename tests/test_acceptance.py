@@ -220,10 +220,8 @@ def test_criterion_6_compiler_soundness(acceptance_log):
             violate = full
             for l in lits:
                 violate &= ~pos[abs(l)] if l > 0 else pos[abs(l)]
-            from posskc.cnf import Clause
-
             want_entails = (dag_model_mask(d, n) & violate) == 0
-            ops_ok += entails_clause(d, Clause(lits)) == want_entails
+            ops_ok += entails_clause(d, lits) == want_entails
             ops_checked += 1
     ok = model_ok == total and props_ok == total and ops_ok == ops_checked
     record(

@@ -2,12 +2,12 @@
 definition of satisfaction, and DIMACS round-trips with role metadata."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from posskc.cnf import (
-    Clause,
     CnfFormula,
     Indicator,
     Instance,
@@ -20,37 +20,66 @@ from posskc.cnf import (
 from posskc.degrees import parse_degree
 from posskc.errors import FormatError, SizeGuardError
 
-from helpers import enumerate_models, interp_key, models_by_definition, random_cnf
+from helpers import (
+    canonical_clause,
+    enumerate_models,
+    interp_key,
+    is_tautology,
+    models_by_definition,
+    random_cnf,
+)
+
+
+def registry(n: int) -> CnfFormula:
+    f = CnfFormula()
+    for _ in range(n):
+        f.new_var()
+    return f
+
+
+def tautology_message(lits: tuple) -> str:
+    return "^" + re.escape(f"tautological clause {lits} not allowed in a formula") + "$"
 
 
 class TestClause:
+    """A clause as ``add_clause`` stores it: its canonical literal tuple,
+    which its error messages name too."""
+
     def test_sorted_and_deduplicated(self):
-        assert Clause([3, -1, 3, 2]).literals == (-1, 2, 3)
+        assert registry(3).add_clause([3, -1, 3, 2]) == (-1, 2, 3)
 
     def test_sign_order_within_variable(self):
-        assert Clause([2, -2]).literals == (-2, 2)
+        with pytest.raises(ValueError, match=tautology_message((-2, 2))):
+            registry(2).add_clause([2, -2])
 
     def test_tautology_detection(self):
-        assert Clause([1, -1]).is_tautology()
-        assert not Clause([1, -2]).is_tautology()
+        f = registry(2)
+        with pytest.raises(ValueError, match=tautology_message((-1, 1))):
+            f.add_clause([1, -1])
+        assert f.add_clause([1, -2]) == (1, -2)
+        assert f.clause_literals == ((1, -2),)
 
     def test_empty_clause(self):
-        assert len(Clause([])) == 0
+        f = registry(1)
+        assert f.add_clause([]) == ()
+        assert f.clause_literals == ((),)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Clause([0])
+        """Literal 0 is refused before any other check."""
+        for bad in ([0], [5, 0], [1, 0, -1]):
+            with pytest.raises(ValueError, match="^0 is not a literal$"):
+                registry(1).add_clause(bad)
 
     def test_canonical_form_and_both_formula_errors(self):
         """By variable, negative first, whatever the input order; the
         formula's range check reads the last literal, so an unregistered
         variable is caught after registered ones and under either sign."""
-        assert Clause([3, -1, -3, 1]).literals == (-1, 1, -3, 3)
-        assert Clause([3, -1, -3, 1, 3, -1]).literals == (-1, 1, -3, 3)
+        for lits in ([3, -1, -3, 1], [3, -1, -3, 1, 3, -1]):
+            with pytest.raises(ValueError, match=tautology_message((-1, 1, -3, 3))):
+                registry(3).add_clause(lits)
         with pytest.raises(ValueError, match="0 is not a literal"):
-            Clause([3, 0, -2])
-        f = CnfFormula()
-        f.new_var(), f.new_var()
+            registry(3).add_clause([3, 0, -2])
+        f = registry(2)
         assert f.add_clause([2, -1, 2]) == (-1, 2)
         for bad in ([1, -3], [-3, 1], [3]):
             with pytest.raises(ValueError, match="unregistered"):
@@ -85,11 +114,12 @@ class TestFormula:
 
     def test_add_clause_contract_on_random_literal_lists(self):
         """Seeded lists with 0, repeats, complementary pairs and ids beyond
-        the registry, as lists or as ``Clause``s, against the contract
-        written with ``Clause``: 0 first, then an unregistered variable
-        (the last literal by variable), then a tautology, each a
-        ValueError with this message; otherwise the stored clause is
-        ``Clause(lits).literals``, and DIMACS writes it so."""
+        the registry, as lists or as tuples, against the contract written
+        with the reference order ``helpers.canonical_clause``: 0 first,
+        then an unregistered variable (the last literal by variable), then
+        a tautology, each a ValueError with this message; otherwise the
+        stored clause is ``canonical_clause(lits)``, and DIMACS writes it
+        so."""
         rng = random.Random(19)
         outcomes = Counter()
         for _ in range(40):
@@ -105,14 +135,12 @@ class TestFormula:
                     for _ in range(rng.randint(0, 6))
                 ]
                 try:
-                    want = Clause(lits)
-                    last = want.literals[-1:]
+                    want = canonical_clause(lits)
+                    last = want[-1:]
                     if last and abs(last[0]) > n:
                         raise ValueError(f"literal {last[0]} names an unregistered variable")
-                    if want.is_tautology():
-                        raise ValueError(
-                            f"tautological clause {want.literals} not allowed in a formula"
-                        )
+                    if is_tautology(want):
+                        raise ValueError(f"tautological clause {want} not allowed in a formula")
                 except ValueError as exc:
                     outcomes[str(exc).split()[-1]] += 1
                     with pytest.raises(ValueError) as got:
@@ -121,11 +149,11 @@ class TestFormula:
                 else:
                     outcomes["stored"] += 1
                     arg = want if rng.random() < 0.5 else lits
-                    assert f.add_clause(arg) == want.literals
+                    assert f.add_clause(arg) == want
                     stored.append(want)
-            assert f.clause_literals == tuple(c.literals for c in stored)
+            assert f.clause_literals == tuple(stored)
             assert to_dimacs(f) == f"p cnf {n} {len(stored)}\n" + "".join(
-                " ".join(map(str, c.literals)) + " 0\n" for c in stored
+                " ".join(map(str, c)) + " 0\n" for c in stored
             )
         # every outcome occurs: stored, literal 0, unregistered, tautology
         assert min(outcomes[k] for k in ("stored", "literal", "variable", "formula")) >= 50
@@ -197,12 +225,34 @@ class TestDimacs:
         assert to_dimacs(g) == to_dimacs(f)
 
     def test_tautological_clause(self):
-        """The line and the message name the clause in ``Clause``'s order,
+        """The line and the message name the clause in canonical order,
         by variable with -v before +v."""
         with pytest.raises(FormatError) as exc:
             parse_dimacs("p cnf 2 1\n2 1 -2 0\n")
         assert exc.value.line == 2
         assert str(exc.value) == "line 2: tautological clause (1, -2, 2) not allowed in a formula"
+
+    def test_second_role_comment_for_a_variable(self):
+        """A later role comment for the same variable does not replace the
+        first: the text is refused at the second comment's line."""
+        text = "c var 1 level 1 0.5\nc var 1 instance A a\np cnf 1 1\n1 0\n"
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs(text)
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: second role comment for variable 1"
+
+    @pytest.mark.parametrize("vid", ["0", "-2", "x"])
+    def test_role_comment_variable_id_below_one(self, vid):
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs(f"p cnf 1 1\nc var {vid} instance A a\n1 0\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: bad variable id in role comment: {vid!r}"
+
+    def test_role_comment_beyond_declared_vars(self):
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs("c var 1 instance A a\nc var 5 instance B b\np cnf 1 1\n1 0\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: role comment for variable 5 beyond declared 1"
 
     def test_literal_beyond_declared_vars(self):
         with pytest.raises(FormatError):

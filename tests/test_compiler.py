@@ -14,7 +14,6 @@ import pytest
 from posskc import compiler
 from posskc.bench import FINE_POOL_SIZE, GenConfig, even_pool, random_network
 from posskc.cnf import (
-    Clause,
     CnfFormula,
     Indicator,
     Level,
@@ -136,8 +135,8 @@ class TestStructure:
             d = compile_cnf(f)
         finally:
             set_limit(old_limit)
-        assert all(entails_clause(d, Clause([i, i + 1])) for i in range(1, n))
-        assert not entails_clause(d, Clause([1, 3]))
+        assert all(entails_clause(d, [i, i + 1]) for i in range(1, n))
+        assert not entails_clause(d, [1, 3])
 
     def test_first_variables_are_decided_before_others(self):
         """Variable 1 occurs most, so it is the default root decision.

@@ -71,7 +71,7 @@ class TestEncodeLogical:
         scopes = sorted(
             sorted(abs(l) for l in c if l != a) for c in cnf.clause_literals if a in c
         )
-        f, b, d = (abs(lp.imap.literal(*x)) for x in (("F", "f1"), ("B", "b1"), ("D", "d1")))
+        f, b, d = (abs(lp.imap.literals[x]) for x in (("F", "f1"), ("B", "b1"), ("D", "d1")))
         assert scopes == sorted([[b], sorted([f, b, d])])
 
     def test_uniform_single_binary_root(self):

@@ -14,7 +14,6 @@ from posskc.bench import (
     random_network,
 )
 from posskc.cnf import (
-    Clause,
     CnfFormula,
     Instance,
     Level,
@@ -37,7 +36,6 @@ from posskc.nnf import condition, entails_clause, write_nnf
 from posskc.pkb import (
     PkbPipeline,
     PossibilisticBase,
-    WeightedFormula,
     compile_base,
     encode_pkb,
     level_vars,
@@ -46,7 +44,7 @@ from posskc.pkb import (
     to_possibilistic_base,
 )
 
-from helpers import parse_base, reference_kb_cnf, reference_query_detail
+from helpers import canonical_clause, parse_base, reference_kb_cnf, reference_query_detail
 
 D = parse_degree
 
@@ -83,7 +81,7 @@ def small_nets(count, max_nodes, seed, binary_only=True):
 class TestToBase:
     def test_example_formulas(self, alarm):
         base = to_possibilistic_base(alarm)
-        got = [(wf.clause.literals, wf.weight) for wf in base.formulas]
+        got = list(base.formulas)
         want = [(lits, D(w)) for lits, w in EXAMPLE_FORMULAS]
         assert got == want
 
@@ -93,13 +91,13 @@ class TestToBase:
         assert list(base.levels) == sorted(base.levels, reverse=True)
 
     def test_no_hard_formulas_in_example(self, alarm):
-        assert all(wf.weight < ONE for wf in to_possibilistic_base(alarm).formulas)
+        assert all(weight < ONE for _, weight in to_possibilistic_base(alarm).formulas)
 
     def test_degree_zero_entry_becomes_hard_formula(self):
         net = parse_network("network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0")
         base = to_possibilistic_base(net)
         assert len(base.formulas) == 1
-        assert base.formulas[0].weight == ONE
+        assert base.formulas[0] == ((1,), ONE)
         assert base.levels == ()
 
     def test_uniform_net_gives_empty_base(self):
@@ -108,9 +106,12 @@ class TestToBase:
         assert base.formulas == ()
         assert base.levels == ()
 
-    def test_weighted_formula_rejects_zero_weight(self):
-        with pytest.raises(ValueError):
-            WeightedFormula(Clause([1]), ZERO)
+    def test_weighted_formula_rejects_zero_weight(self, alarm):
+        imap = to_possibilistic_base(alarm).imap
+        for formulas in ([((1,), ZERO)], [((-1,), D("0.3")), ((2,), ZERO)]):
+            with pytest.raises(ValueError, match="^weighted formulas carry nonzero weight$"):
+                PossibilisticBase(tuple(formulas), imap)
+        assert PossibilisticBase((((1,), ONE),), imap).levels == ()
 
 
 class TestPiSigma:
@@ -213,8 +214,8 @@ class TestEncodePkb:
         by_weight = {
             r.weight: vid for vid, r in enumerate(cnf.roles, start=1) if isinstance(r, Level)
         }
-        for wf, clause in zip(base.formulas, cnf.clause_literals):
-            assert set(clause) == {*wf.clause.literals, by_weight[wf.weight]}
+        for (lits, weight), clause in zip(base.formulas, cnf.clause_literals):
+            assert set(clause) == {*lits, by_weight[weight]}
 
     def test_hard_formula_kept_verbatim(self):
         net = parse_network("network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0")
@@ -291,13 +292,13 @@ class TestCompiledBaseEntailment:
         kb = PkbPipeline(alarm)
         a1 = kb.level_vars[0][0]
         d2 = -3
-        assert not entails_clause(kb.dag, Clause([a1, d2]))
+        assert not entails_clause(kb.dag, [a1, d2])
 
     def test_conditioned_base_entails_f1(self, alarm):
         kb = PkbPipeline(alarm)
         a1, a2 = kb.level_vars[0][0], kb.level_vars[1][0]
         conditioned = condition(kb.dag, [-a1, -a2, 3])
-        assert entails_clause(conditioned, Clause([1]))
+        assert entails_clause(conditioned, [1])
 
 
 class TestBaseSerialization:
@@ -320,7 +321,7 @@ class TestBaseSerialization:
         text = "# a remark\n\nF=f2 : 0.3\n"
         base = parse_base(text, alarm)
         assert len(base.formulas) == 1
-        assert base.formulas[0].weight == D("0.3")
+        assert base.formulas[0] == ((-1,), D("0.3"))
 
     def test_parse_rejects_missing_separator(self, alarm):
         with pytest.raises(FormatError):
@@ -428,13 +429,14 @@ class TestStratifiedLadder:
         base = to_possibilistic_base(net)
         cnf = encode_pkb(net)
         ranked = [vid for vid, _ in level_vars(cnf)]
-        exactly_one = [Clause(c).literals for c in base.imap.exactly_one_clauses()]
+        exactly_one = [canonical_clause(c) for c in base.imap.exactly_one_clauses()]
         assert exactly_one
         head = len(base.formulas)
         assert list(cnf.clause_literals[head : head + len(exactly_one)]) == exactly_one
         ladder = list(cnf.clause_literals[head + len(exactly_one) :])
         assert len(ladder) == len(base.levels) - 1
-        assert ladder == [Clause([-a, b]).literals for a, b in zip(ranked, ranked[1:])]
+        pairs = zip(ranked, ranked[1:])
+        assert ladder == [canonical_clause([-a, b]) for a, b in pairs]
         assert stratified_levels(cnf) == frozenset(ranked)
 
     @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])

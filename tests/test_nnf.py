@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from posskc.cnf import Clause, CnfFormula
+from posskc.cnf import CnfFormula
 from posskc.compiler import compile_cnf
 from posskc.degrees import Degree, ONE, ZERO, parse_degree
 from posskc.errors import FormatError
@@ -257,15 +257,28 @@ class TestEntailment:
     def test_tautology_always_entailed(self):
         b = NnfBuilder()
         d = b.freeze(b.literal(1), num_vars=2)
-        assert entails_clause(d, Clause([2, -2]))
+        assert entails_clause(d, [2, -2])
 
     def test_empty_clause_iff_inconsistent(self):
         b = NnfBuilder()
         sat = b.freeze(b.literal(1), num_vars=1)
-        assert not entails_clause(sat, Clause([]))
+        assert not entails_clause(sat, [])
         b2 = NnfBuilder()
         unsat = b2.freeze(FALSE, num_vars=1)
-        assert entails_clause(unsat, Clause([]))
+        assert entails_clause(unsat, [])
+
+    def test_zero_literal_rejected(self):
+        b = NnfBuilder()
+        d = b.freeze(b.literal(1), num_vars=1)
+        for bad in ([0], [1, 0], (0, -1, 1)):
+            with pytest.raises(ValueError, match="^0 is not a literal$"):
+                entails_clause(d, bad)
+
+    def test_repeated_literals_and_tuples(self):
+        b = NnfBuilder()
+        d = b.freeze(b.literal(1), num_vars=2)
+        assert entails_clause(d, (1, 1, 2))
+        assert not entails_clause(d, [2, 2])
 
     def test_matches_model_check(self):
         rng = random.Random(17)
@@ -279,8 +292,7 @@ class TestEntailment:
                 v if rng.random() < 0.5 else -v
                 for v in rng.sample(range(1, n + 1), k)
             ]
-            c = Clause(lits)
-            assert entails_clause(d, c) == clause_holds_on(models, c, n)
+            assert entails_clause(d, lits) == clause_holds_on(models, lits, n)
 
 
 class TestSmooth:
@@ -355,6 +367,11 @@ class TestSerialization:
             parse_nnf("")
         with pytest.raises(FormatError):
             parse_nnf("nnf 1 0\nA 0\n")
+        # a negative count is a malformed header, not a later range error
+        for header in ("nnf 1 0 -1", "nnf 1 -1 1", "nnf -1 0 1"):
+            with pytest.raises(FormatError, match="malformed NNF header") as exc:
+                parse_nnf(header + "\nA 0\n")
+            assert exc.value.line == 1
         with pytest.raises(FormatError):
             parse_nnf("nnf 1 0 1\nL 2\n")
         with pytest.raises(FormatError):

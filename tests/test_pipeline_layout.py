@@ -1,6 +1,6 @@
 """A built pipeline, and the compiled-base memo on its network, keep only
-what a query reads: no CNF, clause, possibilistic base or weighted
-formula is reachable from them.  ``cnf`` and pkb's ``base`` rebuild the
+what a query reads: no CNF or possibilistic base is reachable from
+them.  ``cnf`` and pkb's ``base`` rebuild the
 encoders' output on access.  pf keeps its circuit, not its compiled DAG,
 and its ``dag`` compiles the encoder's CNF again."""
 
@@ -11,7 +11,7 @@ import pytest
 
 from posskc.bench import GenConfig, even_pool, random_network
 from posskc.circuits import PfPipeline, encode_pf
-from posskc.cnf import Clause, CnfFormula, stratified_levels, to_dimacs
+from posskc.cnf import CnfFormula, stratified_levels, to_dimacs
 from posskc.compiler import compile_cnf
 from posskc.logical import LogicalPipeline, encode_logical
 from posskc.network import parse_network
@@ -19,13 +19,12 @@ from posskc.nnf import write_nnf
 from posskc.pkb import (
     PkbPipeline,
     PossibilisticBase,
-    WeightedFormula,
     encode_pkb,
     serialize_base,
     to_possibilistic_base,
 )
 
-DROPPED = (CnfFormula, Clause, PossibilisticBase, WeightedFormula)
+DROPPED = (CnfFormula, PossibilisticBase)
 
 
 def retained(root) -> list:

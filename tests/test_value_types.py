@@ -7,10 +7,9 @@ import gc
 
 import pytest
 
-from posskc.cnf import Clause, Indicator, Instance, Level, Parameter
+from posskc.cnf import Indicator, Instance, Level, Parameter
 from posskc.degrees import ONE, ZERO, Degree, parse_degree
 from posskc.network import NetVariable, parse_network
-from posskc.pkb import WeightedFormula
 
 VALUES = [
     Degree(5),
@@ -18,9 +17,7 @@ VALUES = [
     Indicator("A", "a1"),
     Parameter("A", ONE),
     Level(1, ONE),
-    Clause([1, -2]),
     NetVariable("A", ("a1", "a2")),
-    WeightedFormula(Clause([1]), ONE),
 ]
 
 
