@@ -10,7 +10,10 @@ parameter degrees and indicator ids are read off its roles, so a DIMACS
 text carries them too.  Every query weighs each negative literal
 1, so a pipeline compiles its circuit with those literals built as True
 (``compile_cnf``'s ``weight_one``): the compiled DAG's value under every
-query's weights, from the same search, with a third fewer nodes.
+query's weights, from the same search, with a third fewer nodes.  A
+query's Pi(x, e) differs from the memoised Pi(e) pass only at the
+indicators of the target variables' other values, so it resumes that
+pass at the first of them.
 
 Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
@@ -23,12 +26,14 @@ read the entries from the walk the kb encoder also reads
 
 from __future__ import annotations
 
+from array import array
+
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ZERO
 from .encodings import table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
-from .nnf import NnfDag, WeightMap, pi_evaluate
+from .nnf import NnfDag, WeightMap, first_leaves, pi_evaluate
 
 
 def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
@@ -110,6 +115,18 @@ class PfPipeline:
                 self.indicators[(role.var, role.value)] = vid
         negative = range(-1, -cnf.num_vars - 1, -1)
         self.circuit = compile_cnf(cnf, node_budget=node_budget, weight_one=negative)
+        # indicator id -> first circuit leaf among the indicators a target
+        # on its value zeroes (its variable's other values); the node count
+        # when there is none
+        n = len(self.circuit.nodes)
+        leaf = first_leaves(self.circuit)
+        self.starts = array("i", [n]) * (1 + max(self.indicators.values()))
+        for v in net.variables:
+            ids = [self.indicators[(v.name, val)] for val in v.domain]
+            firsts = [leaf.get(vid, n) for vid in ids]
+            lo, second = sorted(firsts)[:2]  # distinct leaves, unless both are n
+            for vid, first in zip(ids, firsts):
+                self.starts[vid] = second if first == lo else lo
         self.evidence = EvidenceMemo()
 
     @property
@@ -123,9 +140,32 @@ class PfPipeline:
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term) in one evaluation pass over the circuit."""
         check_event(self.net, term)
-        return pi_evaluate(self.circuit, indicator_weights(self, term))
+        return self._pass(term)[1]
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
-        """Pi(x|e) by min-conditioning, with Pi(e) from the evidence memo."""
-        evidence = self.evidence(self.net, e, self.possibility)
-        return conditional(self.net, self.possibility, x, e, evidence).degree
+        """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
+        which keeps the node values of its pass, and the joint resumes
+        that pass (``_joint``)."""
+        return conditional(self.net, self._joint, x, e, self._evidence).degree
+
+    def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
+        """Pi(term) in one pass, with the value of every node."""
+        values = [0] * len(self.circuit.nodes)
+        return values, pi_evaluate(self.circuit, indicator_weights(self, term), values)
+
+    def _evidence(self, e: EventTerm) -> Degree:
+        return self.evidence(e, self._pass)[1]
+
+    def _joint(self, term: EventTerm) -> Degree:
+        """Pi(term), for a term that extends the memoised evidence: its
+        pass resumed at the first leaf the term's other items zero, or
+        Pi(e) itself when they zero none."""
+        held, (values, evidence) = self.evidence.entry
+        n = len(values)
+        start = min(
+            (self.starts[self.indicators[item]] for item in term.items() if item not in held),
+            default=n,
+        )
+        if start == n:
+            return evidence
+        return pi_evaluate(self.circuit, indicator_weights(self, term), values.copy(), start)

@@ -8,7 +8,7 @@ is the first domain value and whose negation is the second.  Variables
 with larger domains get one proposition per value plus hard exactly-one
 clauses.  The knowledge-base CNF, which the logical method also
 compiles, registers these propositions first, so their ids are the
-map's.
+map's.  Each network builds its map once (``instance_map``).
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ class InstanceMap:
     def term_literals(self, term) -> list[int]:
         """Instance literals asserting an event term, sorted for stability."""
         return sorted(self.literals[item] for item in term.items())
+
+
+def instance_map(net: PossNetwork) -> InstanceMap:
+    """The network's instance map, built on first use and kept on the
+    network, so the kb encoder and ``pkb.compile_base`` share one."""
+    if net.instances is None:
+        net.instances = InstanceMap(net)
+    return net.instances
 
 
 def table_entries(

@@ -53,7 +53,10 @@ class NetVariable:
 
 class PossNetwork:
     """A validated min-based possibilistic network, immutable apart from
-    ``pkb.compile_base``'s memo, which lives as long as the network."""
+    two memos that live as long as the network: ``pkb.compile_base``'s and
+    ``encodings.instance_map``'s.  Each table lists its entries in table
+    order: parent configurations in file order, then values in domain
+    order (``_validate`` reorders one given in another order)."""
 
     def __init__(
         self,
@@ -77,6 +80,7 @@ class PossNetwork:
         }
         self._validate(name)
         self.compiled_base = None  # pkb.compile_base's memo
+        self.instances = None  # encodings.instance_map's memo
 
     def variable(self, name: str) -> NetVariable:
         try:
@@ -92,10 +96,12 @@ class PossNetwork:
         return tuple(v.name for v in self.variables)
 
     def parent_configs(self, name: str) -> Iterator[tuple[str, ...]]:
-        """Parent-value tuples in file order: first parent varies fastest."""
-        doms = [self._by_name[p].domain for p in self.parents[name]]
-        for rev in itertools.product(*reversed(doms)):
-            yield tuple(reversed(rev))
+        """Parent-value tuples in file order, first parent varies fastest:
+        the tuples the table's keys hold, read off every column's first
+        key, since each table lists its entries in table order."""
+        table = self.cpt[name]
+        for _, cfg in itertools.islice(table, 0, None, len(self._by_name[name].domain)):
+            yield cfg
 
     def _validate(self, name: str) -> None:
         if not _IDENT_RE.match(name):
@@ -117,21 +123,24 @@ class PossNetwork:
         self._check_acyclic()
         for v in self.variables:
             table = self.cpt[v.name]
-            configs = list(self.parent_configs(v.name))
-            expected = {(val, cfg) for cfg in configs for val in v.domain}
-            extra = table.keys() - expected
-            if extra:
-                val, cfg = sorted(extra)[0]
-                raise NetworkValidationError(
-                    f"unexpected CPT entry for {v.name}: value {val!r} under {cfg!r}"
-                )
-            missing = expected - table.keys()
-            if missing:
-                val, cfg = sorted(missing)[0]
-                raise NetworkValidationError(
-                    f"missing CPT entry for {v.name}: value {val!r} under {cfg!r}"
-                )
-            for cfg in configs:
+            doms = [self._by_name[p].domain for p in self.parents[v.name]]
+            columns = [tuple(reversed(rev)) for rev in itertools.product(*reversed(doms))]
+            order = [(val, cfg) for cfg in columns for val in v.domain]
+            if list(table) != order:
+                items = dict(zip(table, table.items()))
+                if len(items) == len(order) and all(map(items.__contains__, order)):
+                    # the same entries in another order: keep them, keys and
+                    # all, in table order
+                    self.cpt[v.name] = table = dict(map(items.__getitem__, order))
+                else:
+                    expected = set(order)
+                    extra = sorted(table.keys() - expected)
+                    val, cfg = (extra or sorted(expected - table.keys()))[0]
+                    raise NetworkValidationError(
+                        f"{'unexpected' if extra else 'missing'} CPT entry for {v.name}: "
+                        f"value {val!r} under {cfg!r}"
+                    )
+            for cfg in columns:
                 col_max = max([table[(val, cfg)].num for val in v.domain])
                 if col_max != SCALE:
                     where = f" under {' '.join(cfg)}" if cfg else ""
@@ -243,33 +252,34 @@ def conditional(
     possibility: Callable[[EventTerm], Degree],
     x: EventTerm,
     e: EventTerm,
-    evidence: Degree | None = None,
+    evidence: Callable[[EventTerm], Degree] | None = None,
 ) -> Conditional:
-    """Pi(x|e) by min-conditioning Pi(x, e) on Pi(e), both asked of
-    ``possibility``.  A caller that already holds Pi(e) passes it as
-    ``evidence``, and only the joint is asked.
+    """Pi(x|e) by min-conditioning Pi(x, e) on Pi(e).
 
-    Conflicting assignments between x and e make the joint impossible
-    (degree 0, without asking) rather than an error.
+    Both terms are checked first, each once.  Then Pi(e) is asked of
+    ``evidence`` (``possibility`` when it is None), and then the joint of
+    ``possibility``; a pipeline passes its evidence memo as ``evidence``,
+    so its joint can resume the memoised pass.  Conflicting assignments
+    between x and e make the joint impossible (degree 0, without asking)
+    rather than an error.
     """
     check_event(net, x)
     check_event(net, e)
+    given = (evidence or possibility)(e)
     joint = ZERO if conflicts(x, e) else possibility({**e, **x})
-    if evidence is None:
-        evidence = possibility(e)
-    return Conditional(min_condition(joint, evidence), joint, evidence)
+    return Conditional(min_condition(joint, given), joint, given)
 
 
 class EvidenceMemo:
     """A pipeline's result for the last evidence term it was asked.
 
     Compile-once callers ask one evidence term with several targets in a
-    row, so the evidence half of a query (Pi(e), or pkb's evidence
-    stratum) is computed once per term.  The key is the term's items,
-    frozen at the call, so a caller may change its dict afterwards; key
-    and value are one tuple, replaced whole.  The term is checked before
-    it is keyed, so an invalid one raises QueryError and leaves the memo
-    as it was.
+    row, so the evidence half of a query (the Pi(e) pass, or pkb's
+    evidence stratum) is computed once per term.  The key is the term's
+    items, frozen at the call, so a caller may change its dict
+    afterwards; key and value are one tuple, replaced whole.  Callers
+    check the term first, so an invalid one raises QueryError and leaves
+    the memo as it was.
     """
 
     __slots__ = ("entry",)
@@ -277,8 +287,7 @@ class EvidenceMemo:
     def __init__(self) -> None:
         self.entry: tuple = (None, None)
 
-    def __call__(self, net: PossNetwork, e: EventTerm, compute: Callable[[EventTerm], T]) -> T:
-        check_event(net, e)
+    def __call__(self, e: EventTerm, compute: Callable[[EventTerm], T]) -> T:
         key = frozenset(e.items())
         held, value = self.entry
         if held != key:

@@ -8,7 +8,9 @@ kernel: And is min, Or is max, unlisted literals weigh 1.  On decomposable
 DAGs a literal weighing 0 conditions on its negation and an unlisted
 variable is forgotten, so consistency and clausal entailment are that pass
 too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query
-does.
+does.  A pass may resume an earlier one at a node index: the nodes before
+it keep the earlier values, so two passes whose weights differ only from
+some leaf on share the nodes below it (``first_leaves`` finds that leaf).
 
 Each node is the tuple of its c2d line, ``(op, arg, children)``:
 ``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
@@ -166,16 +168,26 @@ class NnfBuilder:
         return NnfDag(kept, remap[root], num_vars)
 
 
-def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
+def pi_evaluate(
+    d: NnfDag, w: WeightMap, val: list[int] | None = None, start: int = 0
+) -> Degree:
     """Max-min evaluation: And is min, Or is max, leaves read the map.
 
     Unlisted literals weigh 1; the empty And (True) yields 1 and the
     empty Or (False) yields 0.  One bottom-up pass.
+
+    ``val``, when given, is a list of one value (a degree's numerator)
+    per node, and the pass fills it in place.  A pass resumed at
+    ``start`` keeps the entries before ``start`` and evaluates from there
+    on: the entries must be those of a pass whose weights agree with
+    ``w`` on every leaf below ``start``.  Since children precede parents,
+    the result is then that of a fresh pass.
     """
     weights = {lit: deg.num for lit, deg in w.items()}
-    val = [0] * len(d.nodes)
+    if val is None:
+        val = [0] * len(d.nodes)
     at = val.__getitem__
-    for i, (op, arg, kids) in enumerate(d.nodes):
+    for i, (op, arg, kids) in enumerate(d.nodes[start:], start):
         if op == "L":
             val[i] = weights.get(arg, SCALE)
         elif op == "A":
@@ -183,6 +195,15 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
         else:
             val[i] = max(map(at, kids)) if kids else 0
     return Degree(val[d.root])
+
+
+def first_leaves(d: NnfDag) -> dict[int, int]:
+    """Each literal of the DAG mapped to the index of its first leaf."""
+    out: dict[int, int] = {}
+    for i, (op, arg, _) in enumerate(d.nodes):
+        if op == "L":
+            out.setdefault(arg, i)
+    return out
 
 
 def is_consistent(d: NnfDag) -> bool:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .cnf import CnfFormula, Level, stratified
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement
-from .encodings import InstanceMap, table_entries
+from .encodings import InstanceMap, instance_map, table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, condition, entails_clause, is_consistent
@@ -68,7 +68,7 @@ class PossibilisticBase:
 def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
     """Transform a network into its equivalent possibilistic base: one
     formula per table entry of degree below 1, in table order."""
-    imap = InstanceMap(net)
+    imap = instance_map(net)
     entries = table_entries(net, imap.literals)
     # an entry's literals name distinct variables, so sorting by variable is canonical
     formulas = tuple(
@@ -106,7 +106,7 @@ def encode_pkb(net: PossNetwork) -> CnfFormula:
     relaxes every weaker one.  Answers stay the same, since an optimal
     model of either query procedure can set every weaker level true, and
     only L + 1 of the 2^L level assignments remain."""
-    imap = InstanceMap(net)
+    imap = instance_map(net)
     entries = table_entries(net, imap.literals)
     clauses = [([lit, *neg], d) for _, _, _, lit, neg, d in entries if d.num != SCALE]
     f = CnfFormula()
@@ -136,11 +136,12 @@ def compile_base(
     """The network's compiled base as (instance map, ``level_vars`` of its
     CNF, DAG), memoised on the network as (node budget, that triple).
     The CNF is encoded straight from the network (``encode_pkb``) and
-    dropped once compiled; a budget failure stores nothing."""
+    dropped once compiled, and the instance map is the one the encoder
+    read (``encodings.instance_map``); a budget failure stores no triple."""
     held, compiled = net.compiled_base or (None, None)
     if held != node_budget:
         cnf = encode_pkb(net)
-        compiled = (InstanceMap(net), level_vars(cnf), compile_cnf(cnf, node_budget=node_budget))
+        compiled = (instance_map(net), level_vars(cnf), compile_cnf(cnf, node_budget=node_budget))
         net.compiled_base = (node_budget, compiled)
     return compiled
 
@@ -225,7 +226,8 @@ class PkbPipeline:
         the clause.
         """
         check_event(self.net, x)
-        i = self.evidence(self.net, e, self.evidence_stratum)
+        check_event(self.net, e)
+        i = self.evidence(e, self.evidence_stratum)
         if i == 0:
             return ONE, 0
         not_ex = [-l for l in (*self.imap.term_literals(e), *self.imap.term_literals(x))]

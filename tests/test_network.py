@@ -38,6 +38,14 @@ class TestParsing:
         assert serialize_network(alarm) == alarm_text
         assert parse_network(serialize_network(alarm)) == alarm
 
+    def test_entries_in_any_order_are_kept_in_table_order(self, alarm, alarm_text):
+        head, _, block = alarm_text.partition("cpt D\n")
+        shuffled = parse_network(head + "cpt D\n" + "".join(reversed(block.splitlines(True))))
+        assert shuffled == alarm
+        assert list(shuffled.cpt["D"]) == list(alarm.cpt["D"])
+        assert list(shuffled.parent_configs("D")) == list(alarm.parent_configs("D"))
+        assert serialize_network(shuffled) == alarm_text
+
     def test_comments_and_blank_lines(self, alarm_text):
         decorated = "# header\n\n" + alarm_text.replace("f1 : 0.7", "f1 : 0.7  # prior")
         assert parse_network(decorated) == parse_network(alarm_text)

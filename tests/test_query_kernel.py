@@ -10,7 +10,10 @@ they replaced (degrees and iteration counts), and against the
 brute-force oracle, on binary, multi-valued, coarse-pool and degree-0
 networks.  Each pipeline's one-entry evidence memo is checked on runs of
 queries whose evidence repeats and changes, on caller-mutated and
-invalid evidence, and by the passes a repeated evidence term saves.
+invalid evidence, and by the passes a repeated evidence term saves.  A
+pass resumed from an earlier one's node values is checked against a
+fresh pass, and the pf and logical joints that resume the memoised
+evidence pass against ``possibility`` and the oracle.
 """
 
 import pytest
@@ -23,7 +26,13 @@ from posskc.circuits import PfPipeline
 from posskc.degrees import ONE, SCALE, ZERO, Degree, parse_degree
 from posskc.errors import QueryError
 from posskc.logical import LogicalPipeline
-from posskc.network import PossNetwork, oracle_conditional, oracle_possibility
+from posskc.network import (
+    PossNetwork,
+    conditional,
+    conflicts,
+    oracle_conditional,
+    oracle_possibility,
+)
 from posskc.nnf import parse_nnf, pi_evaluate
 from posskc.pkb import PkbPipeline
 
@@ -126,13 +135,19 @@ HAND_DAGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HAND_DAGS))
-def test_kernel_matches_reference_on_hand_written_dags(name):
-    body, expected = HAND_DAGS[name]
+def hand_dag(body: str):
+    """The DAG of a ``HAND_DAGS`` body, under a header counted from it."""
     lines = body.splitlines()
     edges = sum(len(l.split()) - (3 if l[0] == "O" else 2) for l in lines if l[0] != "L")
     d = parse_nnf(f"nnf {len(lines)} {edges} 2\n{body}\n")
     assert d.edge_count() == edges
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(HAND_DAGS))
+def test_kernel_matches_reference_on_hand_written_dags(name):
+    body, expected = HAND_DAGS[name]
+    d = hand_dag(body)
     assert pi_evaluate(d, HAND_WEIGHTS) == reference_pi_evaluate(d, HAND_WEIGHTS)
     assert pi_evaluate(d, HAND_WEIGHTS) == parse_degree(expected)
 
@@ -182,6 +197,106 @@ def test_kernel_matches_reference_on_pipeline_dags():
                 values.add(got)
     assert any(len(v.domain) > 2 for net in nets for v in net.variables)
     assert {ZERO, ONE} < values  # zero, one, and degrees strictly between
+
+
+def first_changed_leaf(d, prior: dict, w: dict) -> int:
+    """The index of the first leaf that weighs differently under the two
+    maps (unlisted literals weigh 1), or the node count when none does."""
+    for i, (op, lit, _) in enumerate(d.nodes):
+        if op == "L" and prior.get(lit, ONE) != w.get(lit, ONE):
+            return i
+    return len(d.nodes)
+
+
+def check_resumed(d, prior: dict, w: dict, starts=None) -> bool:
+    """A pass under ``w`` resumed from the pass under ``prior`` at each
+    start up to the first changed leaf (every one unless ``starts`` is
+    given) fills the same values, as ints, as a fresh pass.  Returns
+    whether the two maps give different roots, so the resume had work."""
+    held = [0] * len(d.nodes)
+    pi_evaluate(d, prior, held)
+    fresh = [0] * len(d.nodes)
+    expected = pi_evaluate(d, w, fresh)
+    first = first_changed_leaf(d, prior, w)
+    for start in range(first + 1) if starts is None else starts(first):
+        values = held.copy()
+        assert pi_evaluate(d, w, values, start) == expected
+        assert values == fresh
+    return held[d.root] != fresh[d.root]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_DAGS))
+def test_resumed_pass_equals_a_fresh_one_on_hand_written_dags(name):
+    d = hand_dag(HAND_DAGS[name][0])
+    maps = (HAND_WEIGHTS, {}, {**HAND_WEIGHTS, 2: ZERO}, {1: ZERO, -2: parse_degree("0.5")})
+    for prior in maps:
+        for w in maps:
+            check_resumed(d, prior, w)
+
+
+def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
+    """Prior maps are random; each new map is either another random map or
+    the prior with weight 0 on a few more literals, as a target adds."""
+    rng = SplitMix64(0x52455355)
+    changed = 0
+
+    def some_starts(first: int) -> set:
+        return {0, first, first // 2, *(rng.next_below(first + 1) for _ in range(3))}
+
+    for net in kernel_networks():
+        for build in (PfPipeline, LogicalPipeline, PkbPipeline):
+            d = build(net).dag
+            for _ in range(4):
+                prior = random_weights(rng, d.num_vars)
+                zeroed = [lit for lit in random_weights(rng, d.num_vars) if lit % 3 == 0]
+                for w in (random_weights(rng, d.num_vars), {**prior, **dict.fromkeys(zeroed, ZERO)}):
+                    changed += check_resumed(d, prior, w, some_starts)
+    assert changed > 100
+
+
+def every_term(net: PossNetwork, size: int) -> list[dict]:
+    """Every term on ``size`` distinct variables, size 0, 1 or 2."""
+    if size == 0:
+        return [{}]
+    singles = [{v.name: val} for v in net.variables for val in v.domain]
+    if size == 1:
+        return singles
+    return [
+        {**a, **b} for i, a in enumerate(singles) for b in singles[i + 1 :] if a.keys() != b.keys()
+    ]
+
+
+@pytest.mark.parametrize("kind", ["binary", "multivalued", "coarse", "zero"])
+def test_resumed_joint_matches_a_fresh_pass_and_the_oracle(kind):
+    """Every evidence term of 0-2 variables, each with every one-variable
+    target (on the evidence variables too, with their value and another)
+    and some two-variable ones: pf and logical answer the oracle's
+    conditional, and the joint resumed from the memoised evidence pass is
+    the fresh ``possibility`` of x and e."""
+    resumed = 0
+    for net in family(kind)[::2]:
+        oracle: dict = {}
+
+        def possibility(term):
+            key = frozenset(term.items())
+            if key not in oracle:
+                oracle[key] = oracle_possibility(net, term)
+            return oracle[key]
+
+        names = net.var_names
+        targets = every_term(net, 1) + [
+            {a: net.domain_of(a)[-1], b: net.domain_of(b)[0]} for a, b in zip(names, names[1:])
+        ]
+        for pipeline in (PfPipeline(net), LogicalPipeline(net)):
+            for e in (t for size in range(3) for t in every_term(net, size)):
+                for x in targets:
+                    got = conditional(net, pipeline._joint, x, e, pipeline._evidence)
+                    assert got == conditional(net, possibility, x, e)
+                    assert pipeline.query(x, e) == got.degree
+                    if not conflicts(x, e):
+                        assert got.joint == pipeline.possibility({**e, **x})
+                        resumed += not x.items() <= e.items()
+    assert resumed > 1000
 
 
 def impossible_evidence(net: PossNetwork) -> dict | None:

@@ -40,13 +40,16 @@ def test_parse_degree_shares_zero_and_one():
 
 def test_parse_network_shares_values_and_columns(alarm):
     """The entries of one table column share one parent-value tuple, and
-    every value in a table key is its domain's own string."""
+    every value in a table key is its domain's own string; ``parent_configs``
+    lists the column tuples the keys hold."""
     for v in alarm.variables:
         columns = {}
         for own, cfg in alarm.cpt[v.name]:
             assert columns.setdefault(cfg, cfg) is cfg
             for name, val in zip((v.name, *alarm.parents[v.name]), (own, *cfg)):
                 assert any(val is d for d in alarm.domain_of(name))
+        # the table walk reads the columns the keys hold
+        assert all(columns[cfg] is cfg for cfg in alarm.parent_configs(v.name))
     assert len(columns) == 4  # D's, under its parents F and B
 
 
