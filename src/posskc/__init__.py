@@ -18,7 +18,7 @@ from .bench import (
     random_network,
     run_comparison,
 )
-from .circuits import PfPipeline, encode_pf, indicator_weights
+from .circuits import PfPipeline, encode_pf
 from .cnf import CnfFormula, cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement, min_condition, parse_degree

@@ -10,10 +10,12 @@ parameter degrees and indicator ids are read off its roles, so a DIMACS
 text carries them too.  Every query weighs each negative literal
 1, so a pipeline compiles its circuit with those literals built as True
 (``compile_cnf``'s ``weight_one``): the compiled DAG's value under every
-query's weights, from the same search, with a third fewer nodes.  A
-query's Pi(x, e) differs from the memoised Pi(e) pass only at the
-indicators of the target variables' other values, so it resumes that
-pass at the first of them.
+query's weights, from the same search, with a third fewer nodes.  The
+pipeline keeps the circuit as its max-min program (``nnf.max_min_program``),
+the parameter degrees set once, and a pass writes 0 at the indicators
+the term refutes.  A query's Pi(x, e) differs from the memoised Pi(e)
+pass only at the indicators of the target variables' other values, so
+it resumes that pass at the first instruction after the first of them.
 
 Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
@@ -30,10 +32,11 @@ from array import array
 
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import SCALE, Degree, ZERO
+from .degrees import SCALE, Degree
 from .encodings import table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
-from .nnf import NnfDag, WeightMap, first_leaves, pi_evaluate
+# pi_evaluate: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
+from .nnf import NnfDag, WeightMap, max_min_program, pi_evaluate, run_program
 
 
 def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
@@ -75,26 +78,22 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
     return f
 
 
-def indicator_weights(pf: PfPipeline, term: EventTerm) -> WeightMap:
-    """Per-query weights: the parameter degrees, plus weight 0 on each
-    indicator the term excludes; the other indicators, and every negative
-    literal, are unlisted, so they weigh 1."""
-    w: WeightMap = dict(pf.weight_map)
-    for (var, val), vid in pf.indicators.items():
-        if var in term and term[var] != val:
-            w[vid] = ZERO
-    return w
+def _circuit(cnf: CnfFormula, node_budget: int) -> NnfDag:
+    """The pf circuit: the CNF compiled with every negative literal built
+    as True."""
+    return compile_cnf(cnf, node_budget=node_budget, weight_one=range(-1, -cnf.num_vars - 1, -1))
 
 
 class PfPipeline:
     """Compile once, then answer any number of queries on the circuit.
 
-    The pipeline keeps what a query reads: the circuit, the parameter
-    degrees and indicator ids, read off the CNF's ``Parameter`` and
-    ``Indicator`` roles, and the encoding mode; the node budget bounds
-    the circuit.  ``cnf`` encodes the network again on each access,
-    and ``dag`` compiles that CNF again to the full decision-labelled DAG,
-    which may exceed the budget (CompileBudgetError)."""
+    The pipeline keeps what a query reads: the circuit's max-min program,
+    the parameter degrees and indicator ids, read off the CNF's
+    ``Parameter`` and ``Indicator`` roles, and the encoding mode; the
+    node budget bounds the circuit.  ``cnf`` encodes the network again on
+    each access, ``circuit`` compiles that CNF again to the circuit, and
+    ``dag`` to the full decision-labelled DAG, which may exceed the budget
+    (CompileBudgetError)."""
 
     def __init__(
         self,
@@ -113,20 +112,20 @@ class PfPipeline:
                 self.weight_map[vid] = role.degree
             else:  # an Indicator
                 self.indicators[(role.var, role.value)] = vid
-        negative = range(-1, -cnf.num_vars - 1, -1)
-        self.circuit = compile_cnf(cnf, node_budget=node_budget, weight_one=negative)
-        # indicator id -> first circuit leaf among the indicators a target
-        # on its value zeroes (its variable's other values); the node count
-        # when there is none
-        n = len(self.circuit.nodes)
-        leaf = first_leaves(self.circuit)
-        self.starts = array("i", [n]) * (1 + max(self.indicators.values()))
+        self.program, leaves = max_min_program(_circuit(cnf, node_budget), self.weight_map)
+        # indicator id -> the leaf slots a target on its value refutes (its
+        # variable's other indicators'), and the first instruction after
+        # the first of them, the instruction count when there is none
+        n = len(self.program.out)
+        size = 1 + max(self.indicators.values())
+        self.refutes: list[tuple[int, ...]] = [()] * size
+        self.starts = array("i", [n]) * size
         for v in net.variables:
             ids = [self.indicators[(v.name, val)] for val in v.domain]
-            firsts = [leaf.get(vid, n) for vid in ids]
-            lo, second = sorted(firsts)[:2]  # distinct leaves, unless both are n
-            for vid, first in zip(ids, firsts):
-                self.starts[vid] = second if first == lo else lo
+            for vid in ids:
+                others = [leaves[o] for o in ids if o != vid and o in leaves]
+                self.refutes[vid] = tuple(slot for slot, _ in others)
+                self.starts[vid] = min((start for _, start in others), default=n)
         self.evidence = EvidenceMemo()
 
     @property
@@ -134,38 +133,41 @@ class PfPipeline:
         return encode_pf(self.net, self.local_structure)
 
     @property
+    def circuit(self) -> NnfDag:
+        return _circuit(self.cnf, self.node_budget)
+
+    @property
     def dag(self) -> NnfDag:
         return compile_cnf(self.cnf, node_budget=self.node_budget)
 
     def possibility(self, term: EventTerm) -> Degree:
-        """Pi(term) in one evaluation pass over the circuit."""
+        """Pi(term) in one run of the circuit's program."""
         check_event(self.net, term)
         return self._pass(term)[1]
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
-        which keeps the node values of its pass, and the joint resumes
-        that pass (``_joint``)."""
+        which keeps the values of its run, and the joint resumes that run
+        (``_joint``)."""
         return conditional(self.net, self._joint, x, e, self._evidence).degree
 
     def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
-        """Pi(term) in one pass, with the value of every node."""
-        values = [0] * len(self.circuit.nodes)
-        return values, pi_evaluate(self.circuit, indicator_weights(self, term), values)
+        """Pi(term) in one run, with the value of every slot."""
+        values = self.program.template.copy()
+        refuted = [s for item in term.items() for s in self.refutes[self.indicators[item]]]
+        return values, run_program(self.program, values, refuted)
 
     def _evidence(self, e: EventTerm) -> Degree:
         return self.evidence(e, self._pass)[1]
 
     def _joint(self, term: EventTerm) -> Degree:
         """Pi(term), for a term that extends the memoised evidence: its
-        pass resumed at the first leaf the term's other items zero, or
-        Pi(e) itself when they zero none."""
+        run resumed at the first instruction after the first leaf the
+        term's other items refute, or Pi(e) itself when they refute none."""
         held, (values, evidence) = self.evidence.entry
-        n = len(values)
-        start = min(
-            (self.starts[self.indicators[item]] for item in term.items() if item not in held),
-            default=n,
-        )
-        if start == n:
+        ids = [self.indicators[item] for item in term.items() if item not in held]
+        refuted = [s for vid in ids for s in self.refutes[vid]]
+        if not refuted:
             return evidence
-        return pi_evaluate(self.circuit, indicator_weights(self, term), values.copy(), start)
+        start = min(map(self.starts.__getitem__, ids))
+        return run_program(self.program, values.copy(), refuted, start)

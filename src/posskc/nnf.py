@@ -3,14 +3,18 @@ all three pipelines.
 
 A DAG lives in an indexed node pool where children always precede their
 parents, so every traversal here is a single iterative bottom-up pass
-(no recursion, no stack-depth limits).  ``pi_evaluate`` is the one query
-kernel: And is min, Or is max, unlisted literals weigh 1.  On decomposable
+(no recursion, no stack-depth limits).  ``pi_evaluate`` is the max-min
+pass: And is min, Or is max, unlisted literals weigh 1.  On decomposable
 DAGs a literal weighing 0 conditions on its negation and an unlisted
 variable is forgotten, so consistency and clausal entailment are that pass
 too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query
-does.  A pass may resume an earlier one at a node index: the nodes before
-it keep the earlier values, so two passes whose weights differ only from
-some leaf on share the nodes below it (``first_leaves`` finds that leaf).
+does.  A pipeline whose leaf weights stay fixed across its queries, up to
+the leaves a query's term refutes, runs the same pass as a straight-line
+program (``max_min_program``): the fixed weights are set once in a
+template, the internal nodes become binary min/max instructions, and a
+run writes 0 at the refuted leaves and executes the instructions from a
+start index, so a run may resume an earlier one's values past the
+instructions that precede its first changed leaf.
 
 Each node is the tuple of its c2d line, ``(op, arg, children)``:
 ``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
@@ -27,6 +31,7 @@ structure.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
@@ -168,26 +173,16 @@ class NnfBuilder:
         return NnfDag(kept, remap[root], num_vars)
 
 
-def pi_evaluate(
-    d: NnfDag, w: WeightMap, val: list[int] | None = None, start: int = 0
-) -> Degree:
+def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
     """Max-min evaluation: And is min, Or is max, leaves read the map.
 
     Unlisted literals weigh 1; the empty And (True) yields 1 and the
     empty Or (False) yields 0.  One bottom-up pass.
-
-    ``val``, when given, is a list of one value (a degree's numerator)
-    per node, and the pass fills it in place.  A pass resumed at
-    ``start`` keeps the entries before ``start`` and evaluates from there
-    on: the entries must be those of a pass whose weights agree with
-    ``w`` on every leaf below ``start``.  Since children precede parents,
-    the result is then that of a fresh pass.
     """
     weights = {lit: deg.num for lit, deg in w.items()}
-    if val is None:
-        val = [0] * len(d.nodes)
+    val = [0] * len(d.nodes)
     at = val.__getitem__
-    for i, (op, arg, kids) in enumerate(d.nodes[start:], start):
+    for i, (op, arg, kids) in enumerate(d.nodes):
         if op == "L":
             val[i] = weights.get(arg, SCALE)
         elif op == "A":
@@ -197,13 +192,91 @@ def pi_evaluate(
     return Degree(val[d.root])
 
 
-def first_leaves(d: NnfDag) -> dict[int, int]:
-    """Each literal of the DAG mapped to the index of its first leaf."""
-    out: dict[int, int] = {}
-    for i, (op, arg, _) in enumerate(d.nodes):
+@dataclass(frozen=True)
+class MaxMinProgram:
+    """``pi_evaluate`` of one DAG as straight-line code over a value list
+    with one slot per node.
+
+    ``template`` holds each leaf's fixed weight (a degree's numerator,
+    ``SCALE`` when unlisted) and each constant's value.  Instruction k
+    sets slot ``out[k]`` to the min (``ands[k]`` is 1) or the max of
+    slots ``left[k]`` and ``right[k]``; the instructions follow the DAG
+    order.  An n-ary node is a chain of n - 1 instructions accumulating
+    in its own slot, and a one-child node, or a repeated leaf, copies its
+    child's (its literal's first leaf's) slot.
+    """
+
+    template: list[int]
+    out: array
+    left: array
+    right: array
+    ands: bytes
+    root: int
+
+
+def max_min_program(
+    d: NnfDag, w: WeightMap
+) -> tuple[MaxMinProgram, dict[int, tuple[int, int]]]:
+    """The program of ``d`` under the fixed weights ``w``, and each
+    literal's first leaf as (its slot, the index of the first instruction
+    after it): a run that refutes the literal writes 0 at that slot, and
+    the instructions before that index do not read it."""
+    weights = {lit: deg.num for lit, deg in w.items()}
+    template = [0] * len(d.nodes)
+    out, left, right, ands = [], [], [], bytearray()
+    leaves: dict[int, tuple[int, int]] = {}
+    for i, (op, arg, kids) in enumerate(d.nodes):
         if op == "L":
-            out.setdefault(arg, i)
-    return out
+            if arg not in leaves:
+                leaves[arg] = (i, len(out))
+                template[i] = weights.get(arg, SCALE)
+                continue
+            kids = (leaves[arg][0],) * 2
+        elif len(kids) != 2:
+            if not kids:
+                template[i] = SCALE if op == "A" else 0
+                continue
+            if len(kids) == 1:
+                kids *= 2
+            else:  # all but the last pair of the chain
+                a = kids[0]
+                for b in kids[1:-1]:
+                    out.append(i)
+                    left.append(a)
+                    right.append(b)
+                    ands.append(op == "A")
+                    a = i
+                kids = (i, kids[-1])
+        out.append(i)
+        left.append(kids[0])
+        right.append(kids[1])
+        ands.append(op == "A")
+    columns = (array("i", column) for column in (out, left, right))
+    return MaxMinProgram(template, *columns, bytes(ands), d.root), leaves
+
+
+def run_program(
+    p: MaxMinProgram, val: list[int], refuted: Iterable[int] = (), start: int = 0
+) -> Degree:
+    """Write 0 at the ``refuted`` slots of ``val``, run the instructions
+    from ``start`` on it in place, and return the root's degree.
+
+    ``val`` is a copy of the template, or of an earlier run's values.  A
+    run resumed at ``start`` keeps the slots the instructions before it
+    wrote: they must be those of a run whose leaves agree with ``val``'s
+    on every leaf those instructions read.  Since children precede
+    parents, the values are then those of a fresh run.
+    """
+    for i in refuted:
+        val[i] = 0
+    for o, a, b, is_and in zip(p.out[start:], p.left[start:], p.right[start:], p.ands[start:]):
+        x = val[a]
+        y = val[b]
+        if is_and:
+            val[o] = x if x < y else y
+        else:
+            val[o] = y if x < y else x
+    return Degree(val[p.root])
 
 
 def is_consistent(d: NnfDag) -> bool:

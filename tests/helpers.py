@@ -7,8 +7,9 @@ reference.  The query references answer the logical and pkb
 queries the rebuilding way (condition, forget, then a boolean or max-min
 pass over the new DAG), as a cross-check of the one-pass query kernel.
 The union-find component split is the reference for the compiler's
-split, and a generator-per-node max-min pass is the reference for the
-map-driven ``pi_evaluate``.  ``reference_kb_cnf`` encodes a
+split, and a generator-per-node max-min pass is the reference, node for
+node, for the map-driven ``pi_evaluate`` and the pipelines' max-min
+programs; ``pf_weights`` is the weight map a pf pass reads.  ``reference_kb_cnf`` encodes a
 possibilistic base formula by formula, the reference for
 ``encode_pkb``'s one table walk, and ``canonical_clause`` is the
 reference for the clause order ``CnfFormula.add_clause`` stores.
@@ -246,9 +247,10 @@ def _rebuild_entails(dag, clause: list[int]) -> bool:
     return not boolean_consistent(condition(dag, [-l for l in clause]))
 
 
-def reference_pi_evaluate(d, w) -> Degree:
+def reference_node_values(d, w) -> list[int]:
     """Max-min evaluation with one generator per And/Or node: And is min
-    (empty And 1), Or is max (empty Or 0), unlisted literals weigh 1."""
+    (empty And 1), Or is max (empty Or 0), unlisted literals weigh 1.
+    The value (a degree's numerator) of every node."""
     weights = {lit: deg.num for lit, deg in w.items()}
     val = [0] * len(d.nodes)
     for i, (op, arg, kids) in enumerate(d.nodes):
@@ -258,7 +260,23 @@ def reference_pi_evaluate(d, w) -> Degree:
             val[i] = min((val[c] for c in kids), default=SCALE)
         else:
             val[i] = max((val[c] for c in kids), default=0)
-    return Degree(val[d.root])
+    return val
+
+
+def reference_pi_evaluate(d, w) -> Degree:
+    """The root's degree under ``reference_node_values``."""
+    return Degree(reference_node_values(d, w)[d.root])
+
+
+def pf_weights(pf, term) -> dict:
+    """A pf pass's weight map: the parameter degrees, plus weight 0 on each
+    indicator the term excludes; the other indicators, and every negative
+    literal, are unlisted, so they weigh 1."""
+    w = dict(pf.weight_map)
+    for (var, val), vid in pf.indicators.items():
+        if var in term and term[var] != val:
+            w[vid] = ZERO
+    return w
 
 
 def reference_explore(compiled, logical, term):

@@ -455,7 +455,7 @@ class TestBudget:
 
     def test_pf_budget_bounds_the_circuit(self, alarm):
         """The smallest budget that builds a pf pipeline is the node count of
-        the circuit it keeps."""
+        the circuit its program is built from."""
         circuit = PfPipeline(alarm).circuit
         assert circuit.node_count() == 32
         PfPipeline(alarm, node_budget=32)

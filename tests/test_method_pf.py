@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from posskc.bench import GenConfig, random_network
-from posskc.circuits import PfPipeline, encode_pf, indicator_weights
+from posskc.circuits import PfPipeline, encode_pf
 from posskc.cnf import CnfFormula, Indicator, Parameter, cnf_stats
 from posskc.degrees import ONE, parse_degree
 from posskc.errors import QueryError, SizeGuardError
@@ -19,9 +19,9 @@ from posskc.network import (
     oracle_possibility,
     parse_network,
 )
-from posskc.nnf import pi_evaluate
+from posskc.nnf import max_min_program, pi_evaluate, run_program
 
-from helpers import baseline_counts
+from helpers import baseline_counts, pf_weights
 
 D = parse_degree
 
@@ -139,24 +139,35 @@ class TestEncodePf:
 class TestCircuit:
     def test_all_ones_evaluates_to_one(self, alarm):
         p = PfPipeline(alarm)
-        assert pi_evaluate(p.dag, indicator_weights(p, {})) == D("1")
+        assert pi_evaluate(p.dag, pf_weights(p, {})) == D("1")
+        assert p.possibility({}) == D("1")
 
     def test_inconsistent_encoding_evaluates_to_zero(self):
         f = CnfFormula()
         v = f.new_var(Indicator("X", "x1"))
         f.add_clause([v])
         f.add_clause([-v])
-        # the two fields indicator_weights reads off a built pipeline
+        # the two fields pf_weights reads off a built pipeline
         pf = SimpleNamespace(weight_map={}, indicators={("X", "x1"): v})
-        assert pi_evaluate(compile_cnf(f), indicator_weights(pf, {})) == D("0")
+        d = compile_cnf(f)
+        assert pi_evaluate(d, pf_weights(pf, {})) == D("0")
+        program, _ = max_min_program(d, pf.weight_map)
+        assert run_program(program, program.template.copy()) == D("0")
 
     def test_indicator_weights_respect_term(self, alarm):
+        """A target refutes the indicators of its variable's other values:
+        its pass writes 0 at their circuit leaves and at no other leaf."""
         pf = PfPipeline(alarm)
-        w = indicator_weights(pf, {"F": "f1"})
-        assert w.get(pf.indicators[("F", "f1")], ONE) == D("1")
-        assert w.get(pf.indicators[("F", "f2")], ONE) == D("0")
-        assert w.get(pf.indicators[("B", "b1")], ONE) == D("1")
-        assert w.get(pf.indicators[("B", "b2")], ONE) == D("1")
+        nodes = pf.circuit.nodes
+        leaf = {arg: i for i, (op, arg, _) in enumerate(nodes) if op == "L"}
+        ind = pf.indicators
+        assert pf.refutes[ind[("F", "f1")]] == (leaf[ind[("F", "f2")]],)
+        assert pf.refutes[ind[("B", "b2")]] == (leaf[ind[("B", "b1")]],)
+        values, _ = pf._pass({"F": "f1"})
+        fresh, _ = pf._pass({})
+        changed = {i for i in leaf.values() if values[i] != fresh[i]}
+        assert changed == {leaf[ind[("F", "f2")]]}
+        assert fresh[leaf[ind[("F", "f2")]]] == ONE.num
 
     def test_circuit_possibility_equals_chain_rule_on_worlds(self, alarm):
         p = PfPipeline(alarm)
@@ -180,12 +191,14 @@ class TestCircuit:
         for net in nets:
             p = PfPipeline(net, local_structure=local)
             dag = compile_cnf(encode_pf(net, local))
-            assert all(lit > 0 for op, lit, _ in p.circuit.nodes if op == "L")
+            circuit = p.circuit
+            assert all(lit > 0 for op, lit, _ in circuit.nodes if op == "L")
             for term in every_term(net):
-                w = indicator_weights(p, term)
+                w = pf_weights(p, term)
                 assert all(lit > 0 for lit in w)
-                got = pi_evaluate(p.circuit, w)
+                got = pi_evaluate(circuit, w)
                 assert got == pi_evaluate(dag, w)
+                assert p.possibility(term) == got
                 values.add(got)
         assert ONE in values and len(values) > 2  # degrees strictly between 0 and 1 too
 

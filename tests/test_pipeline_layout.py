@@ -1,8 +1,9 @@
 """A built pipeline, and the compiled-base memo on its network, keep only
 what a query reads: no CNF or possibilistic base is reachable from
 them.  ``cnf`` and pkb's ``base`` rebuild the
-encoders' output on access.  pf keeps its circuit, not its compiled DAG,
-and its ``dag`` compiles the encoder's CNF again."""
+encoders' output on access.  pf keeps its circuit's max-min program,
+not the circuit or its compiled DAG, and its ``circuit`` and ``dag``
+compile the encoder's CNF again."""
 
 import gc
 import types

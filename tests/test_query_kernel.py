@@ -1,19 +1,23 @@
-"""The one-pass query kernel against the references.
+"""The one-pass query kernel and the pipelines' max-min programs against
+the references.
 
-``pi_evaluate`` is checked, value for value, against a generator-per-node
-max-min pass on hand-written c2d DAGs and on the compiled DAGs of all
-three pipelines.  ``LogicalPipeline.possibility`` and
-``PkbPipeline.query_detail`` answer by max-min passes over the compiled
-DAG and never build a new one.  Here they are checked against the
-condition/forget/evaluate exploration and the rebuilding stratum descent
-they replaced (degrees and iteration counts), and against the
-brute-force oracle, on binary, multi-valued, coarse-pool and degree-0
-networks.  Each pipeline's one-entry evidence memo is checked on runs of
-queries whose evidence repeats and changes, on caller-mutated and
-invalid evidence, and by the passes a repeated evidence term saves.  A
-pass resumed from an earlier one's node values is checked against a
-fresh pass, and the pf and logical joints that resume the memoised
-evidence pass against ``possibility`` and the oracle.
+``pi_evaluate`` is checked against a generator-per-node max-min pass on
+hand-written c2d DAGs and on the compiled DAGs of all three pipelines,
+and a max-min program, node value for node value, against both: on the
+hand-written DAGs, on those pipeline DAGs, and as pf's program over its
+circuit and logical's over the kb DAG, on every term of 0-2 variables.
+``LogicalPipeline.possibility`` and ``PkbPipeline.query_detail`` answer
+by max-min passes over the compiled DAG and never build a new one.  Here
+they are checked against the condition/forget/evaluate exploration and
+the rebuilding stratum descent they replaced (degrees and iteration
+counts), and against the brute-force oracle, on binary, multi-valued,
+coarse-pool and degree-0 networks.  Each pipeline's one-entry evidence
+memo is checked on runs of queries whose evidence repeats and changes,
+on caller-mutated and invalid evidence, and by the program runs a
+repeated evidence term saves.  A program run resumed from an earlier
+one's values is checked against a fresh run, and the pf and logical
+joints that resume the memoised evidence run against ``possibility`` and
+the oracle.
 """
 
 import pytest
@@ -29,14 +33,21 @@ from posskc.logical import LogicalPipeline
 from posskc.network import (
     PossNetwork,
     conditional,
+    parse_network,
     conflicts,
     oracle_conditional,
     oracle_possibility,
 )
-from posskc.nnf import parse_nnf, pi_evaluate
+from posskc.nnf import NnfDag, max_min_program, parse_nnf, pi_evaluate, run_program
 from posskc.pkb import PkbPipeline
 
-from helpers import reference_explore, reference_pi_evaluate, reference_query_detail
+from helpers import (
+    pf_weights,
+    reference_explore,
+    reference_node_values,
+    reference_pi_evaluate,
+    reference_query_detail,
+)
 
 COARSE_POOL = frozenset(Degree(SCALE * (2 * k + 1) // 20) for k in range(10))
 """Ten degrees, 0.05 .. 0.95: levels span many clauses across families."""
@@ -128,11 +139,20 @@ HAND_DAGS = {
     "false-under-or": ("L 1\nO 0 0\nO 0 2 0 1", "0.6"),
     "true-alone": ("A 0", "1"),
     "false-alone": ("O 0 0", "0"),
+    "literal-alone": ("L 1", "0.6"),
     "three-child-or": ("L 1\nL -1\nL 2\nO 0 3 0 1 2", "0.6"),
+    "three-child-and": ("L 1\nL -1\nL -2\nA 3 0 1 2", "0.3"),
     "single-children-negative-literal": ("L -1\nA 1 0\nO 1 1 1", "0.3"),
     "unlisted-literal": ("L -2\nA 1 0", "1"),
+    "repeated-leaf": ("L 1\nL 2\nL 1\nA 2 0 1\nO 0 2 2 3", "0.6"),
     "decision": ("L 1\nL -1\nL 2\nL -2\nA 2 0 2\nA 2 1 3\nO 1 2 4 5", "0.3"),
 }
+
+HAND_MAPS = (HAND_WEIGHTS, {}, {-2: parse_degree("0.5")})
+"""Fixed weights the hand-written DAGs' programs are built with."""
+
+HAND_REFUTED = ((), (1,), (2,), (-1, 2), (1, -2), (1, -1, 2, -2))
+"""Literal sets a run of a hand-written DAG's program refutes."""
 
 
 def hand_dag(body: str):
@@ -144,12 +164,49 @@ def hand_dag(body: str):
     return d
 
 
+def refuting(w: dict, refuted) -> dict:
+    """``w`` with weight 0 on each refuted literal: the map a program run
+    that refutes them evaluates."""
+    return {**w, **dict.fromkeys(refuted, ZERO)}
+
+
+def program_run(d, w: dict, refuted=()) -> list[int]:
+    """The values of a fresh run of the program of ``d`` under ``w`` that
+    refutes the given literals."""
+    program, leaves = max_min_program(d, w)
+    values = program.template.copy()
+    run_program(program, values, [leaves[l][0] for l in set(refuted) if l in leaves])
+    return values
+
+
+def rooted(d, i: int) -> NnfDag:
+    """The DAG below node i, rooted there: ``pi_evaluate`` of it is node
+    i's value."""
+    return NnfDag(d.nodes[: i + 1], i, d.num_vars)
+
+
 @pytest.mark.parametrize("name", sorted(HAND_DAGS))
 def test_kernel_matches_reference_on_hand_written_dags(name):
     body, expected = HAND_DAGS[name]
     d = hand_dag(body)
     assert pi_evaluate(d, HAND_WEIGHTS) == reference_pi_evaluate(d, HAND_WEIGHTS)
     assert pi_evaluate(d, HAND_WEIGHTS) == parse_degree(expected)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_DAGS))
+def test_program_matches_kernel_node_for_node_on_hand_written_dags(name):
+    """Every node's value, under every fixed map and refuted set, is the
+    reference's and the kernel's on the DAG rooted at that node."""
+    d = hand_dag(HAND_DAGS[name][0])
+    for w in HAND_MAPS:
+        for refuted in HAND_REFUTED:
+            full = refuting(w, refuted)
+            values = program_run(d, w, refuted)
+            assert values == reference_node_values(d, full)
+            assert [pi_evaluate(rooted(d, i), full).num for i in range(len(d.nodes))] == values
+    program, _ = max_min_program(d, HAND_WEIGHTS)
+    expected = parse_degree(HAND_DAGS[name][1])
+    assert run_program(program, program.template.copy()) == expected
 
 
 def kernel_networks() -> list[PossNetwork]:
@@ -178,12 +235,18 @@ def random_weights(rng: SplitMix64, num_vars: int) -> dict:
         for lit in (v, -v)
         if rng.next_below(2)
     }
-    term = [v if rng.next_below(2) else -v for v in range(1, num_vars + 1) if rng.next_below(4) == 0]
-    w.update({-lit: ZERO for lit in term})
-    return w
+    return refuting(w, random_refuted(rng, num_vars))
+
+
+def random_refuted(rng: SplitMix64, num_vars: int) -> list[int]:
+    """The negation of each literal of a random term."""
+    return [v if rng.next_below(2) else -v for v in range(1, num_vars + 1) if rng.next_below(4) == 0]
 
 
 def test_kernel_matches_reference_on_pipeline_dags():
+    """On each pipeline's full DAG, the kernel's root and the program's
+    every node match the reference, the program's fixed weights random
+    and its run refuting a random term."""
     rng = SplitMix64(0x4B45524E)
     values = set()
     nets = kernel_networks()
@@ -192,51 +255,73 @@ def test_kernel_matches_reference_on_pipeline_dags():
             d = build(net).dag
             for _ in range(6):
                 w = random_weights(rng, d.num_vars)
+                refuted = random_refuted(rng, d.num_vars)
                 got = pi_evaluate(d, w)
                 assert got == reference_pi_evaluate(d, w)
+                assert program_run(d, w, refuted) == reference_node_values(d, refuting(w, refuted))
                 values.add(got)
     assert any(len(v.domain) > 2 for net in nets for v in net.variables)
     assert {ZERO, ONE} < values  # zero, one, and degrees strictly between
 
 
-def first_changed_leaf(d, prior: dict, w: dict) -> int:
-    """The index of the first leaf that weighs differently under the two
-    maps (unlisted literals weigh 1), or the node count when none does."""
-    for i, (op, lit, _) in enumerate(d.nodes):
-        if op == "L" and prior.get(lit, ONE) != w.get(lit, ONE):
-            return i
-    return len(d.nodes)
+@pytest.mark.parametrize("kind", ["binary", "multivalued", "coarse", "zero"])
+def test_pipeline_programs_match_the_kernel_node_for_node(kind):
+    """pf's program over its circuit and logical's over the kb DAG, run on
+    every term of 0-2 variables, fill every node with the reference's
+    value under the weights the pass stands for, and the root with the
+    kernel's."""
+    checked = 0
+    for net in family(kind):
+        pf, logical = PfPipeline(net), LogicalPipeline(net)
+        circuit, dag = pf.circuit, logical.dag
+        for term in (t for size in range(3) for t in every_term(net, size)):
+            values, got = pf._pass(term)
+            w = pf_weights(pf, term)
+            assert values == reference_node_values(circuit, w)
+            assert got == pi_evaluate(circuit, w)
+            values, got = logical._pass(term)
+            w = refuting(logical.theta_weights, [-l for l in logical.imap.term_literals(term)])
+            assert values == reference_node_values(dag, w)
+            assert got == pi_evaluate(dag, w)
+            checked += 1
+    assert checked > 500
 
 
-def check_resumed(d, prior: dict, w: dict, starts=None) -> bool:
-    """A pass under ``w`` resumed from the pass under ``prior`` at each
-    start up to the first changed leaf (every one unless ``starts`` is
-    given) fills the same values, as ints, as a fresh pass.  Returns
-    whether the two maps give different roots, so the resume had work."""
-    held = [0] * len(d.nodes)
-    pi_evaluate(d, prior, held)
-    fresh = [0] * len(d.nodes)
-    expected = pi_evaluate(d, w, fresh)
-    first = first_changed_leaf(d, prior, w)
+def check_resumed(d, w: dict, held, new, starts=None) -> bool:
+    """Runs of the program of ``d`` under ``w``: a run refuting ``held``
+    and ``new`` resumed from the values of a run refuting ``held``, at each
+    start up to the first instruction after the first leaf ``new``
+    refutes (every one unless ``starts`` is given), fills the same values, as
+    ints, as a fresh run, whose values are the reference's.  Returns
+    whether the two runs give different roots, so the resume had work."""
+    program, leaves = max_min_program(d, w)
+    slots = lambda lits: [leaves[l][0] for l in set(lits) if l in leaves]
+    prior = program.template.copy()
+    run_program(program, prior, slots(held))
+    fresh = program.template.copy()
+    expected = run_program(program, fresh, slots([*held, *new]))
+    assert fresh == reference_node_values(d, refuting(w, [*held, *new]))
+    first = min((leaves[l][1] for l in new if l in leaves), default=len(program.out))
     for start in range(first + 1) if starts is None else starts(first):
-        values = held.copy()
-        assert pi_evaluate(d, w, values, start) == expected
+        values = prior.copy()
+        assert run_program(program, values, slots(new), start) == expected
         assert values == fresh
-    return held[d.root] != fresh[d.root]
+    return prior[d.root] != fresh[d.root]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_DAGS))
 def test_resumed_pass_equals_a_fresh_one_on_hand_written_dags(name):
     d = hand_dag(HAND_DAGS[name][0])
-    maps = (HAND_WEIGHTS, {}, {**HAND_WEIGHTS, 2: ZERO}, {1: ZERO, -2: parse_degree("0.5")})
-    for prior in maps:
-        for w in maps:
-            check_resumed(d, prior, w)
+    for w in HAND_MAPS:
+        for held in HAND_REFUTED:
+            for new in HAND_REFUTED:
+                check_resumed(d, w, held, new)
 
 
 def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
-    """Prior maps are random; each new map is either another random map or
-    the prior with weight 0 on a few more literals, as a target adds."""
+    """Fixed weights and the held refuted term are random; the new run
+    refutes either another random term or a few more literals, as a
+    target adds."""
     rng = SplitMix64(0x52455355)
     changed = 0
 
@@ -247,10 +332,11 @@ def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
         for build in (PfPipeline, LogicalPipeline, PkbPipeline):
             d = build(net).dag
             for _ in range(4):
-                prior = random_weights(rng, d.num_vars)
-                zeroed = [lit for lit in random_weights(rng, d.num_vars) if lit % 3 == 0]
-                for w in (random_weights(rng, d.num_vars), {**prior, **dict.fromkeys(zeroed, ZERO)}):
-                    changed += check_resumed(d, prior, w, some_starts)
+                w = random_weights(rng, d.num_vars)
+                held = random_refuted(rng, d.num_vars)
+                more = [lit for lit in random_weights(rng, d.num_vars) if lit % 3 == 0]
+                for new in (random_refuted(rng, d.num_vars), more):
+                    changed += check_resumed(d, w, held, new, some_starts)
     assert changed > 100
 
 
@@ -297,6 +383,26 @@ def test_resumed_joint_matches_a_fresh_pass_and_the_oracle(kind):
                         assert got.joint == pipeline.possibility({**e, **x})
                         resumed += not x.items() <= e.items()
     assert resumed > 1000
+
+
+ONE_LEAF_NETS = (
+    "network z\nvar X x1 x2\ncpt X\nx1 : 1\nx2 : 0",
+    "network z\nvar X x1 x2 x3\ncpt X\nx1 : 1\nx2 : 0\nx3 : 0",
+)
+"""Networks whose pf circuit is the one leaf x1."""
+
+
+@pytest.mark.parametrize("text", ONE_LEAF_NETS)
+def test_joint_that_refutes_the_only_leaf(text):
+    """A one-leaf circuit's program has no instruction, so a joint that
+    refutes the leaf resumes past the last instruction: it must still
+    write the 0 and read the root, not answer Pi(e)."""
+    net = parse_network(text)
+    assert not PfPipeline(net).program.out
+    for pipeline in (PfPipeline(net), LogicalPipeline(net)):
+        for x in every_term(net, 1):
+            for e in every_term(net, 0) + every_term(net, 1):
+                assert pipeline.query(x, e) == oracle_conditional(net, x, e)
 
 
 def impossible_evidence(net: PossNetwork) -> dict | None:
@@ -387,7 +493,7 @@ def counting(monkeypatch, module, name: str) -> list:
 @pytest.mark.parametrize("module", [circuits, logical_module])
 def test_repeated_evidence_costs_one_pass_per_query(alarm, monkeypatch, module):
     pipeline = (PfPipeline if module is circuits else LogicalPipeline)(alarm)
-    calls = counting(monkeypatch, module, "pi_evaluate")
+    calls = counting(monkeypatch, module, "run_program")
     per_query = []
     for x in ALARM_TARGETS:
         before = len(calls)
