@@ -12,23 +12,24 @@ text carries them too.  Every query weighs each negative literal
 (``compile_cnf``'s ``weight_one``): the compiled DAG's value under every
 query's weights, from the same search, with a third fewer nodes.  The
 pipeline keeps the circuit as its max-min program (``nnf.max_min_program``),
-the parameter degrees set once, and a pass writes 0 at the indicators
-the term refutes.  A query's Pi(x, e) differs from the memoised Pi(e)
-pass only at the indicators of the target variables' other values, so
-it resumes that pass at the first instruction after the first of them.
+the parameter degrees set once and its base run, with no indicator
+refuted, in the template.  A pass starts from a copy of the base run,
+and each term item writes 0 at the indicators of its variable's other
+values and re-runs their ``nnf.cone``, built on first use and kept per
+indicator.  A query's Pi(x, e) differs from the memoised Pi(e) pass
+only at the target's items, so it runs only their cones on a copy of
+that pass.
 
 Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
 exploits structure: degree-1 entries vanish, degree-0 entries become
 hard clauses, and the remaining entries share one parameter per distinct
 degree within each variable's table, linked by a single clause.  Both
-read the entries from the walk the kb encoder also reads
-(``encodings.table_entries``), over the indicators.
+read the tables column by column from the walk the kb encoder also
+reads (``encodings.table_entries``), over the indicators.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
@@ -36,7 +37,7 @@ from .degrees import SCALE, Degree
 from .encodings import table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 # pi_evaluate: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
-from .nnf import NnfDag, WeightMap, max_min_program, pi_evaluate, run_program
+from .nnf import MaxMinProgram, NnfDag, WeightMap, cone, max_min_program, pi_evaluate, run_program
 
 
 def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
@@ -52,29 +53,35 @@ def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
         (v.name, x): f.new_var(Indicator(v.name, x)) for v in net.variables for x in v.domain
     }
 
-    theta_ids: dict = {}
+    thetas: dict[str, dict[int, int]] = {}  # variable -> degree numerator -> parameter id
     if local_structure:
         for v in net.variables:
             # distinct sub-unit degrees, strongest first; ints compare and
             # hash faster than Degrees
             degrees = {d.num: d for d in net.cpt[v.name].values() if 0 < d.num < SCALE}
-            for num, d in sorted(degrees.items(), reverse=True):
-                theta_ids[(v.name, num)] = f.new_var(Parameter(v.name, d))
+            thetas[v.name] = {
+                num: f.new_var(Parameter(v.name, d)) for num, d in sorted(degrees.items(), reverse=True)
+            }
 
     for v in net.variables:
         for c in exactly_one([indicators[(v.name, val)] for val in v.domain]):
             f.add_clause(c)
 
-    for var, val, cfg, lit, neg_parents, d in table_entries(net, indicators):
-        if not local_structure:
-            theta = f.new_var(Parameter(f"{var}={val}|{','.join(cfg)}", d))
-            f.add_clause([lit, *neg_parents, theta])
+    for var, cfg, neg_parents, column in table_entries(net, indicators):
+        if local_structure:
+            theta = thetas[var]
+            for _, lit, d in column:
+                if not d.num:
+                    f.add_clause([lit, *neg_parents])
+                elif d.num != SCALE:
+                    f.add_clause([lit, *neg_parents, theta[d.num]])
+            continue
+        where = ",".join(cfg)
+        for val, lit, d in column:
+            param = f.new_var(Parameter(f"{var}={val}|{where}", d))
+            f.add_clause([lit, *neg_parents, param])
             for neg in (lit, *neg_parents):
-                f.add_clause([-theta, -neg])
-        elif not d.num:
-            f.add_clause([lit, *neg_parents])
-        elif d.num != SCALE:
-            f.add_clause([lit, *neg_parents, theta_ids[(var, d.num)]])
+                f.add_clause([-param, -neg])
     return f
 
 
@@ -87,9 +94,10 @@ def _circuit(cnf: CnfFormula, node_budget: int) -> NnfDag:
 class PfPipeline:
     """Compile once, then answer any number of queries on the circuit.
 
-    The pipeline keeps what a query reads: the circuit's max-min program,
-    the parameter degrees and indicator ids, read off the CNF's
-    ``Parameter`` and ``Indicator`` roles, and the encoding mode; the
+    The pipeline keeps what a query reads: the circuit's max-min program
+    with its base run, the cones its queries have built, the parameter
+    degrees and indicator ids, read off the CNF's ``Parameter`` and
+    ``Indicator`` roles, and the encoding mode; the
     node budget bounds the circuit.  ``cnf`` encodes the network again on
     each access, ``circuit`` compiles that CNF again to the circuit, and
     ``dag`` to the full decision-labelled DAG, which may exceed the budget
@@ -114,18 +122,14 @@ class PfPipeline:
                 self.indicators[(role.var, role.value)] = vid
         self.program, leaves = max_min_program(_circuit(cnf, node_budget), self.weight_map)
         # indicator id -> the leaf slots a target on its value refutes (its
-        # variable's other indicators'), and the first instruction after
-        # the first of them, the instruction count when there is none
-        n = len(self.program.out)
+        # variable's other indicators'), and their cone, built on first use
         size = 1 + max(self.indicators.values())
         self.refutes: list[tuple[int, ...]] = [()] * size
-        self.starts = array("i", [n]) * size
+        self.cones: list[MaxMinProgram | None] = [None] * size
         for v in net.variables:
             ids = [self.indicators[(v.name, val)] for val in v.domain]
             for vid in ids:
-                others = [leaves[o] for o in ids if o != vid and o in leaves]
-                self.refutes[vid] = tuple(slot for slot, _ in others)
-                self.starts[vid] = min((start for _, start in others), default=n)
+                self.refutes[vid] = tuple(leaves[o] for o in ids if o != vid and o in leaves)
         self.evidence = EvidenceMemo()
 
     @property
@@ -141,33 +145,39 @@ class PfPipeline:
         return compile_cnf(self.cnf, node_budget=self.node_budget)
 
     def possibility(self, term: EventTerm) -> Degree:
-        """Pi(term) in one run of the circuit's program."""
+        """Pi(term): the cones of the term's items run on the base run."""
         check_event(self.net, term)
         return self._pass(term)[1]
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
-        which keeps the values of its run, and the joint resumes that run
-        (``_joint``)."""
+        which keeps the values of its run, and the joint runs the target's
+        cones on a copy of them (``_joint``)."""
         return conditional(self.net, self._joint, x, e, self._evidence).degree
 
     def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
-        """Pi(term) in one run, with the value of every slot."""
+        """Pi(term) from the base run, with the value of every slot."""
         values = self.program.template.copy()
-        refuted = [s for item in term.items() for s in self.refutes[self.indicators[item]]]
-        return values, run_program(self.program, values, refuted)
+        return values, self._run(values, [self.indicators[item] for item in term.items()])
 
     def _evidence(self, e: EventTerm) -> Degree:
         return self.evidence(e, self._pass)[1]
 
     def _joint(self, term: EventTerm) -> Degree:
-        """Pi(term), for a term that extends the memoised evidence: its
-        run resumed at the first instruction after the first leaf the
-        term's other items refute, or Pi(e) itself when they refute none."""
+        """Pi(term), for a term that extends the memoised evidence: the
+        cones of the term's other items run on a copy of its values."""
         held, (values, evidence) = self.evidence.entry
         ids = [self.indicators[item] for item in term.items() if item not in held]
-        refuted = [s for vid in ids for s in self.refutes[vid]]
-        if not refuted:
-            return evidence
-        start = min(map(self.starts.__getitem__, ids))
-        return run_program(self.program, values.copy(), refuted, start)
+        return self._run(values.copy(), ids) if ids else evidence
+
+    def _run(self, values: list[int], ids: list[int]) -> Degree:
+        """Refute, in ``values``, the leaves of each indicator id in turn and
+        run its cone; returns the root's degree."""
+        for vid in ids:
+            refuted = self.refutes[vid]
+            if refuted:
+                sub = self.cones[vid]
+                if sub is None:
+                    sub = self.cones[vid] = cone(self.program, refuted)
+                run_program(sub, values, refuted)
+        return Degree(values[self.program.root])

@@ -1,5 +1,6 @@
 """Shared mapping from network values to instance propositions, and
-``table_entries``, the one walk over the network's table entries: the kb
+``table_entries``, the one walk over the network's tables, one column
+(parent configuration) at a time: the kb
 CNF and the possibilistic base read it over the instance map's literals,
 the pf CNF over its indicators.
 
@@ -13,6 +14,7 @@ map's.  Each network builds its map once (``instance_map``).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from .cnf import Instance, exactly_one
@@ -70,18 +72,24 @@ def instance_map(net: PossNetwork) -> InstanceMap:
 
 def table_entries(
     net: PossNetwork, literal: dict[tuple[str, str], int]
-) -> Iterator[tuple[str, str, tuple[str, ...], int, list[int], Degree]]:
-    """Each table entry, in table order (variables in declaration order,
-    then parent configurations, then values): its variable, value, parent
-    values, the negated literals of its clause (the value's, then a list
-    of the parent values', shared by the column, so read only) and its
-    degree.  ``literal`` maps (variable, value) to the literal asserting it."""
+) -> Iterator[tuple[str, tuple[str, ...], list[int], Iterator[tuple[str, int, Degree]]]]:
+    """Each column of each table, in table order (variables in declaration
+    order, then parent configurations): its variable, its parent values,
+    the negated literals of the parent values and an iterator over its
+    entries, in value order, as (value, the value's negated literal,
+    degree).  An entry's clause is that negated literal and the column's.
+    ``literal`` maps (variable, value) to the literal asserting it.
+
+    The tables are in table order (``PossNetwork``), so each column is
+    the next run of entries, read without a key lookup."""
+    negated = {v.name: {val: -literal[(v.name, val)] for val in v.domain} for v in net.variables}
+    at = dict.__getitem__
     for v in net.variables:
-        name = v.name
-        pnames = net.parents[name]
+        name, domain = v.name, v.domain
+        parents = [negated[p] for p in net.parents[name]]
+        own = negated[name].values()
         table = net.cpt[name]
-        own = [(val, -literal[(name, val)]) for val in v.domain]
-        for cfg in net.parent_configs(name):
-            neg_parents = [-literal[(p, pv)] for p, pv in zip(pnames, cfg)]
-            for val, lit in own:
-                yield name, val, cfg, lit, neg_parents, table[(val, cfg)]
+        n = len(domain)
+        degrees = iter(table.values())
+        for (_, cfg), column in zip(islice(table, 0, None, n), zip(*[degrees] * n)):
+            yield name, cfg, list(map(at, parents, cfg)), zip(domain, own, column)

@@ -12,15 +12,16 @@ paper's condition / forget / evaluate, done as one max-min pass over the
 compiled DAG: each A_i weighs 1 - w_i, each negated term literal weighs
 0 (conditioning), and every other instance literal weighs 1
 (forgetting).  The pipeline runs that pass as the DAG's max-min program
-(``nnf.max_min_program``), the theta weights set once, writing 0 at the
-leaves of the negated term literals.  A query's Pi(x, e) differs from
-the memoised Pi(e) pass only at the negations of the target's literals,
-so it resumes that pass at the first instruction after the first of them.
+(``nnf.max_min_program``), the theta weights set once and its base run,
+with no literal refuted, in the template.  A pass starts from a copy of
+the base run, and each term literal writes 0 at its negation's leaf and
+re-runs that leaf's ``nnf.cone``, built on first use and kept per
+literal.  A query's Pi(x, e) differs from the memoised Pi(e) pass only
+at the target's literals, so it runs only their cones on a copy of that
+pass.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from .cnf import CnfFormula
 # compile_cnf: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
@@ -28,7 +29,7 @@ from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import Degree, complement
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 # condition, forget, pi_evaluate: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
-from .nnf import condition, forget, max_min_program, pi_evaluate, run_program
+from .nnf import MaxMinProgram, cone, condition, forget, max_min_program, pi_evaluate, run_program
 from .pkb import compile_base, encode_pkb
 
 
@@ -41,8 +42,9 @@ class LogicalPipeline:
     """Read the network's compiled base (``pkb.compile_base``), then answer
     each marginal by one max-min pass.
 
-    The pipeline keeps what a query reads: the DAG's max-min program, the
-    theta weights and the instance map, and the DAG itself, which the
+    The pipeline keeps what a query reads: the DAG's max-min program with
+    its base run, the cones its queries have built, the theta weights and
+    the instance map, and the DAG itself, which the
     compiled-base memo shares with pkb.  ``cnf`` encodes the network again
     on each access."""
 
@@ -51,15 +53,14 @@ class LogicalPipeline:
         self.imap, levels, self.dag = compile_base(net, node_budget)
         self.theta_weights = {vid: complement(w) for vid, w in levels}
         self.program, leaves = max_min_program(self.dag, self.theta_weights)
-        # instance literal -> the leaf slot a target on it refutes (its
-        # negation's, -1 when there is none), and the first instruction
-        # after that leaf (the instruction count when there is none);
-        # negative literals index from the end
+        # instance literal -> the leaf slots a target on it refutes (its
+        # negation's, when the DAG has one), and their cone, built on first
+        # use; negative literals index from the end
         m = len(self.imap.roles)
-        n = len(self.program.out)
-        firsts = [leaves.get(-lit, (-1, n)) for lit in (*range(m + 1), *range(-m, 0))]
-        self.refutes = array("i", [slot for slot, _ in firsts])
-        self.starts = array("i", [start for _, start in firsts])
+        self.refutes = [
+            (leaves[-lit],) if -lit in leaves else () for lit in (*range(m + 1), *range(-m, 0))
+        ]
+        self.cones: list[MaxMinProgram | None] = [None] * len(self.refutes)
         self.evidence = EvidenceMemo()
 
     @property
@@ -68,35 +69,42 @@ class LogicalPipeline:
 
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term): one max-min pass under the theta weights, with weight 0
-        on each negated term literal; unlisted instance literals weigh 1."""
+        on each negated term literal, as the cones of the term's literals
+        run on the base run; unlisted instance literals weigh 1."""
         check_event(self.net, term)
         return self._pass(term)[1]
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
-        which keeps the values of its run, and the joint resumes that run
-        (``_joint``)."""
+        which keeps the values of its run, and the joint runs the target's
+        cones on a copy of them (``_joint``)."""
         return conditional(self.net, self._joint, x, e, self._evidence).degree
 
     def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
-        """Pi(term) in one run of the program, with the value of every slot."""
+        """Pi(term) from the base run, with the value of every slot."""
         values = self.program.template.copy()
         literal = self.imap.literals
-        slots = [self.refutes[literal[item]] for item in term.items()]
-        return values, run_program(self.program, values, [s for s in slots if s >= 0])
+        return values, self._run(values, [literal[item] for item in term.items()])
 
     def _evidence(self, e: EventTerm) -> Degree:
         return self.evidence(e, self._pass)[1]
 
     def _joint(self, term: EventTerm) -> Degree:
-        """Pi(term), for a term that extends the memoised evidence: its
-        run resumed at the first instruction after the first leaf the
-        term's other items refute, or Pi(e) itself when they refute none."""
+        """Pi(term), for a term that extends the memoised evidence: the
+        cones of the term's other literals run on a copy of its values."""
         held, (values, evidence) = self.evidence.entry
         literal = self.imap.literals
         lits = [literal[item] for item in term.items() if item not in held]
-        refuted = [s for s in map(self.refutes.__getitem__, lits) if s >= 0]
-        if not refuted:
-            return evidence
-        start = min(map(self.starts.__getitem__, lits))
-        return run_program(self.program, values.copy(), refuted, start)
+        return self._run(values.copy(), lits) if lits else evidence
+
+    def _run(self, values: list[int], lits: list[int]) -> Degree:
+        """Refute, in ``values``, the leaf of each literal's negation in turn
+        and run its cone; returns the root's degree."""
+        for lit in lits:
+            refuted = self.refutes[lit]
+            if refuted:
+                sub = self.cones[lit]
+                if sub is None:
+                    sub = self.cones[lit] = cone(self.program, refuted)
+                run_program(sub, values, refuted)
+        return Degree(values[self.program.root])

@@ -259,7 +259,7 @@ def conditional(
     Both terms are checked first, each once.  Then Pi(e) is asked of
     ``evidence`` (``possibility`` when it is None), and then the joint of
     ``possibility``; a pipeline passes its evidence memo as ``evidence``,
-    so its joint can resume the memoised pass.  Conflicting assignments
+    so its joint can start from the memoised pass.  Conflicting assignments
     between x and e make the joint impossible (degree 0, without asking)
     rather than an error.
     """

@@ -10,11 +10,11 @@ variable is forgotten, so consistency and clausal entailment are that pass
 too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query
 does.  A pipeline whose leaf weights stay fixed across its queries, up to
 the leaves a query's term refutes, runs the same pass as a straight-line
-program (``max_min_program``): the fixed weights are set once in a
-template, the internal nodes become binary min/max instructions, and a
-run writes 0 at the refuted leaves and executes the instructions from a
-start index, so a run may resume an earlier one's values past the
-instructions that precede its first changed leaf.
+program (``max_min_program``): the internal nodes become binary min/max
+instructions, and the template holds the values of one base run, with
+the fixed weights and no leaf refuted.  A query starts from a copy of
+it, writes 0 at the leaves an item of its term refutes and runs that
+item's ``cone``: the instructions of every node those leaves reach.
 
 Each node is the tuple of its c2d line, ``(op, arg, children)``:
 ``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterable
 
 from .degrees import Degree, SCALE, ZERO
@@ -192,18 +193,20 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
     return Degree(val[d.root])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxMinProgram:
     """``pi_evaluate`` of one DAG as straight-line code over a value list
     with one slot per node.
 
-    ``template`` holds each leaf's fixed weight (a degree's numerator,
-    ``SCALE`` when unlisted) and each constant's value.  Instruction k
-    sets slot ``out[k]`` to the min (``ands[k]`` is 1) or the max of
-    slots ``left[k]`` and ``right[k]``; the instructions follow the DAG
-    order.  An n-ary node is a chain of n - 1 instructions accumulating
-    in its own slot, and a one-child node, or a repeated leaf, copies its
-    child's (its literal's first leaf's) slot.
+    ``template`` holds every slot's value in the base run, which refutes
+    no leaf: each leaf's fixed weight (a degree's numerator, ``SCALE``
+    when unlisted), each constant's value and each internal node's.
+    Instruction k sets slot ``out[k]`` to the min (``ands[k]`` is 1) or
+    the max of slots ``left[k]`` and ``right[k]``; the instructions follow
+    the DAG order.  An n-ary node is a chain of n - 1 instructions
+    accumulating in its own slot, and a one-child node, or a repeated
+    leaf, copies its child's (its literal's first leaf's) slot.  A
+    ``cone`` is a program too, with its whole program's template and root.
     """
 
     template: list[int]
@@ -214,24 +217,21 @@ class MaxMinProgram:
     root: int
 
 
-def max_min_program(
-    d: NnfDag, w: WeightMap
-) -> tuple[MaxMinProgram, dict[int, tuple[int, int]]]:
-    """The program of ``d`` under the fixed weights ``w``, and each
-    literal's first leaf as (its slot, the index of the first instruction
-    after it): a run that refutes the literal writes 0 at that slot, and
-    the instructions before that index do not read it."""
+def max_min_program(d: NnfDag, w: WeightMap) -> tuple[MaxMinProgram, dict[int, int]]:
+    """The program of ``d`` under the fixed weights ``w``, its template
+    filled by the base run, and each literal's first leaf slot: a run that
+    refutes the literal writes 0 there."""
     weights = {lit: deg.num for lit, deg in w.items()}
     template = [0] * len(d.nodes)
     out, left, right, ands = [], [], [], bytearray()
-    leaves: dict[int, tuple[int, int]] = {}
+    leaves: dict[int, int] = {}
     for i, (op, arg, kids) in enumerate(d.nodes):
         if op == "L":
             if arg not in leaves:
-                leaves[arg] = (i, len(out))
+                leaves[arg] = i
                 template[i] = weights.get(arg, SCALE)
                 continue
-            kids = (leaves[arg][0],) * 2
+            kids = (leaves[arg],) * 2
         elif len(kids) != 2:
             if not kids:
                 template[i] = SCALE if op == "A" else 0
@@ -252,24 +252,47 @@ def max_min_program(
         right.append(kids[1])
         ands.append(op == "A")
     columns = (array("i", column) for column in (out, left, right))
-    return MaxMinProgram(template, *columns, bytes(ands), d.root), leaves
+    program = MaxMinProgram(template, *columns, bytes(ands), d.root)
+    run_program(program, template)
+    return program, leaves
 
 
-def run_program(
-    p: MaxMinProgram, val: list[int], refuted: Iterable[int] = (), start: int = 0
-) -> Degree:
-    """Write 0 at the ``refuted`` slots of ``val``, run the instructions
-    from ``start`` on it in place, and return the root's degree.
+def cone(p: MaxMinProgram, slots: Iterable[int]) -> MaxMinProgram:
+    """The sub-program of ``p`` that a change at ``slots`` reaches: every
+    instruction of every node that reads them, directly or through other
+    nodes, in program order.
 
-    ``val`` is a copy of the template, or of an earlier run's values.  A
-    run resumed at ``start`` keeps the slots the instructions before it
-    wrote: they must be those of a run whose leaves agree with ``val``'s
-    on every leaf those instructions read.  Since children precede
-    parents, the values are then those of a fresh run.
+    Whole nodes, not just the instructions that read a changed slot: an
+    n-ary node's chain accumulates in its own slot, so re-running only
+    the chain's tail would fold the slot's old value back in.
+    """
+    reached = bytearray(len(p.template))
+    for s in slots:
+        reached[s] = 1
+    for o, a, b in zip(p.out, p.left, p.right):
+        if reached[a] or reached[b]:
+            reached[o] = 1
+    keep = list(compress(range(len(p.out)), map(reached.__getitem__, p.out)))
+    pick = lambda column: array("i", map(column.__getitem__, keep))
+    ands = bytes(map(p.ands.__getitem__, keep))
+    return MaxMinProgram(p.template, pick(p.out), pick(p.left), pick(p.right), ands, p.root)
+
+
+def run_program(p: MaxMinProgram, val: list[int], refuted: Iterable[int] = ()) -> Degree:
+    """Write 0 at the ``refuted`` slots of ``val``, run the instructions on
+    it in place, and return the root's degree.
+
+    ``val`` is a copy of the template or of an earlier run's values.  When
+    ``p`` is the whole program, or the ``cone`` of the refuted slots, the
+    slots then hold a fresh run's values under the earlier run's refuted
+    leaves and these: the cone holds every node those slots reach, and
+    children precede parents, so each instruction reads either a slot the
+    change does not reach or one the run has already redone.  Cones of
+    several items run one after another for the same reason.
     """
     for i in refuted:
         val[i] = 0
-    for o, a, b, is_and in zip(p.out[start:], p.left[start:], p.right[start:], p.ands[start:]):
+    for o, a, b, is_and in zip(p.out, p.left, p.right, p.ands):
         x = val[a]
         y = val[b]
         if is_and:

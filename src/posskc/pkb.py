@@ -69,11 +69,12 @@ def to_possibilistic_base(net: PossNetwork) -> PossibilisticBase:
     """Transform a network into its equivalent possibilistic base: one
     formula per table entry of degree below 1, in table order."""
     imap = instance_map(net)
-    entries = table_entries(net, imap.literals)
     # an entry's literals name distinct variables, so sorting by variable is canonical
     formulas = tuple(
         (tuple(sorted([lit, *neg], key=abs)), complement(d))
-        for _, _, _, lit, neg, d in entries if d.num != SCALE
+        for _, _, neg, column in table_entries(net, imap.literals)
+        for _, lit, d in column
+        if d.num != SCALE
     )
     return PossibilisticBase(formulas, imap)
 
@@ -107,8 +108,12 @@ def encode_pkb(net: PossNetwork) -> CnfFormula:
     model of either query procedure can set every weaker level true, and
     only L + 1 of the 2^L level assignments remain."""
     imap = instance_map(net)
-    entries = table_entries(net, imap.literals)
-    clauses = [([lit, *neg], d) for _, _, _, lit, neg, d in entries if d.num != SCALE]
+    clauses = [
+        ([lit, *neg], d)
+        for _, _, neg, column in table_entries(net, imap.literals)
+        for _, lit, d in column
+        if d.num != SCALE
+    ]
     f = CnfFormula()
     for role in imap.roles:
         f.new_var(role)

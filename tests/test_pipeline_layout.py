@@ -2,8 +2,9 @@
 what a query reads: no CNF or possibilistic base is reachable from
 them.  ``cnf`` and pkb's ``base`` rebuild the
 encoders' output on access.  pf keeps its circuit's max-min program,
-not the circuit or its compiled DAG, and its ``circuit`` and ``dag``
-compile the encoder's CNF again."""
+with its base run and the cones its queries built, not the circuit or
+its compiled DAG, and its ``circuit`` and ``dag`` compile the encoder's
+CNF again."""
 
 import gc
 import types

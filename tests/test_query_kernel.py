@@ -14,10 +14,12 @@ counts), and against the brute-force oracle, on binary, multi-valued,
 coarse-pool and degree-0 networks.  Each pipeline's one-entry evidence
 memo is checked on runs of queries whose evidence repeats and changes,
 on caller-mutated and invalid evidence, and by the program runs a
-repeated evidence term saves.  A program run resumed from an earlier
-one's values is checked against a fresh run, and the pf and logical
-joints that resume the memoised evidence run against ``possibility`` and
-the oracle.
+repeated evidence term saves.  Cone runs (``nnf.cone``) from the base
+run, and from an earlier run's values, one item after another, are
+checked node for node against a fresh run of the whole program and the
+reference, and each cone against the DAG's own upward closure; the pf
+and logical joints that run the target's cones on the memoised evidence
+run are checked against ``possibility`` and the oracle.
 """
 
 import pytest
@@ -38,7 +40,7 @@ from posskc.network import (
     oracle_conditional,
     oracle_possibility,
 )
-from posskc.nnf import NnfDag, max_min_program, parse_nnf, pi_evaluate, run_program
+from posskc.nnf import MaxMinProgram, NnfDag, cone, max_min_program, parse_nnf, pi_evaluate, run_program
 from posskc.pkb import PkbPipeline
 
 from helpers import (
@@ -141,6 +143,7 @@ HAND_DAGS = {
     "false-alone": ("O 0 0", "0"),
     "literal-alone": ("L 1", "0.6"),
     "three-child-or": ("L 1\nL -1\nL 2\nO 0 3 0 1 2", "0.6"),
+    "three-child-or-max-last": ("L 2\nL -1\nL -2\nO 0 3 0 1 2", "1"),
     "three-child-and": ("L 1\nL -1\nL -2\nA 3 0 1 2", "0.3"),
     "single-children-negative-literal": ("L -1\nA 1 0\nO 1 1 1", "0.3"),
     "unlisted-literal": ("L -2\nA 1 0", "1"),
@@ -175,7 +178,7 @@ def program_run(d, w: dict, refuted=()) -> list[int]:
     refutes the given literals."""
     program, leaves = max_min_program(d, w)
     values = program.template.copy()
-    run_program(program, values, [leaves[l][0] for l in set(refuted) if l in leaves])
+    run_program(program, values, [leaves[l] for l in set(refuted) if l in leaves])
     return values
 
 
@@ -264,12 +267,39 @@ def test_kernel_matches_reference_on_pipeline_dags():
     assert {ZERO, ONE} < values  # zero, one, and degrees strictly between
 
 
+def item_keys(pipeline, term) -> list[int]:
+    """The keys a pipeline's passes look a term's items up by: pf's
+    indicator ids, logical's instance literals."""
+    keys = pipeline.indicators if isinstance(pipeline, PfPipeline) else pipeline.imap.literals
+    return [keys[item] for item in term.items()]
+
+
+def check_pipeline_cones(pipeline, term, values) -> None:
+    """``values``, the pipeline's cone runs for ``term``'s items one after
+    another, equal one run of the whole program with all their leaves
+    zeroed, and so do the cones of the term's last item run on the
+    memoised pass of the rest, as a joint runs them."""
+    refuted = [s for key in item_keys(pipeline, term) for s in pipeline.refutes[key]]
+    fresh = pipeline.program.template.copy()
+    run_program(pipeline.program, fresh, refuted)
+    assert values == fresh
+    if len(term) == 2:
+        e, x = dict(list(term.items())[:1]), dict(list(term.items())[1:])
+        pipeline._evidence(e)
+        held, (evidence, _) = pipeline.evidence.entry
+        joint = evidence.copy()
+        assert pipeline._run(joint, item_keys(pipeline, x)) == pipeline._joint(term)
+        assert joint == fresh
+
+
 @pytest.mark.parametrize("kind", ["binary", "multivalued", "coarse", "zero"])
 def test_pipeline_programs_match_the_kernel_node_for_node(kind):
     """pf's program over its circuit and logical's over the kb DAG, run on
-    every term of 0-2 variables, fill every node with the reference's
-    value under the weights the pass stands for, and the root with the
-    kernel's."""
+    every term of 0-2 variables by the cones of its items from the base
+    run, fill every node with the reference's value under the weights the
+    pass stands for, and the root with the kernel's; so does a run of
+    the whole program, and the cone of the term's second item on the
+    memoised pass of its first."""
     checked = 0
     for net in family(kind):
         pf, logical = PfPipeline(net), LogicalPipeline(net)
@@ -279,43 +309,142 @@ def test_pipeline_programs_match_the_kernel_node_for_node(kind):
             w = pf_weights(pf, term)
             assert values == reference_node_values(circuit, w)
             assert got == pi_evaluate(circuit, w)
+            check_pipeline_cones(pf, term, values)
             values, got = logical._pass(term)
             w = refuting(logical.theta_weights, [-l for l in logical.imap.term_literals(term)])
             assert values == reference_node_values(dag, w)
             assert got == pi_evaluate(dag, w)
+            check_pipeline_cones(logical, term, values)
             checked += 1
     assert checked > 500
 
 
-def check_resumed(d, w: dict, held, new, starts=None) -> bool:
-    """Runs of the program of ``d`` under ``w``: a run refuting ``held``
-    and ``new`` resumed from the values of a run refuting ``held``, at each
-    start up to the first instruction after the first leaf ``new``
-    refutes (every one unless ``starts`` is given), fills the same values, as
-    ints, as a fresh run, whose values are the reference's.  Returns
-    whether the two runs give different roots, so the resume had work."""
+MULTIVALUED_TARGET = """network m
+var X x1 x2 x3 x4
+var Y y1 y2
+parents Y X
+cpt X
+x1 : 1
+x2 : 0.6
+x3 : 0.3
+x4 : 0.2
+cpt Y
+y1 | x1 : 1
+y2 | x1 : 0.4
+y1 | x2 : 0.7
+y2 | x2 : 1
+y1 | x3 : 1
+y2 | x3 : 0.5
+y1 | x4 : 0.1
+y2 | x4 : 1
+"""
+"""A four-valued root whose every indicator is a leaf of pf's circuit."""
+
+
+def test_multivalued_pf_target_zeroes_its_other_values_in_one_cone():
+    """A pf target on a d-valued variable refutes d - 1 indicator leaves:
+    its one cone, from the base run and from every evidence run, equals a
+    fresh run with them zeroed, and answers the oracle."""
+    net = parse_network(MULTIVALUED_TARGET)
+    pf = PfPipeline(net)
+    circuit = pf.circuit
+    for x in every_term(net, 1):
+        vid = pf.indicators[next(iter(x.items()))]
+        if x.keys() == {"X"}:
+            assert len(pf.refutes[vid]) == 3
+        values, _ = pf._pass(x)
+        assert values == reference_node_values(circuit, pf_weights(pf, x))
+        check_pipeline_cones(pf, x, values)
+        for e in every_term(net, 0) + every_term(net, 1):
+            if not conflicts(x, e):
+                check_pipeline_cones(pf, {**e, **x}, pf._pass({**e, **x})[0])
+            assert pf.query(x, e) == oracle_conditional(net, x, e)
+    assert all(pf.cones[pf.indicators[("X", v)]].out for v in ("x1", "x2", "x3", "x4"))
+
+
+def reached(d, lits) -> set:
+    """The nodes of ``d`` whose value depends on a leaf of ``lits``: those
+    leaves and every node above one, read off the DAG."""
+    out: set = set()
+    for i, (op, arg, kids) in enumerate(d.nodes):
+        if (arg in lits) if op == "L" else not out.isdisjoint(kids):
+            out.add(i)
+    return out
+
+
+def check_cone(d, program, leaves, lits) -> None:
+    """The cone of ``lits``' first leaves holds, in program order, every
+    instruction of every node above them and no other."""
+    c = cone(program, [leaves[l] for l in lits if l in leaves])
+    nodes = reached(d, set(lits)) - set(leaves.values())
+    expected = [k for k, o in enumerate(program.out) if o in nodes]
+    assert list(c.out) == [program.out[k] for k in expected]
+    assert list(c.left) == [program.left[k] for k in expected]
+    assert list(c.right) == [program.right[k] for k in expected]
+    assert list(c.ands) == [program.ands[k] for k in expected]
+    assert (c.template, c.root) == (program.template, program.root)
+
+
+def check_resumed(d, w: dict, held, new) -> bool:
+    """Cone runs of the program of ``d`` under ``w``: from the base run
+    (the template, the reference's values), the cones of ``held``'s
+    literals one after another, and then those of ``new``'s on a copy of
+    the result, fill the same values, as ints, as a fresh run of the whole
+    program that refutes both; so does one cone of all their leaves from
+    the base run, and every value is the reference's.  Returns whether
+    the held and the full run give different roots, so the cones had
+    work."""
     program, leaves = max_min_program(d, w)
-    slots = lambda lits: [leaves[l][0] for l in set(lits) if l in leaves]
-    prior = program.template.copy()
-    run_program(program, prior, slots(held))
+    assert program.template == reference_node_values(d, w)
+    slots = lambda lits: [leaves[l] for l in dict.fromkeys(lits) if l in leaves]
+
+    def by_cones(values: list, lits) -> list:
+        for s in slots(lits):
+            run_program(cone(program, [s]), values, [s])
+        return values
+
+    prior = by_cones(program.template.copy(), held)
+    assert prior == reference_node_values(d, refuting(w, held))
+    both = slots([*held, *new])
     fresh = program.template.copy()
-    expected = run_program(program, fresh, slots([*held, *new]))
+    run_program(program, fresh, both)
     assert fresh == reference_node_values(d, refuting(w, [*held, *new]))
-    first = min((leaves[l][1] for l in new if l in leaves), default=len(program.out))
-    for start in range(first + 1) if starts is None else starts(first):
-        values = prior.copy()
-        assert run_program(program, values, slots(new), start) == expected
-        assert values == fresh
+    assert by_cones(prior.copy(), new) == fresh
+    values = program.template.copy()
+    assert run_program(cone(program, both), values, both) == Degree(fresh[d.root])
+    assert values == fresh
+    for lits in (held, new, [*held, *new]):
+        check_cone(d, program, leaves, lits)
     return prior[d.root] != fresh[d.root]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_DAGS))
 def test_resumed_pass_equals_a_fresh_one_on_hand_written_dags(name):
+    """Cones from the base run and from an earlier run's values, on every
+    pair of refuted sets."""
     d = hand_dag(HAND_DAGS[name][0])
     for w in HAND_MAPS:
         for held in HAND_REFUTED:
             for new in HAND_REFUTED:
                 check_resumed(d, w, held, new)
+
+
+def test_cone_redoes_the_whole_chain_of_an_or():
+    """Refuting the last child of a three-child Or, the one that holds its
+    maximum, must re-run the Or's whole chain: its tail alone would fold
+    the slot's old maximum back in."""
+    d = hand_dag(HAND_DAGS["three-child-or-max-last"][0])
+    program, leaves = max_min_program(d, HAND_WEIGHTS)
+    assert len(program.out) == 2 and set(program.out) == {3}
+    assert program.template[3] == SCALE
+    slot = leaves[-2]
+    c = cone(program, [slot])
+    assert list(c.out) == [3, 3]
+    values = program.template.copy()
+    assert run_program(c, values, [slot]) == parse_degree("0.3")
+    assert values == reference_node_values(d, refuting(HAND_WEIGHTS, [-2]))
+    tail = MaxMinProgram(program.template, c.out[1:], c.left[1:], c.right[1:], c.ands[1:], 3)
+    assert run_program(tail, program.template.copy(), [slot]) == ONE
 
 
 def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
@@ -324,10 +453,6 @@ def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
     target adds."""
     rng = SplitMix64(0x52455355)
     changed = 0
-
-    def some_starts(first: int) -> set:
-        return {0, first, first // 2, *(rng.next_below(first + 1) for _ in range(3))}
-
     for net in kernel_networks():
         for build in (PfPipeline, LogicalPipeline, PkbPipeline):
             d = build(net).dag
@@ -336,7 +461,7 @@ def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
                 held = random_refuted(rng, d.num_vars)
                 more = [lit for lit in random_weights(rng, d.num_vars) if lit % 3 == 0]
                 for new in (random_refuted(rng, d.num_vars), more):
-                    changed += check_resumed(d, w, held, new, some_starts)
+                    changed += check_resumed(d, w, held, new)
     assert changed > 100
 
 
@@ -357,8 +482,8 @@ def test_resumed_joint_matches_a_fresh_pass_and_the_oracle(kind):
     """Every evidence term of 0-2 variables, each with every one-variable
     target (on the evidence variables too, with their value and another)
     and some two-variable ones: pf and logical answer the oracle's
-    conditional, and the joint resumed from the memoised evidence pass is
-    the fresh ``possibility`` of x and e."""
+    conditional, and the joint, the target's cones run on a copy of the
+    memoised evidence pass, is the fresh ``possibility`` of x and e."""
     resumed = 0
     for net in family(kind)[::2]:
         oracle: dict = {}
@@ -394,15 +519,18 @@ ONE_LEAF_NETS = (
 
 @pytest.mark.parametrize("text", ONE_LEAF_NETS)
 def test_joint_that_refutes_the_only_leaf(text):
-    """A one-leaf circuit's program has no instruction, so a joint that
-    refutes the leaf resumes past the last instruction: it must still
-    write the 0 and read the root, not answer Pi(e)."""
+    """A one-leaf circuit's program, and so the leaf's cone, has no
+    instruction: a joint that refutes the leaf must still write the 0 and
+    read the root, not answer Pi(e)."""
     net = parse_network(text)
-    assert not PfPipeline(net).program.out
-    for pipeline in (PfPipeline(net), LogicalPipeline(net)):
+    pf = PfPipeline(net)
+    assert not pf.program.out
+    for pipeline in (pf, LogicalPipeline(net)):
         for x in every_term(net, 1):
             for e in every_term(net, 0) + every_term(net, 1):
                 assert pipeline.query(x, e) == oracle_conditional(net, x, e)
+    built = [c for c in pf.cones if c is not None]
+    assert built and not any(c.out for c in built)
 
 
 def impossible_evidence(net: PossNetwork) -> dict | None:
