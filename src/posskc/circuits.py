@@ -11,14 +11,9 @@ text carries them too.  Every query weighs each negative literal
 1, so a pipeline compiles its circuit with those literals built as True
 (``compile_cnf``'s ``weight_one``): the compiled DAG's value under every
 query's weights, from the same search, with a third fewer nodes.  The
-pipeline keeps the circuit as its max-min program (``nnf.max_min_program``),
-the parameter degrees set once and its base run, with no indicator
-refuted, in the template.  A pass starts from a copy of the base run,
-and each term item writes 0 at the indicators of its variable's other
-values and re-runs their ``nnf.cone``, built on first use and kept per
-indicator.  A query's Pi(x, e) differs from the memoised Pi(e) pass
-only at the target's items, so it runs only their cones on a copy of
-that pass.
+pipeline answers on the circuit by ``nnf.ProgramPipeline``'s cone
+queries, with the parameter degrees as the fixed weights; a term item
+zeroes the indicators of its variable's other values.
 
 Two encoding modes exist.  The plain mode spends one parameter per table
 entry and links it biconditionally to its indicators.  The local mode
@@ -33,11 +28,11 @@ from __future__ import annotations
 
 from .cnf import CnfFormula, Indicator, Parameter, exactly_one
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import SCALE, Degree
+from .degrees import SCALE
 from .encodings import table_entries
-from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
+from .network import PossNetwork
 # pi_evaluate: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
-from .nnf import MaxMinProgram, NnfDag, WeightMap, cone, max_min_program, pi_evaluate, run_program
+from .nnf import NnfDag, ProgramPipeline, WeightMap, pi_evaluate
 
 
 def encode_pf(net: PossNetwork, local_structure: bool = True) -> CnfFormula:
@@ -91,7 +86,7 @@ def _circuit(cnf: CnfFormula, node_budget: int) -> NnfDag:
     return compile_cnf(cnf, node_budget=node_budget, weight_one=range(-1, -cnf.num_vars - 1, -1))
 
 
-class PfPipeline:
+class PfPipeline(ProgramPipeline):
     """Compile once, then answer any number of queries on the circuit.
 
     The pipeline keeps what a query reads: the circuit's max-min program
@@ -109,7 +104,6 @@ class PfPipeline:
         local_structure: bool = True,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
-        self.net = net
         self.local_structure = local_structure
         self.node_budget = node_budget
         cnf = encode_pf(net, local_structure)
@@ -120,17 +114,15 @@ class PfPipeline:
                 self.weight_map[vid] = role.degree
             else:  # an Indicator
                 self.indicators[(role.var, role.value)] = vid
-        self.program, leaves = max_min_program(_circuit(cnf, node_budget), self.weight_map)
-        # indicator id -> the leaf slots a target on its value refutes (its
-        # variable's other indicators'), and their cone, built on first use
-        size = 1 + max(self.indicators.values())
-        self.refutes: list[tuple[int, ...]] = [()] * size
-        self.cones: list[MaxMinProgram | None] = [None] * size
-        for v in net.variables:
-            ids = [self.indicators[(v.name, val)] for val in v.domain]
-            for vid in ids:
-                self.refutes[vid] = tuple(leaves[o] for o in ids if o != vid and o in leaves)
-        self.evidence = EvidenceMemo()
+        ind = self.indicators
+        zeroes = {
+            (v.name, x): [ind[(v.name, o)] for o in v.domain if o != x]
+            for v in net.variables
+            for x in v.domain
+        }
+        super().__init__(net, _circuit(cnf, node_budget), self.weight_map, zeroes)
+
+    query = ProgramPipeline.query  # bound here too, for perfbench's hooks
 
     @property
     def cnf(self) -> CnfFormula:
@@ -143,41 +135,3 @@ class PfPipeline:
     @property
     def dag(self) -> NnfDag:
         return compile_cnf(self.cnf, node_budget=self.node_budget)
-
-    def possibility(self, term: EventTerm) -> Degree:
-        """Pi(term): the cones of the term's items run on the base run."""
-        check_event(self.net, term)
-        return self._pass(term)[1]
-
-    def query(self, x: EventTerm, e: EventTerm) -> Degree:
-        """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
-        which keeps the values of its run, and the joint runs the target's
-        cones on a copy of them (``_joint``)."""
-        return conditional(self.net, self._joint, x, e, self._evidence).degree
-
-    def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
-        """Pi(term) from the base run, with the value of every slot."""
-        values = self.program.template.copy()
-        return values, self._run(values, [self.indicators[item] for item in term.items()])
-
-    def _evidence(self, e: EventTerm) -> Degree:
-        return self.evidence(e, self._pass)[1]
-
-    def _joint(self, term: EventTerm) -> Degree:
-        """Pi(term), for a term that extends the memoised evidence: the
-        cones of the term's other items run on a copy of its values."""
-        held, (values, evidence) = self.evidence.entry
-        ids = [self.indicators[item] for item in term.items() if item not in held]
-        return self._run(values.copy(), ids) if ids else evidence
-
-    def _run(self, values: list[int], ids: list[int]) -> Degree:
-        """Refute, in ``values``, the leaves of each indicator id in turn and
-        run its cone; returns the root's degree."""
-        for vid in ids:
-            refuted = self.refutes[vid]
-            if refuted:
-                sub = self.cones[vid]
-                if sub is None:
-                    sub = self.cones[vid] = cone(self.program, refuted)
-                run_program(sub, values, refuted)
-        return Degree(values[self.program.root])

@@ -133,14 +133,15 @@ def _cmd_query(args) -> int:
     t0 = time.perf_counter()
     pipeline = METHODS[args.method][0](net)
     compile_ms = (time.perf_counter() - t0) * 1000.0
-    if not args.json:
-        print(pipeline.query(x, e))
-        return EXIT_OK
     t1 = time.perf_counter()
-    answer = conditional(net, pipeline.possibility, x, e)
+    degree = pipeline.query(x, e)
     query_ms = (time.perf_counter() - t1) * 1000.0
+    if not args.json:
+        print(degree)
+        return EXIT_OK
+    answer = conditional(net, pipeline.possibility, x, e)  # the two marginals, untimed
     payload = {
-        "degree": str(answer.degree),
+        "degree": str(degree),
         "joint": str(answer.joint),
         "evidence": str(answer.evidence),
         "method": args.method,

@@ -11,14 +11,9 @@ for a stratified base (``cnf.stratified_levels``).  Pi(term) is the
 paper's condition / forget / evaluate, done as one max-min pass over the
 compiled DAG: each A_i weighs 1 - w_i, each negated term literal weighs
 0 (conditioning), and every other instance literal weighs 1
-(forgetting).  The pipeline runs that pass as the DAG's max-min program
-(``nnf.max_min_program``), the theta weights set once and its base run,
-with no literal refuted, in the template.  A pass starts from a copy of
-the base run, and each term literal writes 0 at its negation's leaf and
-re-runs that leaf's ``nnf.cone``, built on first use and kept per
-literal.  A query's Pi(x, e) differs from the memoised Pi(e) pass only
-at the target's literals, so it runs only their cones on a copy of that
-pass.
+(forgetting).  The pipeline runs that pass by ``nnf.ProgramPipeline``'s
+cone queries, with the theta weights as the fixed weights; a term item
+zeroes the negation of its instance literal.
 """
 
 from __future__ import annotations
@@ -26,10 +21,10 @@ from __future__ import annotations
 from .cnf import CnfFormula
 # compile_cnf: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import Degree, complement
-from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
+from .degrees import complement
+from .network import PossNetwork
 # condition, forget, pi_evaluate: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
-from .nnf import MaxMinProgram, cone, condition, forget, max_min_program, pi_evaluate, run_program
+from .nnf import ProgramPipeline, condition, forget, pi_evaluate
 from .pkb import compile_base, encode_pkb
 
 
@@ -38,7 +33,7 @@ def encode_logical(net: PossNetwork) -> CnfFormula:
     return encode_pkb(net)
 
 
-class LogicalPipeline:
+class LogicalPipeline(ProgramPipeline):
     """Read the network's compiled base (``pkb.compile_base``), then answer
     each marginal by one max-min pass.
 
@@ -49,62 +44,13 @@ class LogicalPipeline:
     on each access."""
 
     def __init__(self, net: PossNetwork, node_budget: int = DEFAULT_NODE_BUDGET):
-        self.net = net
         self.imap, levels, self.dag = compile_base(net, node_budget)
         self.theta_weights = {vid: complement(w) for vid, w in levels}
-        self.program, leaves = max_min_program(self.dag, self.theta_weights)
-        # instance literal -> the leaf slots a target on it refutes (its
-        # negation's, when the DAG has one), and their cone, built on first
-        # use; negative literals index from the end
-        m = len(self.imap.roles)
-        self.refutes = [
-            (leaves[-lit],) if -lit in leaves else () for lit in (*range(m + 1), *range(-m, 0))
-        ]
-        self.cones: list[MaxMinProgram | None] = [None] * len(self.refutes)
-        self.evidence = EvidenceMemo()
+        zeroes = {item: (-lit,) for item, lit in self.imap.literals.items()}
+        super().__init__(net, self.dag, self.theta_weights, zeroes)
+
+    query = ProgramPipeline.query  # bound here too, for perfbench's hooks
 
     @property
     def cnf(self) -> CnfFormula:
         return encode_logical(self.net)
-
-    def possibility(self, term: EventTerm) -> Degree:
-        """Pi(term): one max-min pass under the theta weights, with weight 0
-        on each negated term literal, as the cones of the term's literals
-        run on the base run; unlisted instance literals weigh 1."""
-        check_event(self.net, term)
-        return self._pass(term)[1]
-
-    def query(self, x: EventTerm, e: EventTerm) -> Degree:
-        """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
-        which keeps the values of its run, and the joint runs the target's
-        cones on a copy of them (``_joint``)."""
-        return conditional(self.net, self._joint, x, e, self._evidence).degree
-
-    def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
-        """Pi(term) from the base run, with the value of every slot."""
-        values = self.program.template.copy()
-        literal = self.imap.literals
-        return values, self._run(values, [literal[item] for item in term.items()])
-
-    def _evidence(self, e: EventTerm) -> Degree:
-        return self.evidence(e, self._pass)[1]
-
-    def _joint(self, term: EventTerm) -> Degree:
-        """Pi(term), for a term that extends the memoised evidence: the
-        cones of the term's other literals run on a copy of its values."""
-        held, (values, evidence) = self.evidence.entry
-        literal = self.imap.literals
-        lits = [literal[item] for item in term.items() if item not in held]
-        return self._run(values.copy(), lits) if lits else evidence
-
-    def _run(self, values: list[int], lits: list[int]) -> Degree:
-        """Refute, in ``values``, the leaf of each literal's negation in turn
-        and run its cone; returns the root's degree."""
-        for lit in lits:
-            refuted = self.refutes[lit]
-            if refuted:
-                sub = self.cones[lit]
-                if sub is None:
-                    sub = self.cones[lit] = cone(self.program, refuted)
-                run_program(sub, values, refuted)
-        return Degree(values[self.program.root])

@@ -15,6 +15,8 @@ instructions, and the template holds the values of one base run, with
 the fixed weights and no leaf refuted.  A query starts from a copy of
 it, writes 0 at the leaves an item of its term refutes and runs that
 item's ``cone``: the instructions of every node those leaves reach.
+``ProgramPipeline`` is that query path, keyed by term item, for pf and
+logical, which say only which literals each item zeroes.
 
 Each node is the tuple of its c2d line, ``(op, arg, children)``:
 ``("L", lit, ())`` for a literal, ``("A", 0, kids)`` for an And and
@@ -38,6 +40,7 @@ from typing import Dict, Iterable
 
 from .degrees import Degree, SCALE, ZERO
 from .errors import FormatError
+from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 
 WeightMap = Dict[int, Degree]
 """Literal -> Degree; literals not listed weigh 1 (True maps to 1, False to 0)."""
@@ -300,6 +303,72 @@ def run_program(p: MaxMinProgram, val: list[int], refuted: Iterable[int] = ()) -
         else:
             val[o] = y if x < y else x
     return Degree(val[p.root])
+
+
+Item = tuple[str, str]  # (variable, value): one item of an event term
+
+
+class ProgramPipeline:
+    """Queries on one compiled DAG whose leaf weights stay fixed, up to the
+    leaves a query's term refutes: the cone-query path pf and logical share.
+
+    The constructor builds the DAG's program under the fixed weights once
+    (``max_min_program``) and keeps, per term item, the leaf slots it
+    zeroes (``refutes``: the given literals that have a leaf in the DAG)
+    and, once a query has used it, their ``cone`` (``cones``).  A pass
+    copies the base run and runs each item's cone in turn.  The evidence
+    memo keeps the values of the Pi(e) pass, and a query's joint differs
+    from it only at the target's items, so it runs only their cones on a
+    copy of those values.  A subclass encodes and compiles, and says which
+    literals each item zeroes.
+    """
+
+    def __init__(self, net: PossNetwork, d: NnfDag, w: WeightMap, zeroes: Dict[Item, Iterable[int]]):
+        self.net = net
+        self.program, leaves = max_min_program(d, w)
+        self.refutes = {
+            item: tuple(leaves[lit] for lit in lits if lit in leaves) for item, lits in zeroes.items()
+        }
+        self.cones: dict[Item, MaxMinProgram] = {}
+        self.evidence = EvidenceMemo()
+
+    def possibility(self, term: EventTerm) -> Degree:
+        """Pi(term): the cones of the term's items run on the base run."""
+        check_event(self.net, term)
+        return self._pass(term)[1]
+
+    def query(self, x: EventTerm, e: EventTerm) -> Degree:
+        """Pi(x|e) by min-conditioning.  Pi(e) comes from the evidence memo,
+        which keeps the values of its run, and the joint runs the target's
+        cones on a copy of them (``_joint``)."""
+        return conditional(self.net, self._joint, x, e, self._evidence).degree
+
+    def _pass(self, term: EventTerm) -> tuple[list[int], Degree]:
+        """Pi(term) from the base run, with the value of every slot."""
+        values = self.program.template.copy()
+        return values, self._run(values, term.items())
+
+    def _evidence(self, e: EventTerm) -> Degree:
+        return self.evidence(e, self._pass)[1]
+
+    def _joint(self, term: EventTerm) -> Degree:
+        """Pi(term), for a term that extends the memoised evidence: the
+        cones of the term's other items run on a copy of its values."""
+        held, (values, evidence) = self.evidence.entry
+        items = [item for item in term.items() if item not in held]
+        return self._run(values.copy(), items) if items else evidence
+
+    def _run(self, values: list[int], items: Iterable[Item]) -> Degree:
+        """Refute, in ``values``, the leaves of each item in turn and run its
+        cone; returns the root's degree."""
+        for item in items:
+            refuted = self.refutes[item]
+            if refuted:
+                sub = self.cones.get(item)
+                if sub is None:
+                    sub = self.cones[item] = cone(self.program, refuted)
+                run_program(sub, values, refuted)
+        return Degree(values[self.program.root])
 
 
 def is_consistent(d: NnfDag) -> bool:

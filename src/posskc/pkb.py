@@ -250,4 +250,4 @@ class PkbPipeline:
 
     def possibility(self, term: EventTerm) -> Degree:
         """Pi(term), as the conditional against empty evidence."""
-        return self.query(term, {})
+        return self.query_detail(term, {})[0]

@@ -19,6 +19,8 @@ from posskc.pkb import PkbPipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 ALARM = str(ROOT / "fixtures" / "alarm.pnet")
+TRIAGE = str(ROOT / "fixtures" / "triage.pnet")
+"""Multi-valued: a three-valued root, and one degree-0 entry."""
 
 
 def run(capsys, *argv):
@@ -146,27 +148,61 @@ class TestQuery:
         code, _, _ = run(capsys, "query", ALARM, "--method", "pf")
         assert code == EXIT_USAGE
 
-    def test_methods_agree_with_oracle(self, capsys):
-        """Meta-test: every method reproduces the oracle's answer."""
-        queries = [
-            ("F=f2", "D=d1"),
-            ("F=f1", "D=d1"),
-            ("B=b2", ""),
-            ("D=d2", "F=f2,B=b1"),
-            ("D=d1,B=b1", ""),
-        ]
-        for target, evidence in queries:
-            args = ["oracle", ALARM, "--target", target]
-            if evidence:
-                args += ["--evidence", evidence]
-            code, expected, _ = run(capsys, *args)
+    def test_json_answers_by_one_query(self, capsys, monkeypatch):
+        """``--json`` takes its degree, and its ``query_ms``, from one call
+        of the pipeline's ``query``; the two marginals come after it."""
+        for method, (build, _) in cli.METHODS.items():
+            calls = []
+            original = build.query
+
+            def counted(pipeline, x, e, original=original):
+                calls.append((x, e))
+                return original(pipeline, x, e)
+
+            monkeypatch.setattr(build, "query", counted)
+            code, out, _ = run(
+                capsys, "query", TRIAGE, "--method", method, "--target", "S=high",
+                "--evidence", "F=fever", "--json",
+            )
             assert code == EXIT_OK
-            for method in ("pf", "logical", "pkb"):
-                args = ["query", ALARM, "--method", method, "--target", target]
+            assert calls == [({"S": "high"}, {"F": "fever"})], method
+            payload = json.loads(out)
+            assert (payload["degree"], payload["joint"], payload["evidence"]) == ("0.3", "0.3", "0.6")
+
+    def test_methods_agree_with_oracle(self, capsys):
+        """Meta-test: every method reproduces the oracle's answer, on the
+        binary alarm network and on the multi-valued triage one, where a
+        pf target on S zeroes two indicators."""
+        queries = {
+            ALARM: [
+                ("F=f2", "D=d1"),
+                ("F=f1", "D=d1"),
+                ("B=b2", ""),
+                ("D=d2", "F=f2,B=b1"),
+                ("D=d1,B=b1", ""),
+            ],
+            TRIAGE: [
+                ("S=high", "F=fever"),
+                ("S=mid", "F=nofever"),
+                ("F=nofever", "S=high"),
+                ("A=admit", "S=high,T=neg"),
+                ("S=low,T=pos", ""),
+                ("S=mid", "A=home"),
+            ],
+        }
+        for network, pairs in queries.items():
+            for target, evidence in pairs:
+                args = ["oracle", network, "--target", target]
                 if evidence:
                     args += ["--evidence", evidence]
-                code, out, _ = run(capsys, *args)
-                assert (code, out) == (EXIT_OK, expected)
+                code, expected, _ = run(capsys, *args)
+                assert code == EXIT_OK
+                for method in ("pf", "logical", "pkb"):
+                    args = ["query", network, "--method", method, "--target", target]
+                    if evidence:
+                        args += ["--evidence", evidence]
+                    code, out, _ = run(capsys, *args)
+                    assert (code, out) == (EXIT_OK, expected)
 
 
 class TestEncodeAndCompile:

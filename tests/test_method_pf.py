@@ -161,8 +161,8 @@ class TestCircuit:
         nodes = pf.circuit.nodes
         leaf = {arg: i for i, (op, arg, _) in enumerate(nodes) if op == "L"}
         ind = pf.indicators
-        assert pf.refutes[ind[("F", "f1")]] == (leaf[ind[("F", "f2")]],)
-        assert pf.refutes[ind[("B", "b2")]] == (leaf[ind[("B", "b1")]],)
+        assert pf.refutes[("F", "f1")] == (leaf[ind[("F", "f2")]],)
+        assert pf.refutes[("B", "b2")] == (leaf[ind[("B", "b1")]],)
         values, _ = pf._pass({"F": "f1"})
         fresh, _ = pf._pass({})
         changed = {i for i in leaf.values() if values[i] != fresh[i]}

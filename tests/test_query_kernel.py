@@ -26,6 +26,7 @@ import pytest
 
 from posskc import circuits
 from posskc import logical as logical_module
+from posskc import nnf
 from posskc import pkb as pkb_module
 from posskc.bench import FINE_POOL_SIZE, GenConfig, SplitMix64, even_pool, random_network
 from posskc.circuits import PfPipeline
@@ -267,19 +268,12 @@ def test_kernel_matches_reference_on_pipeline_dags():
     assert {ZERO, ONE} < values  # zero, one, and degrees strictly between
 
 
-def item_keys(pipeline, term) -> list[int]:
-    """The keys a pipeline's passes look a term's items up by: pf's
-    indicator ids, logical's instance literals."""
-    keys = pipeline.indicators if isinstance(pipeline, PfPipeline) else pipeline.imap.literals
-    return [keys[item] for item in term.items()]
-
-
 def check_pipeline_cones(pipeline, term, values) -> None:
     """``values``, the pipeline's cone runs for ``term``'s items one after
     another, equal one run of the whole program with all their leaves
     zeroed, and so do the cones of the term's last item run on the
     memoised pass of the rest, as a joint runs them."""
-    refuted = [s for key in item_keys(pipeline, term) for s in pipeline.refutes[key]]
+    refuted = [s for item in term.items() for s in pipeline.refutes[item]]
     fresh = pipeline.program.template.copy()
     run_program(pipeline.program, fresh, refuted)
     assert values == fresh
@@ -288,7 +282,7 @@ def check_pipeline_cones(pipeline, term, values) -> None:
         pipeline._evidence(e)
         held, (evidence, _) = pipeline.evidence.entry
         joint = evidence.copy()
-        assert pipeline._run(joint, item_keys(pipeline, x)) == pipeline._joint(term)
+        assert pipeline._run(joint, x.items()) == pipeline._joint(term)
         assert joint == fresh
 
 
@@ -349,9 +343,8 @@ def test_multivalued_pf_target_zeroes_its_other_values_in_one_cone():
     pf = PfPipeline(net)
     circuit = pf.circuit
     for x in every_term(net, 1):
-        vid = pf.indicators[next(iter(x.items()))]
         if x.keys() == {"X"}:
-            assert len(pf.refutes[vid]) == 3
+            assert len(pf.refutes[next(iter(x.items()))]) == 3
         values, _ = pf._pass(x)
         assert values == reference_node_values(circuit, pf_weights(pf, x))
         check_pipeline_cones(pf, x, values)
@@ -359,7 +352,7 @@ def test_multivalued_pf_target_zeroes_its_other_values_in_one_cone():
             if not conflicts(x, e):
                 check_pipeline_cones(pf, {**e, **x}, pf._pass({**e, **x})[0])
             assert pf.query(x, e) == oracle_conditional(net, x, e)
-    assert all(pf.cones[pf.indicators[("X", v)]].out for v in ("x1", "x2", "x3", "x4"))
+    assert all(pf.cones[("X", v)].out for v in ("x1", "x2", "x3", "x4"))
 
 
 def reached(d, lits) -> set:
@@ -529,8 +522,7 @@ def test_joint_that_refutes_the_only_leaf(text):
         for x in every_term(net, 1):
             for e in every_term(net, 0) + every_term(net, 1):
                 assert pipeline.query(x, e) == oracle_conditional(net, x, e)
-    built = [c for c in pf.cones if c is not None]
-    assert built and not any(c.out for c in built)
+    assert pf.cones and not any(c.out for c in pf.cones.values())
 
 
 def impossible_evidence(net: PossNetwork) -> dict | None:
@@ -593,10 +585,17 @@ def test_evidence_memo_keys_a_snapshot_and_survives_invalid_terms(alarm, build):
     e["B"] = "b2"
     assert pipeline.query(x, e) == oracle_conditional(alarm, x, e)
     held = pipeline.evidence.entry
-    for bad in ({"Q": "q1"}, {"D": "d3"}):
-        with pytest.raises(QueryError):
-            pipeline.query(x, bad)
-        assert pipeline.evidence.entry is held
+    cones = dict(getattr(pipeline, "cones", {}))
+    assert ("F", "f1") not in cones  # a bad term's valid first item builds no cone
+    for bad in ({"Q": "q1"}, {"D": "d3"}, {"F": "f1", "D": "d3"}):
+        for ask in (lambda: pipeline.query(x, bad), lambda: pipeline.possibility(bad)):
+            with pytest.raises(QueryError):
+                ask()
+            assert pipeline.evidence.entry is held
+            assert getattr(pipeline, "cones", {}) == cones
+    if build is not PkbPipeline:
+        items = {(v.name, val) for v in alarm.variables for val in v.domain}
+        assert set(pipeline.refutes) == items
     assert pipeline.query({"F": "f1"}, e) == oracle_conditional(alarm, {"F": "f1"}, e)
     assert pipeline.query(x, {}) == oracle_conditional(alarm, x, {})
 
@@ -620,8 +619,9 @@ def counting(monkeypatch, module, name: str) -> list:
 
 @pytest.mark.parametrize("module", [circuits, logical_module])
 def test_repeated_evidence_costs_one_pass_per_query(alarm, monkeypatch, module):
+    """pf and logical run through the one ``nnf.ProgramPipeline._run``."""
     pipeline = (PfPipeline if module is circuits else LogicalPipeline)(alarm)
-    calls = counting(monkeypatch, module, "run_program")
+    calls = counting(monkeypatch, nnf, "run_program")
     per_query = []
     for x in ALARM_TARGETS:
         before = len(calls)
