@@ -12,9 +12,11 @@ does.  A pipeline whose leaf weights stay fixed across its queries, up to
 the leaves a query's term refutes, runs the same pass as a straight-line
 program (``max_min_program``): the internal nodes become binary min/max
 instructions, and the template holds the values of one base run, with
-the fixed weights and no leaf refuted.  A query starts from a copy of
-it, writes 0 at the leaves an item of its term refutes and runs that
-item's ``cone``: the instructions of every node those leaves reach.
+the fixed weights and no leaf refuted; its slots hold ranks in the
+program's table of distinct degrees, as only their order matters to min
+and max.  A query copies the template, writes 0 (``ZERO``'s rank) at
+the leaves an item of its term refutes and runs that item's ``cone``:
+the instructions of every node those leaves reach.
 ``ProgramPipeline`` is that query path, keyed by term item, for pf and
 logical, which say only which literals each item zeroes.
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Iterable
 
-from .degrees import Degree, SCALE, ZERO
+from .degrees import Degree, ONE, SCALE, ZERO
 from .errors import FormatError
 from .network import EventTerm, EvidenceMemo, PossNetwork, check_event, conditional
 
@@ -201,18 +203,23 @@ class MaxMinProgram:
     """``pi_evaluate`` of one DAG as straight-line code over a value list
     with one slot per node.
 
-    ``template`` holds every slot's value in the base run, which refutes
-    no leaf: each leaf's fixed weight (a degree's numerator, ``SCALE``
-    when unlisted), each constant's value and each internal node's.
+    A slot holds a rank in ``degrees``, the program's distinct degrees
+    in rising order from ``ZERO`` (rank 0) to ``ONE``; min and max keep
+    order, so a pass on ranks picks the degree a pass on degrees would.
+    ``template`` holds every slot's rank in the base run, which refutes
+    no leaf: each leaf's fixed weight (``ONE``'s rank when unlisted),
+    each constant's value and each internal node's.
     Instruction k sets slot ``out[k]`` to the min (``ands[k]`` is 1) or
     the max of slots ``left[k]`` and ``right[k]``; the instructions follow
     the DAG order.  An n-ary node is a chain of n - 1 instructions
     accumulating in its own slot, and a one-child node, or a repeated
     leaf, copies its child's (its literal's first leaf's) slot.  A
-    ``cone`` is a program too, with its whole program's template and root.
+    ``cone`` is a program too, sharing its program's template, degrees
+    and root.
     """
 
     template: list[int]
+    degrees: tuple[Degree, ...]
     out: array
     left: array
     right: array
@@ -223,8 +230,13 @@ class MaxMinProgram:
 def max_min_program(d: NnfDag, w: WeightMap) -> tuple[MaxMinProgram, dict[int, int]]:
     """The program of ``d`` under the fixed weights ``w``, its template
     filled by the base run, and each literal's first leaf slot: a run that
-    refutes the literal writes 0 there."""
-    weights = {lit: deg.num for lit, deg in w.items()}
+    refutes the literal writes 0, ``ZERO``'s rank, there.  The rank table
+    is ``w``'s own degrees with ``ZERO`` and ``ONE``, one per numerator."""
+    by_num = {deg.num: deg for deg in (*w.values(), ZERO, ONE)}
+    degrees = tuple(by_num[num] for num in sorted(by_num))
+    rank = {deg.num: r for r, deg in enumerate(degrees)}
+    weights = {lit: rank[deg.num] for lit, deg in w.items()}
+    top = len(degrees) - 1
     template = [0] * len(d.nodes)
     out, left, right, ands = [], [], [], bytearray()
     leaves: dict[int, int] = {}
@@ -232,12 +244,12 @@ def max_min_program(d: NnfDag, w: WeightMap) -> tuple[MaxMinProgram, dict[int, i
         if op == "L":
             if arg not in leaves:
                 leaves[arg] = i
-                template[i] = weights.get(arg, SCALE)
+                template[i] = weights.get(arg, top)
                 continue
             kids = (leaves[arg],) * 2
         elif len(kids) != 2:
             if not kids:
-                template[i] = SCALE if op == "A" else 0
+                template[i] = top if op == "A" else 0
                 continue
             if len(kids) == 1:
                 kids *= 2
@@ -255,7 +267,7 @@ def max_min_program(d: NnfDag, w: WeightMap) -> tuple[MaxMinProgram, dict[int, i
         right.append(kids[1])
         ands.append(op == "A")
     columns = (array("i", column) for column in (out, left, right))
-    program = MaxMinProgram(template, *columns, bytes(ands), d.root)
+    program = MaxMinProgram(template, degrees, *columns, bytes(ands), d.root)
     run_program(program, template)
     return program, leaves
 
@@ -278,12 +290,13 @@ def cone(p: MaxMinProgram, slots: Iterable[int]) -> MaxMinProgram:
     keep = list(compress(range(len(p.out)), map(reached.__getitem__, p.out)))
     pick = lambda column: array("i", map(column.__getitem__, keep))
     ands = bytes(map(p.ands.__getitem__, keep))
-    return MaxMinProgram(p.template, pick(p.out), pick(p.left), pick(p.right), ands, p.root)
+    return MaxMinProgram(p.template, p.degrees, pick(p.out), pick(p.left), pick(p.right), ands, p.root)
 
 
 def run_program(p: MaxMinProgram, val: list[int], refuted: Iterable[int] = ()) -> Degree:
-    """Write 0 at the ``refuted`` slots of ``val``, run the instructions on
-    it in place, and return the root's degree.
+    """Write 0 (``ZERO``'s rank) at the ``refuted`` slots of ``val``, run
+    the instructions on it in place, and return the root's degree, read
+    off its rank in ``p.degrees``.
 
     ``val`` is a copy of the template or of an earlier run's values.  When
     ``p`` is the whole program, or the ``cone`` of the refuted slots, the
@@ -302,7 +315,7 @@ def run_program(p: MaxMinProgram, val: list[int], refuted: Iterable[int] = ()) -
             val[o] = x if x < y else y
         else:
             val[o] = y if x < y else x
-    return Degree(val[p.root])
+    return p.degrees[val[p.root]]
 
 
 Item = tuple[str, str]  # (variable, value): one item of an event term
@@ -368,7 +381,7 @@ class ProgramPipeline:
                 if sub is None:
                     sub = self.cones[item] = cone(self.program, refuted)
                 run_program(sub, values, refuted)
-        return Degree(values[self.program.root])
+        return self.program.degrees[values[self.program.root]]
 
 
 def is_consistent(d: NnfDag) -> bool:

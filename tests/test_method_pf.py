@@ -21,7 +21,7 @@ from posskc.network import (
 )
 from posskc.nnf import max_min_program, pi_evaluate, run_program
 
-from helpers import baseline_counts, pf_weights
+from helpers import baseline_counts, pf_weights, slot_nums
 
 D = parse_degree
 
@@ -167,7 +167,7 @@ class TestCircuit:
         fresh, _ = pf._pass({})
         changed = {i for i in leaf.values() if values[i] != fresh[i]}
         assert changed == {leaf[ind[("F", "f2")]]}
-        assert fresh[leaf[ind[("F", "f2")]]] == ONE.num
+        assert slot_nums(pf.program, fresh)[leaf[ind[("F", "f2")]]] == ONE.num
 
     def test_circuit_possibility_equals_chain_rule_on_worlds(self, alarm):
         p = PfPipeline(alarm)

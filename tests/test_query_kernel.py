@@ -19,7 +19,10 @@ run, and from an earlier run's values, one item after another, are
 checked node for node against a fresh run of the whole program and the
 reference, and each cone against the DAG's own upward closure; the pf
 and logical joints that run the target's cones on the memoised evidence
-run are checked against ``possibility`` and the oracle.
+run are checked against ``possibility`` and the oracle.  A program's slots
+hold ranks in its table of distinct degrees (``slot_nums`` reads them as
+numerators); a table past CPython's cached small ints is checked against
+the kernel on every single refuted leaf.
 """
 
 import pytest
@@ -50,6 +53,7 @@ from helpers import (
     reference_node_values,
     reference_pi_evaluate,
     reference_query_detail,
+    slot_nums,
 )
 
 COARSE_POOL = frozenset(Degree(SCALE * (2 * k + 1) // 20) for k in range(10))
@@ -175,12 +179,12 @@ def refuting(w: dict, refuted) -> dict:
 
 
 def program_run(d, w: dict, refuted=()) -> list[int]:
-    """The values of a fresh run of the program of ``d`` under ``w`` that
-    refutes the given literals."""
+    """The values, as numerators, of a fresh run of the program of ``d``
+    under ``w`` that refutes the given literals."""
     program, leaves = max_min_program(d, w)
     values = program.template.copy()
     run_program(program, values, [leaves[l] for l in set(refuted) if l in leaves])
-    return values
+    return slot_nums(program, values)
 
 
 def rooted(d, i: int) -> NnfDag:
@@ -301,12 +305,12 @@ def test_pipeline_programs_match_the_kernel_node_for_node(kind):
         for term in (t for size in range(3) for t in every_term(net, size)):
             values, got = pf._pass(term)
             w = pf_weights(pf, term)
-            assert values == reference_node_values(circuit, w)
+            assert slot_nums(pf.program, values) == reference_node_values(circuit, w)
             assert got == pi_evaluate(circuit, w)
             check_pipeline_cones(pf, term, values)
             values, got = logical._pass(term)
             w = refuting(logical.theta_weights, [-l for l in logical.imap.term_literals(term)])
-            assert values == reference_node_values(dag, w)
+            assert slot_nums(logical.program, values) == reference_node_values(dag, w)
             assert got == pi_evaluate(dag, w)
             check_pipeline_cones(logical, term, values)
             checked += 1
@@ -346,7 +350,7 @@ def test_multivalued_pf_target_zeroes_its_other_values_in_one_cone():
         if x.keys() == {"X"}:
             assert len(pf.refutes[next(iter(x.items()))]) == 3
         values, _ = pf._pass(x)
-        assert values == reference_node_values(circuit, pf_weights(pf, x))
+        assert slot_nums(pf.program, values) == reference_node_values(circuit, pf_weights(pf, x))
         check_pipeline_cones(pf, x, values)
         for e in every_term(net, 0) + every_term(net, 1):
             if not conflicts(x, e):
@@ -388,7 +392,7 @@ def check_resumed(d, w: dict, held, new) -> bool:
     the held and the full run give different roots, so the cones had
     work."""
     program, leaves = max_min_program(d, w)
-    assert program.template == reference_node_values(d, w)
+    assert slot_nums(program, program.template) == reference_node_values(d, w)
     slots = lambda lits: [leaves[l] for l in dict.fromkeys(lits) if l in leaves]
 
     def by_cones(values: list, lits) -> list:
@@ -397,14 +401,15 @@ def check_resumed(d, w: dict, held, new) -> bool:
         return values
 
     prior = by_cones(program.template.copy(), held)
-    assert prior == reference_node_values(d, refuting(w, held))
+    assert slot_nums(program, prior) == reference_node_values(d, refuting(w, held))
     both = slots([*held, *new])
     fresh = program.template.copy()
     run_program(program, fresh, both)
-    assert fresh == reference_node_values(d, refuting(w, [*held, *new]))
+    nums = slot_nums(program, fresh)
+    assert nums == reference_node_values(d, refuting(w, [*held, *new]))
     assert by_cones(prior.copy(), new) == fresh
     values = program.template.copy()
-    assert run_program(cone(program, both), values, both) == Degree(fresh[d.root])
+    assert run_program(cone(program, both), values, both) == Degree(nums[d.root])
     assert values == fresh
     for lits in (held, new, [*held, *new]):
         check_cone(d, program, leaves, lits)
@@ -429,15 +434,93 @@ def test_cone_redoes_the_whole_chain_of_an_or():
     d = hand_dag(HAND_DAGS["three-child-or-max-last"][0])
     program, leaves = max_min_program(d, HAND_WEIGHTS)
     assert len(program.out) == 2 and set(program.out) == {3}
-    assert program.template[3] == SCALE
+    assert slot_nums(program, program.template)[3] == SCALE
     slot = leaves[-2]
     c = cone(program, [slot])
     assert list(c.out) == [3, 3]
     values = program.template.copy()
     assert run_program(c, values, [slot]) == parse_degree("0.3")
-    assert values == reference_node_values(d, refuting(HAND_WEIGHTS, [-2]))
-    tail = MaxMinProgram(program.template, c.out[1:], c.left[1:], c.right[1:], c.ands[1:], 3)
+    assert slot_nums(program, values) == reference_node_values(d, refuting(HAND_WEIGHTS, [-2]))
+    tail = MaxMinProgram(program.template, program.degrees, c.out[1:], c.left[1:], c.right[1:], c.ands[1:], 3)
     assert run_program(tail, program.template.copy(), [slot]) == ONE
+
+
+WIDE_VARS = 160
+"""320 literals, so a program's rank table outgrows CPython's small ints."""
+
+
+def wide_dag(num_vars: int) -> NnfDag:
+    """A balanced tree over one leaf per literal, And at its even levels
+    and Or at its odd ones; a level of odd width ends in a three-child
+    node."""
+    nodes = [("L", lit, ()) for v in range(1, num_vars + 1) for lit in (v, -v)]
+    level, op = list(range(len(nodes))), "A"
+    while len(level) > 1:
+        groups = [level[i : i + 2] for i in range(0, len(level), 2)]
+        if len(groups[-1]) == 1:
+            groups[-2:] = [groups[-2] + groups[-1]]
+        level = []
+        for kids in groups:
+            level.append(len(nodes))
+            nodes.append((op, 0, tuple(kids)))
+        op = "O" if op == "A" else "A"
+    return NnfDag(tuple(nodes), len(nodes) - 1, num_vars)
+
+
+def test_rank_table_past_the_small_int_cache():
+    """Fixed weights with more than 256 distinct degrees, two of them equal
+    but distinct objects, and one literal unlisted: the program's rank
+    table rises strictly from ZERO to ONE, holds only degrees it was
+    given, and every single refuted leaf's cone, and the whole program,
+    answer ``pi_evaluate``; every cone shares the table, and a
+    ``ProgramPipeline`` answers with its elements."""
+    rng = SplitMix64(0x52414E4B)
+    d = wide_dag(WIDE_VARS)
+    lits = [lit for v in range(1, WIDE_VARS + 1) for lit in (v, -v)]
+    w = {lit: Degree(1 + rng.next_below(SCALE - 1)) for lit in lits[:-1]}
+    w[2] = Degree(w[1].num)
+    assert w[2] is not w[1] and len(set(w.values())) > 256
+    program, leaves = max_min_program(d, w)
+    table = program.degrees
+    assert len(table) == len(set(w.values())) + 2 > 258
+    assert table[0] is ZERO and table[-1] is ONE
+    assert all(a.num < b.num for a, b in zip(table, table[1:]))
+    given = {id(deg) for deg in (ZERO, ONE, *w.values())}
+    assert all(id(deg) in given for deg in table)
+    assert max(program.template) == len(table) - 1
+    assert slot_nums(program, program.template) == reference_node_values(d, w)
+    changed = 0
+    for lit in lits:
+        slot = leaves[lit]
+        expected = pi_evaluate(d, refuting(w, [lit]))
+        c = cone(program, [slot])
+        assert c.degrees is table
+        values = program.template.copy()
+        got = run_program(c, values, [slot])
+        assert got == expected and any(got is deg for deg in table)
+        whole = program.template.copy()
+        assert run_program(program, whole, [slot]) == expected
+        assert values == whole
+        changed += expected != pi_evaluate(d, w)
+    assert changed > 0
+    names = [f"V{v}" for v in range(1, WIDE_VARS + 1)]
+    net = parse_network(
+        "network wide\n"
+        + "".join(f"var {n} t f\n" for n in names)
+        + "".join(f"cpt {n}\nt : 1\nf : 0.5\n" for n in names)
+    )
+    zeroes = {(n, val): [-v if val == "t" else v] for v, n in enumerate(names, 1) for val in "tf"}
+    pipeline = nnf.ProgramPipeline(net, d, w, zeroes)
+    assert pipeline.program.degrees == table
+    for v, n in enumerate(names[:40], 1):
+        for val, lit in (("t", -v), ("f", v)):
+            got = pipeline.possibility({n: val})
+            assert got == pi_evaluate(d, refuting(w, [lit]))
+            assert any(got is deg for deg in pipeline.program.degrees)
+        x, e = {n: "t"}, {names[-1]: "f"}
+        got = pipeline.query(x, e)
+        assert any(got is deg for deg in pipeline.program.degrees)
+    assert all(c.degrees is pipeline.program.degrees for c in pipeline.cones.values())
 
 
 def test_resumed_pass_equals_a_fresh_one_on_pipeline_dags():
