@@ -10,13 +10,15 @@ variable is forgotten, so consistency and clausal entailment are that pass
 too; ``condition``, ``forget`` and ``smooth`` build new DAGs, no query
 does.  A pipeline whose leaf weights stay fixed across its queries, up to
 the leaves a query's term refutes, runs the same pass as a straight-line
-program (``max_min_program``): the internal nodes become binary min/max
-instructions, and the template holds the values of one base run, with
-the fixed weights and no leaf refuted; its slots hold ranks in the
+program (``max_min_program``): the internal nodes become chains of
+binary min/max instructions, each writing a slot no other instruction
+writes, and the template holds the values of one base run, with the
+fixed weights and no leaf refuted; its slots hold ranks in the
 program's table of distinct degrees, as only their order matters to min
 and max.  A query copies the template, writes 0 (``ZERO``'s rank) at
 the leaves an item of its term refutes and runs that item's ``cone``:
-the instructions of every node those leaves reach.
+the instructions that read those leaves, directly or through the slots
+the cone writes.
 ``ProgramPipeline`` is that query path, keyed by term item, for pf and
 logical, which say only which literals each item zeroes.
 
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, Iterable
 
 from .degrees import Degree, ONE, SCALE, ZERO
@@ -185,7 +186,13 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
     Unlisted literals weigh 1; the empty And (True) yields 1 and the
     empty Or (False) yields 0.  One bottom-up pass.
     """
-    weights = {lit: deg.num for lit, deg in w.items()}
+    return Degree(_root_num(d, {lit: deg.num for lit, deg in w.items()}))
+
+
+def _root_num(d: NnfDag, weights: Dict[int, int]) -> int:
+    """The root's numerator under ``pi_evaluate`` of the literal ->
+    numerator map ``weights``; the boolean callers compare it with 0 and
+    build no ``Degree``."""
     val = [0] * len(d.nodes)
     at = val.__getitem__
     for i, (op, arg, kids) in enumerate(d.nodes):
@@ -195,26 +202,28 @@ def pi_evaluate(d: NnfDag, w: WeightMap) -> Degree:
             val[i] = min(map(at, kids)) if kids else SCALE
         else:
             val[i] = max(map(at, kids)) if kids else 0
-    return Degree(val[d.root])
+    return val[d.root]
 
 
 @dataclass(frozen=True, slots=True)
 class MaxMinProgram:
     """``pi_evaluate`` of one DAG as straight-line code over a value list
-    with one slot per node.
+    in which every slot has exactly one writer.
 
     A slot holds a rank in ``degrees``, the program's distinct degrees
     in rising order from ``ZERO`` (rank 0) to ``ONE``; min and max keep
     order, so a pass on ranks picks the degree a pass on degrees would.
     ``template`` holds every slot's rank in the base run, which refutes
     no leaf: each leaf's fixed weight (``ONE``'s rank when unlisted),
-    each constant's value and each internal node's.
+    each constant's value and each instruction's result.
     Instruction k sets slot ``out[k]`` to the min (``ands[k]`` is 1) or
     the max of slots ``left[k]`` and ``right[k]``; the instructions follow
-    the DAG order.  An n-ary node is a chain of n - 1 instructions
-    accumulating in its own slot, and a one-child node, or a repeated
-    leaf, copies its child's (its literal's first leaf's) slot.  A
-    ``cone`` is a program too, sharing its program's template, degrees
+    the DAG order.  Slot i is node i.  An n-ary node is a chain of n - 1
+    instructions: each step but the last writes a scratch slot of its
+    own, numbered after the node slots, and the last writes the node's.
+    A one-child node, or a repeated leaf, copies its child's (its
+    literal's first leaf's) slot.
+    A ``cone`` is a program too, sharing its program's template, degrees
     and root.
     """
 
@@ -253,15 +262,16 @@ def max_min_program(d: NnfDag, w: WeightMap) -> tuple[MaxMinProgram, dict[int, i
                 continue
             if len(kids) == 1:
                 kids *= 2
-            else:  # all but the last pair of the chain
+            else:  # all but the last step of the chain, each into a new scratch slot
                 a = kids[0]
                 for b in kids[1:-1]:
-                    out.append(i)
+                    out.append(len(template))
                     left.append(a)
                     right.append(b)
                     ands.append(op == "A")
-                    a = i
-                kids = (i, kids[-1])
+                    a = len(template)
+                    template.append(0)
+                kids = (a, kids[-1])
         out.append(i)
         left.append(kids[0])
         right.append(kids[1])
@@ -274,20 +284,20 @@ def max_min_program(d: NnfDag, w: WeightMap) -> tuple[MaxMinProgram, dict[int, i
 
 def cone(p: MaxMinProgram, slots: Iterable[int]) -> MaxMinProgram:
     """The sub-program of ``p`` that a change at ``slots`` reaches: every
-    instruction of every node that reads them, directly or through other
-    nodes, in program order.
+    instruction that reads one of them or a slot an earlier kept
+    instruction writes, in program order.
 
-    Whole nodes, not just the instructions that read a changed slot: an
-    n-ary node's chain accumulates in its own slot, so re-running only
-    the chain's tail would fold the slot's old value back in.
+    Every slot has one writer, so an instruction left out reads only
+    slots the change does not reach, and its slot keeps its value.
     """
     reached = bytearray(len(p.template))
     for s in slots:
         reached[s] = 1
-    for o, a, b in zip(p.out, p.left, p.right):
+    keep = []
+    for k, (o, a, b) in enumerate(zip(p.out, p.left, p.right)):
         if reached[a] or reached[b]:
             reached[o] = 1
-    keep = list(compress(range(len(p.out)), map(reached.__getitem__, p.out)))
+            keep.append(k)
     pick = lambda column: array("i", map(column.__getitem__, keep))
     ands = bytes(map(p.ands.__getitem__, keep))
     return MaxMinProgram(p.template, p.degrees, pick(p.out), pick(p.left), pick(p.right), ands, p.root)
@@ -301,10 +311,11 @@ def run_program(p: MaxMinProgram, val: list[int], refuted: Iterable[int] = ()) -
     ``val`` is a copy of the template or of an earlier run's values.  When
     ``p`` is the whole program, or the ``cone`` of the refuted slots, the
     slots then hold a fresh run's values under the earlier run's refuted
-    leaves and these: the cone holds every node those slots reach, and
-    children precede parents, so each instruction reads either a slot the
-    change does not reach or one the run has already redone.  Cones of
-    several items run one after another for the same reason.
+    leaves and these: the cone holds every instruction those slots reach,
+    and each slot is written once, after the slots it reads, so each
+    instruction reads either a slot the change does not reach or one the
+    run has already redone.  Cones of several items run one after another
+    for the same reason.
     """
     for i in refuted:
         val[i] = 0
@@ -386,7 +397,7 @@ class ProgramPipeline:
 
 def is_consistent(d: NnfDag) -> bool:
     """Satisfiability by one max-min pass (valid on decomposable DAGs)."""
-    return pi_evaluate(d, {}) != ZERO
+    return _root_num(d, {}) != 0
 
 
 def condition(d: NnfDag, term: Iterable[int]) -> NnfDag:
@@ -446,7 +457,7 @@ def entails_clause(d: NnfDag, literals: Iterable[int]) -> bool:
         raise ValueError("0 is not a literal")
     if any(-l in lits for l in lits):
         return True
-    return pi_evaluate(d, dict.fromkeys(lits, ZERO)) == ZERO
+    return _root_num(d, dict.fromkeys(lits, 0)) == 0
 
 
 def node_var_sets(d: NnfDag) -> list[frozenset]:

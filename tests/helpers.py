@@ -9,7 +9,7 @@ pass over the new DAG), as a cross-check of the one-pass query kernel.
 The union-find component split is the reference for the compiler's
 split, and a generator-per-node max-min pass is the reference, node for
 node, for the map-driven ``pi_evaluate`` and the pipelines' max-min
-programs, whose slot ranks ``slot_nums`` reads as numerators;
+programs, whose node slots' ranks ``slot_nums`` reads as numerators;
 ``pf_weights`` is the weight map a pf pass reads.  ``reference_kb_cnf``
 encodes a possibilistic base formula by formula, the reference for
 ``encode_pkb``'s one table walk, and ``canonical_clause`` is the
@@ -264,11 +264,12 @@ def reference_node_values(d, w) -> list[int]:
     return val
 
 
-def slot_nums(program, values) -> list[int]:
-    """The numerator of each slot's degree, for comparison with
-    ``reference_node_values``: a max-min program's slots hold ranks in
-    its ``degrees``."""
-    return [program.degrees[r].num for r in values]
+def slot_nums(program, values, d) -> list[int]:
+    """The numerator of each node slot's degree, for comparison with
+    ``reference_node_values`` of ``d``: a max-min program's slots hold
+    ranks in its ``degrees``, and its first ``len(d.nodes)`` slots are the
+    nodes (the chain steps' scratch slots follow)."""
+    return [program.degrees[r].num for r in values[: len(d.nodes)]]
 
 
 def reference_pi_evaluate(d, w) -> Degree:

@@ -167,7 +167,7 @@ class TestCircuit:
         fresh, _ = pf._pass({})
         changed = {i for i in leaf.values() if values[i] != fresh[i]}
         assert changed == {leaf[ind[("F", "f2")]]}
-        assert slot_nums(pf.program, fresh)[leaf[ind[("F", "f2")]]] == ONE.num
+        assert slot_nums(pf.program, fresh, pf.circuit)[leaf[ind[("F", "f2")]]] == ONE.num
 
     def test_circuit_possibility_equals_chain_rule_on_worlds(self, alarm):
         p = PfPipeline(alarm)

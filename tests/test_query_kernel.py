@@ -17,7 +17,10 @@ on caller-mutated and invalid evidence, and by the program runs a
 repeated evidence term saves.  Cone runs (``nnf.cone``) from the base
 run, and from an earlier run's values, one item after another, are
 checked node for node against a fresh run of the whole program and the
-reference, and each cone against the DAG's own upward closure; the pf
+reference.  Every slot of a program has one writer, and each cone holds
+exactly the instructions that read its refuted slots, directly or
+through slots the cone writes (a search over each slot's readers), and
+writes exactly the DAG's nodes above its leaves; the pf
 and logical joints that run the target's cones on the memoised evidence
 run are checked against ``possibility`` and the oracle.  A program's slots
 hold ranks in its table of distinct degrees (``slot_nums`` reads them as
@@ -44,7 +47,7 @@ from posskc.network import (
     oracle_conditional,
     oracle_possibility,
 )
-from posskc.nnf import MaxMinProgram, NnfDag, cone, max_min_program, parse_nnf, pi_evaluate, run_program
+from posskc.nnf import NnfDag, cone, max_min_program, parse_nnf, pi_evaluate, run_program
 from posskc.pkb import PkbPipeline
 
 from helpers import (
@@ -150,6 +153,8 @@ HAND_DAGS = {
     "three-child-or": ("L 1\nL -1\nL 2\nO 0 3 0 1 2", "0.6"),
     "three-child-or-max-last": ("L 2\nL -1\nL -2\nO 0 3 0 1 2", "1"),
     "three-child-and": ("L 1\nL -1\nL -2\nA 3 0 1 2", "0.3"),
+    "five-child-and": ("L 1\nL -1\nL 2\nL -2\nO 0 2 0 2\nA 5 3 0 4 1 2", "0.2"),
+    "five-child-or": ("L 1\nL -1\nL 2\nL -2\nA 2 0 2\nO 0 5 2 4 3 1 0", "1"),
     "single-children-negative-literal": ("L -1\nA 1 0\nO 1 1 1", "0.3"),
     "unlisted-literal": ("L -2\nA 1 0", "1"),
     "repeated-leaf": ("L 1\nL 2\nL 1\nA 2 0 1\nO 0 2 2 3", "0.6"),
@@ -184,7 +189,7 @@ def program_run(d, w: dict, refuted=()) -> list[int]:
     program, leaves = max_min_program(d, w)
     values = program.template.copy()
     run_program(program, values, [leaves[l] for l in set(refuted) if l in leaves])
-    return slot_nums(program, values)
+    return slot_nums(program, values, d)
 
 
 def rooted(d, i: int) -> NnfDag:
@@ -305,12 +310,12 @@ def test_pipeline_programs_match_the_kernel_node_for_node(kind):
         for term in (t for size in range(3) for t in every_term(net, size)):
             values, got = pf._pass(term)
             w = pf_weights(pf, term)
-            assert slot_nums(pf.program, values) == reference_node_values(circuit, w)
+            assert slot_nums(pf.program, values, circuit) == reference_node_values(circuit, w)
             assert got == pi_evaluate(circuit, w)
             check_pipeline_cones(pf, term, values)
             values, got = logical._pass(term)
             w = refuting(logical.theta_weights, [-l for l in logical.imap.term_literals(term)])
-            assert slot_nums(logical.program, values) == reference_node_values(dag, w)
+            assert slot_nums(logical.program, values, dag) == reference_node_values(dag, w)
             assert got == pi_evaluate(dag, w)
             check_pipeline_cones(logical, term, values)
             checked += 1
@@ -350,7 +355,7 @@ def test_multivalued_pf_target_zeroes_its_other_values_in_one_cone():
         if x.keys() == {"X"}:
             assert len(pf.refutes[next(iter(x.items()))]) == 3
         values, _ = pf._pass(x)
-        assert slot_nums(pf.program, values) == reference_node_values(circuit, pf_weights(pf, x))
+        assert slot_nums(pf.program, values, circuit) == reference_node_values(circuit, pf_weights(pf, x))
         check_pipeline_cones(pf, x, values)
         for e in every_term(net, 0) + every_term(net, 1):
             if not conflicts(x, e):
@@ -369,17 +374,64 @@ def reached(d, lits) -> set:
     return out
 
 
+def readers_of(program, slots) -> list[int]:
+    """The instructions of ``program`` that read one of ``slots``, directly
+    or through a slot such an instruction writes, found by a search over
+    each slot's readers; in program order."""
+    readers: dict = {}
+    for k, (a, b) in enumerate(zip(program.left, program.right)):
+        for s in {a, b}:
+            readers.setdefault(s, []).append(k)
+    found: set = set()
+    todo = list(slots)
+    while todo:
+        for k in readers.get(todo.pop(), ()):
+            if k not in found:
+                found.add(k)
+                todo.append(program.out[k])
+    return sorted(found)
+
+
+def first_leaves(d) -> dict:
+    """Each literal's first leaf in ``d``."""
+    first: dict = {}
+    for i, (op, arg, _) in enumerate(d.nodes):
+        if op == "L":
+            first.setdefault(arg, i)
+    return first
+
+
+def check_single_writers(d, program) -> None:
+    """Every slot has at most one writer, which follows the writers of the
+    slots it reads; an internal node's or repeated leaf's slot is written,
+    and every slot past the nodes is a chain step's scratch slot."""
+    n = len(d.nodes)
+    assert len(set(program.out)) == len(program.out)
+    first = first_leaves(d)
+    internal = {i for i, (op, arg, kids) in enumerate(d.nodes) if kids or (op == "L" and first[arg] != i)}
+    assert {o for o in program.out if o < n} == internal
+    assert {o for o in program.out if o >= n} == set(range(n, len(program.template)))
+    written = set()
+    for o, a, b in zip(program.out, program.left, program.right):
+        assert all(s in written or (s < n and s not in internal) for s in (a, b))
+        written.add(o)
+
+
 def check_cone(d, program, leaves, lits) -> None:
-    """The cone of ``lits``' first leaves holds, in program order, every
-    instruction of every node above them and no other."""
-    c = cone(program, [leaves[l] for l in lits if l in leaves])
-    nodes = reached(d, set(lits)) - set(leaves.values())
-    expected = [k for k, o in enumerate(program.out) if o in nodes]
+    """The cone of ``lits``' first leaves holds, in program order, exactly
+    the instructions that read one of those slots, directly or through
+    slots the cone writes, and the node slots it writes are the nodes
+    above those leaves."""
+    slots = [leaves[l] for l in lits if l in leaves]
+    c = cone(program, slots)
+    expected = readers_of(program, slots)
     assert list(c.out) == [program.out[k] for k in expected]
     assert list(c.left) == [program.left[k] for k in expected]
     assert list(c.right) == [program.right[k] for k in expected]
     assert list(c.ands) == [program.ands[k] for k in expected]
     assert (c.template, c.root) == (program.template, program.root)
+    nodes = reached(d, set(lits)) - set(leaves.values())
+    assert {o for o in c.out if o < len(d.nodes)} == nodes
 
 
 def check_resumed(d, w: dict, held, new) -> bool:
@@ -392,7 +444,7 @@ def check_resumed(d, w: dict, held, new) -> bool:
     the held and the full run give different roots, so the cones had
     work."""
     program, leaves = max_min_program(d, w)
-    assert slot_nums(program, program.template) == reference_node_values(d, w)
+    assert slot_nums(program, program.template, d) == reference_node_values(d, w)
     slots = lambda lits: [leaves[l] for l in dict.fromkeys(lits) if l in leaves]
 
     def by_cones(values: list, lits) -> list:
@@ -401,11 +453,11 @@ def check_resumed(d, w: dict, held, new) -> bool:
         return values
 
     prior = by_cones(program.template.copy(), held)
-    assert slot_nums(program, prior) == reference_node_values(d, refuting(w, held))
+    assert slot_nums(program, prior, d) == reference_node_values(d, refuting(w, held))
     both = slots([*held, *new])
     fresh = program.template.copy()
     run_program(program, fresh, both)
-    nums = slot_nums(program, fresh)
+    nums = slot_nums(program, fresh, d)
     assert nums == reference_node_values(d, refuting(w, [*held, *new]))
     assert by_cones(prior.copy(), new) == fresh
     values = program.template.copy()
@@ -427,22 +479,52 @@ def test_resumed_pass_equals_a_fresh_one_on_hand_written_dags(name):
                 check_resumed(d, w, held, new)
 
 
-def test_cone_redoes_the_whole_chain_of_an_or():
+def test_cone_skips_the_chain_steps_before_a_refuted_last_child():
     """Refuting the last child of a three-child Or, the one that holds its
-    maximum, must re-run the Or's whole chain: its tail alone would fold
-    the slot's old maximum back in."""
+    maximum, re-runs only the chain's last step: the first step keeps the
+    max of the other two in a scratch slot of its own."""
     d = hand_dag(HAND_DAGS["three-child-or-max-last"][0])
     program, leaves = max_min_program(d, HAND_WEIGHTS)
-    assert len(program.out) == 2 and set(program.out) == {3}
-    assert slot_nums(program, program.template)[3] == SCALE
+    assert list(program.out) == [4, 3] and len(program.template) == 5
+    assert slot_nums(program, program.template, d)[3] == SCALE
     slot = leaves[-2]
     c = cone(program, [slot])
-    assert list(c.out) == [3, 3]
+    assert (list(c.out), list(c.left), list(c.right)) == ([3], [4], [slot])
     values = program.template.copy()
     assert run_program(c, values, [slot]) == parse_degree("0.3")
-    assert slot_nums(program, values) == reference_node_values(d, refuting(HAND_WEIGHTS, [-2]))
-    tail = MaxMinProgram(program.template, program.degrees, c.out[1:], c.left[1:], c.right[1:], c.ands[1:], 3)
-    assert run_program(tail, program.template.copy(), [slot]) == ONE
+    assert slot_nums(program, values, d) == reference_node_values(d, refuting(HAND_WEIGHTS, [-2]))
+
+
+@pytest.mark.parametrize("name", sorted(HAND_DAGS))
+def test_every_cone_holds_exactly_the_readers_of_its_slots_on_hand_written_dags(name):
+    """Every slot has one writer, and the cone of every refuted set holds
+    exactly the instructions that read its leaves, directly or through
+    slots the cone writes."""
+    d = hand_dag(HAND_DAGS[name][0])
+    for w in HAND_MAPS:
+        program, leaves = max_min_program(d, w)
+        check_single_writers(d, program)
+        for lits in HAND_REFUTED:
+            check_cone(d, program, leaves, lits)
+
+
+@pytest.mark.parametrize("kind", ["multivalued", "coarse"])
+def test_every_cone_holds_exactly_the_readers_of_its_slots_on_pipeline_programs(kind):
+    """pf's program over its circuit and logical's over the kb DAG: every
+    slot has one writer, and the cone of each term item's leaves, and of
+    each two adjacent items', holds exactly the instructions that read them,
+    directly or through slots the cone writes."""
+    chains = 0
+    for net in family(kind):
+        pf, logical = PfPipeline(net), LogicalPipeline(net)
+        for pipeline, d in ((pf, pf.circuit), (logical, logical.dag)):
+            program = pipeline.program
+            check_single_writers(d, program)
+            chains += len(program.template) > len(d.nodes)
+            leaves, items = first_leaves(d), list(pipeline.refutes.values())
+            for slots in items + [a + b for a, b in zip(items, items[1:])]:
+                check_cone(d, program, leaves, [d.nodes[s][1] for s in slots])
+    assert chains > 0
 
 
 WIDE_VARS = 160
@@ -488,7 +570,7 @@ def test_rank_table_past_the_small_int_cache():
     given = {id(deg) for deg in (ZERO, ONE, *w.values())}
     assert all(id(deg) in given for deg in table)
     assert max(program.template) == len(table) - 1
-    assert slot_nums(program, program.template) == reference_node_values(d, w)
+    assert slot_nums(program, program.template, d) == reference_node_values(d, w)
     changed = 0
     for lit in lits:
         slot = leaves[lit]
