@@ -264,31 +264,25 @@ def compare_network(
     rows = []
     for method, (build, encode) in METHODS.items():
         own = parse_network(text)
+        nstats = {"nodes": 0, "edges": 0}
+        query_ms, status = 0.0, "budget"
         t0 = time.perf_counter()
         try:
             pipeline = build(own, node_budget=node_budget)
             compile_ms = (time.perf_counter() - t0) * 1000.0
             nstats = nnf_stats(pipeline.dag)
         except CompileBudgetError:
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            stats = cnf_stats(encode(net, True))
-            rows.append(
-                ComparisonRow(
-                    seed, len(net.variables), method,
-                    stats["vars"], stats["clauses"], 0, 0, elapsed, 0.0, "budget",
-                )
-            )
-            continue
-        t1 = time.perf_counter()
-        pipeline.query(x, e)
-        query_ms = (time.perf_counter() - t1) * 1000.0
-        cstats = cnf_stats(pipeline.cnf)
+            compile_ms = (time.perf_counter() - t0) * 1000.0
+        else:
+            t1 = time.perf_counter()
+            pipeline.query(x, e)
+            query_ms = (time.perf_counter() - t1) * 1000.0
+            status = "ok"
+        cstats = cnf_stats(encode(own, True))
         rows.append(
             ComparisonRow(
-                seed, len(net.variables), method,
-                cstats["vars"], cstats["clauses"],
-                nstats["nodes"], nstats["edges"],
-                compile_ms, query_ms,
+                seed, len(net.variables), method, cstats["vars"], cstats["clauses"],
+                nstats["nodes"], nstats["edges"], compile_ms, query_ms, status,
             )
         )
     return rows

@@ -12,12 +12,14 @@ reads the same compiled base, memoised per network (``compile_base``),
 and weighs its level variables instead.  The memo keeps only what
 queries read: the instance map, the level variables and the DAG; a
 pipeline's ``base`` and ``cnf`` transform the network again.  A query
-finds the evidence stratum once per evidence term: the first stratum,
-strongest first, whose activation refutes the evidence, by bisection.
-The target descent below it activates strata from the strongest down and
-stops when the active strata refute the target and the evidence.  Each
-step is one entailment pass over the compiled DAG, with the active level
-variables added to the checked clause; the DAG is never rebuilt.
+reads two strata off one check, whether strata 1..k refute a term
+(stratum 0 is the hard knowledge alone): the evidence stratum i, the
+least k that refutes the evidence, found by bisection once per evidence
+term, and the target stratum j, the least k below i that refutes the
+target and the evidence, found strongest first.  Pi(x|e) is one minus
+w_j when j < i, else 1.  Each check is one entailment pass over the
+compiled DAG, with the level variables of strata 1..k added to the
+checked clause; the DAG is never rebuilt.
 
 When the levels span several clauses each (a stratified base,
 ``cnf.stratified``), the CNF also chains the level variables into a
@@ -29,13 +31,14 @@ the network.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula, Level, stratified
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .degrees import SCALE, Degree, ONE, ZERO, complement
 from .encodings import InstanceMap, instance_map, table_entries
-from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event, conflicts
+from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
 from .nnf import NnfDag, condition, entails_clause, is_consistent
 
@@ -196,54 +199,45 @@ class PkbPipeline:
     def cnf(self) -> CnfFormula:
         return encode_pkb(self.net)
 
-    def evidence_stratum(self, e: EventTerm) -> int:
-        """The stratum whose activation refutes the evidence: 0 when the
-        hard knowledge refutes e, else the least i in 1..L such that e is
-        refuted with strata 1..i active, and L + 1 when none refutes it.
+    def _refuted(self, negated: list[int], k: int) -> bool:
+        """Whether strata 1..k, with the hard knowledge, refute the term
+        whose negated literals are ``negated``: one ``entails_clause`` pass
+        with the level variables of those strata in the clause.  Stratum 0
+        is the hard knowledge alone."""
+        return entails_clause(self.dag, [*(vid for vid, _ in self.level_vars[:k]), *negated])
 
-        Refutation is monotone in the active strata (adding a literal
-        keeps a clause entailed), so i is found by bisection, in about
-        log2(L + 1) ``entails_clause`` passes.
+    def evidence_stratum(self, e: EventTerm) -> int:
+        """The least k in 0..L whose strata refute e (0 when the hard
+        knowledge does), and L + 1 when none refutes it.
+
+        Refutation is monotone in k (adding a literal keeps a clause
+        entailed), so k is found by bisection, in at most
+        ceil(log2(L + 2)) passes.
         """
         not_e = [-l for l in self.imap.term_literals(e)]
-        if entails_clause(self.dag, not_e):
-            return 0
-        ids = [level_id for level_id, _ in self.level_vars]
-        lo, hi = 1, len(ids) + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entails_clause(self.dag, [*ids[:mid], *not_e]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect.bisect_left(
+            range(len(self.level_vars) + 1), True, key=lambda k: self._refuted(not_e, k)
+        )
 
     def query_detail(self, x: EventTerm, e: EventTerm) -> tuple[Degree, int]:
         """Pi(x|e) plus the number of level iterations performed.
 
-        Impossible evidence (evidence stratum i = 0, read from the memo)
-        yields 1 outright, and a target refuted by the hard knowledge (or
-        conflicting with the evidence) yields 0.  The target descent then
-        activates strata j = 1..i-1, strongest first, and answers one
-        minus w_j at the first j whose knowledge refutes x and e; past
-        them the answer is 1, after min(i, L) iterations.  Each check is
-        one ``entails_clause`` pass, with the active level variables in
-        the clause.
+        With i the evidence stratum (read from the memo), the target
+        stratum j is the least k below i whose strata refute x and e.  The
+        answer is one minus w_j when j < i (0 when j = 0), after j
+        iterations, and 1 otherwise, after min(i, L).  Impossible evidence
+        (i = 0) leaves no k to try, and conflicting terms are refuted at
+        j = 0: binary ones by a tautological clause, without a pass,
+        multi-valued ones by the exactly-one clauses.
         """
         check_event(self.net, x)
         check_event(self.net, e)
         i = self.evidence(e, self.evidence_stratum)
-        if i == 0:
-            return ONE, 0
         not_ex = [-l for l in (*self.imap.term_literals(e), *self.imap.term_literals(x))]
-        if conflicts(x, e) or entails_clause(self.dag, not_ex):
-            return ZERO, 0
-        active: list[int] = []
-        for level_id, weight in self.level_vars[: i - 1]:
-            active.append(level_id)
-            if entails_clause(self.dag, [*active, *not_ex]):
-                return complement(weight), len(active)
-        return ONE, min(i, len(self.level_vars))
+        j = next((k for k in range(i) if self._refuted(not_ex, k)), i)
+        if j == i:
+            return ONE, min(i, len(self.level_vars))
+        return (ZERO if j == 0 else complement(self.level_vars[j - 1][1])), j
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         return self.query_detail(x, e)[0]

@@ -1,9 +1,11 @@
-"""Pipeline 3: possibilistic base, level-variable CNF, stratum descent,
-and the compiled base that the logical and pkb pipelines share."""
+"""Pipeline 3: possibilistic base, level-variable CNF, the two stratum
+searches, and the compiled base that the logical and pkb pipelines share."""
+
+from pathlib import Path
 
 import pytest
 
-from posskc import pkb
+from posskc import nnf, pkb
 from posskc.bench import (
     FINE_POOL_SIZE,
     GenConfig,
@@ -30,6 +32,7 @@ from posskc.network import (
     chain_rule_joint,
     enumerate_worlds,
     oracle_conditional,
+    oracle_possibility,
     parse_network,
 )
 from posskc.nnf import condition, entails_clause, write_nnf
@@ -47,6 +50,7 @@ from posskc.pkb import (
 from helpers import canonical_clause, parse_base, reference_kb_cnf, reference_query_detail
 
 D = parse_degree
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 EXAMPLE_FORMULAS = (
     ((-1,), "0.3"),
@@ -251,6 +255,29 @@ class TestQueryPkb:
         kb = PkbPipeline(alarm)
         assert kb.query_detail({"F": "f1"}, {"F": "f2"}) == (D("0"), 0)
 
+    @pytest.mark.parametrize(
+        "fixture, x, e, expected, passes",
+        [
+            ("alarm.pnet", {"F": "f1"}, {"F": "f2"}, (ZERO, 0), 0),
+            ("triage.pnet", {"S": "high"}, {"S": "low"}, (ZERO, 0), 1),
+            ("triage.pnet", {"T": "pos"}, {"S": "high", "F": "nofever"}, (ONE, 0), 0),
+        ],
+        ids=["binary-conflict", "three-valued-conflict", "impossible-evidence"],
+    )
+    def test_conflicts_and_impossible_evidence(self, monkeypatch, fixture, x, e, expected, passes):
+        """Conflicting binary values make a tautological clause (no pass);
+        three-valued ones are refuted at stratum 0 by the exactly-one
+        clauses (one pass); impossible evidence leaves no stratum to try."""
+        net = parse_network((FIXTURES / fixture).read_text())
+        kb = PkbPipeline(net)
+        assert kb.query_detail(x, e) == expected
+        calls = []
+        original = nnf._root_num
+        monkeypatch.setattr(nnf, "_root_num", lambda *a: calls.append(a) or original(*a))
+        # the evidence stratum is memoised, so these are the target's passes
+        assert kb.query_detail(x, e) == expected
+        assert len(calls) == passes
+
     def test_evidence_equals_target(self, alarm):
         kb = PkbPipeline(alarm)
         assert kb.query({"D": "d1"}, {"D": "d1"}) == D("1")
@@ -285,6 +312,66 @@ class TestQueryPkb:
             x = {tgt.name: tgt.domain[-1]}
             e = {ev.name: ev.domain[0]} if ev.name != tgt.name else {}
             assert kb.query(x, e) == oracle_conditional(net, x, e)
+
+
+def terms_up_to_two(net: PossNetwork):
+    """Every term of the network over 0, 1 or 2 variables."""
+    yield {}
+    for a, va in enumerate(net.variables):
+        for x in va.domain:
+            yield {va.name: x}
+            for vb in net.variables[a + 1 :]:
+                for y in vb.domain:
+                    yield {va.name: x, vb.name: y}
+
+
+def stratum_kinds():
+    """Networks of four kinds: binary, multi-valued, with degree-0 entries
+    (both kinds, on the nine-level pool) and one-level (``even_pool(1)``)."""
+    def draw(i, binary_only, pool=None):
+        return random_network(
+            GenConfig(n_nodes=3 + i % 3, degree_pool=pool, seed=7300 + i, binary_only=binary_only)
+        )
+
+    return {
+        "binary": [draw(i, True) for i in range(4)],
+        "multivalued": [draw(i, False) for i in range(4)],
+        "zero-entries": [
+            with_zero_entries(draw(i, i % 2 == 0, even_pool(9))) for i in range(4)
+        ],
+        "one-level": [draw(i, i % 2 == 0, even_pool(1)) for i in range(4)],
+    }
+
+
+def linear_stratum(kb: PkbPipeline, e) -> int:
+    """The least k in 0..L whose strata refute e, else L + 1, read off the
+    oracle: strata 1..k (with the hard knowledge) refute e iff
+    Pi(e) <= 1 - w_k, with w_0 = 1."""
+    pi_e = oracle_possibility(kb.net, e)
+    thresholds = [ZERO, *(complement(w) for _, w in kb.level_vars)]
+    return next((k for k, t in enumerate(thresholds) if pi_e <= t), len(thresholds))
+
+
+class TestEvidenceStratum:
+    def test_bisection_matches_the_linear_reference(self, monkeypatch):
+        calls = []
+        original = pkb.entails_clause
+        monkeypatch.setattr(pkb, "entails_clause", lambda *a: calls.append(a) or original(*a))
+        hard = none = 0
+        for kind, nets in stratum_kinds().items():
+            for net in nets:
+                kb = PkbPipeline(net)
+                top = len(kb.level_vars) + 1
+                for e in terms_up_to_two(net):
+                    calls.clear()
+                    k = kb.evidence_stratum(e)
+                    assert k == linear_stratum(kb, e), (kind, e)
+                    # at most ceil(log2(L + 2)) passes
+                    assert len(calls) <= top.bit_length(), (kind, e)
+                    hard += k == 0
+                    none += k == top
+        # both ends occur: the hard knowledge refutes e, and no stratum does
+        assert hard and none
 
 
 class TestCompiledBaseEntailment:

@@ -809,6 +809,6 @@ def test_repeated_evidence_skips_pkb_evidence_checks(alarm, monkeypatch):
             not_x = {-l for l in kb.imap.term_literals(x)}
             assert all(not_x <= set(clause) for _, clause in calls[before:])
     # Pi(D=d1) = 0.7 sets the evidence stratum at i = 3 of L = 4 (weights
-    # 0.8, 0.6, 0.3, 0.2): one hard check and two bisection steps, once.
+    # 0.8, 0.6, 0.3, 0.2): three bisection steps over strata 0..4, once.
     assert details == [(parse_degree("0.4"), 2), (ONE, 3), (parse_degree("0.4"), 2), (ONE, 3)]
     assert per_query == [3 + 3, 3, 3, 3]
