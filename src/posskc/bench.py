@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from statistics import fmean
 from typing import IO, Callable, Iterable, Protocol, Sequence
 
@@ -93,14 +93,11 @@ def even_pool(k: int) -> frozenset:
     return frozenset(Degree(i * SCALE // (k + 1)) for i in range(1, k + 1))
 
 
-def _pool(degree_pool: frozenset | None) -> frozenset:
-    return even_pool(FINE_POOL_SIZE) if degree_pool is None else degree_pool
-
-
 @functools.lru_cache(maxsize=16)
 def _ordered_pool(degree_pool: frozenset | None) -> tuple:
-    """The pool sorted by numerator, sorted once per pool."""
-    return tuple(sorted(_pool(degree_pool), key=lambda d: d.num))
+    """The pool, the fine pool when None, sorted by numerator once per pool."""
+    pool = even_pool(FINE_POOL_SIZE) if degree_pool is None else degree_pool
+    return tuple(sorted(pool, key=lambda d: d.num))
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,14 @@ def random_network(cfg: GenConfig) -> PossNetwork:
     return PossNetwork("random", variables, parents, cpt)
 
 
+SIZE_COLUMNS = ("cnf_vars", "cnf_clauses", "nnf_nodes", "nnf_edges")
+"""The comparison's size columns, in order: the fields of ``ComparisonRow``
+that the sweep's means and ``posskc stats`` read."""
+
+
 @dataclass
 class ComparisonRow:
-    """One measured (network, method) pair of the sweep."""
+    """One measured (network, method) pair; its fields are the CSV's columns."""
 
     seed: int
     n_nodes: int
@@ -193,14 +195,10 @@ class ComparisonRow:
     status: str = "ok"
 
     def csv_line(self) -> str:
-        return (
-            f"{self.seed},{self.n_nodes},{self.method},{self.cnf_vars},"
-            f"{self.cnf_clauses},{self.nnf_nodes},{self.nnf_edges},"
-            f"{self.compile_ms:.3f},{self.query_ms:.3f},{self.status}"
-        )
+        return ",".join(f"{v:.3f}" if isinstance(v, float) else str(v) for v in astuple(self))
 
 
-CSV_HEADER = "seed,n_nodes,method,cnf_vars,cnf_clauses,nnf_nodes,nnf_edges,compile_ms,query_ms,status"
+CSV_HEADER = ",".join(f.name for f in fields(ComparisonRow))
 
 
 class Pipeline(Protocol):
@@ -289,7 +287,7 @@ def compare_network(
 
 
 def aggregate_means(rows: Iterable[ComparisonRow]) -> dict:
-    """Per-(size, method) means of the four size columns over ok rows."""
+    """Per-(size, method) means of the SIZE_COLUMNS over ok rows, and count."""
     groups: dict[tuple[int, str], list[ComparisonRow]] = {}
     for r in rows:
         if r.status == "ok":
@@ -297,13 +295,8 @@ def aggregate_means(rows: Iterable[ComparisonRow]) -> dict:
     out = {}
     for key in sorted(groups):
         rs = groups[key]
-        out[key] = {
-            "cnf_vars": fmean(r.cnf_vars for r in rs),
-            "cnf_clauses": fmean(r.cnf_clauses for r in rs),
-            "nnf_nodes": fmean(r.nnf_nodes for r in rs),
-            "nnf_edges": fmean(r.nnf_edges for r in rs),
-            "count": len(rs),
-        }
+        means = {c: fmean(getattr(r, c) for r in rs) for c in SIZE_COLUMNS}
+        out[key] = {**means, "count": len(rs)}
     return out
 
 
@@ -316,11 +309,8 @@ def write_comparison_csv(
     for r in rows:
         out.write(r.csv_line() + "\n")
     for (size, method), m in aggregates.items():
-        out.write(
-            f"# mean n_nodes={size} method={method} count={m['count']}"
-            f" cnf_vars={m['cnf_vars']:.2f} cnf_clauses={m['cnf_clauses']:.2f}"
-            f" nnf_nodes={m['nnf_nodes']:.2f} nnf_edges={m['nnf_edges']:.2f}\n"
-        )
+        means = "".join(f" {c}={m[c]:.2f}" for c in SIZE_COLUMNS)
+        out.write(f"# mean n_nodes={size} method={method} count={m['count']}{means}\n")
 
 
 def run_comparison(
@@ -353,7 +343,7 @@ def run_comparison(
             )
     aggregates = aggregate_means(rows)
     if out is not None:
-        ordered = sorted(_pool(degree_pool))
+        ordered = _ordered_pool(degree_pool)
         if len(ordered) <= 12:
             pool_note = "{" + ",".join(str(d) for d in ordered) + "}"
         else:

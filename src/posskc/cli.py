@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .bench import FINE_POOL_SIZE, METHODS, cross_validate, even_pool, run_comparison
+from .bench import FINE_POOL_SIZE, METHODS, SIZE_COLUMNS, cross_validate, even_pool, run_comparison
 from .cnf import cnf_stats, parse_dimacs, to_dimacs
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
 from .errors import (
@@ -178,20 +178,17 @@ def _cmd_compile(args) -> int:
 
 def _cmd_stats(args) -> int:
     net = _load_network(args.network)
-    header = f"{'method':<8} {'cnf_vars':>8} {'cnf_clauses':>11} {'nnf_nodes':>9} {'nnf_edges':>9}"
-    print(header)
+    print(f"{'method':<8}", *SIZE_COLUMNS)  # each size column as wide as its name
     for method, (build, _) in METHODS.items():
         try:
             pipeline = build(net, node_budget=args.node_budget)
             n = nnf_stats(pipeline.dag)
         except CompileBudgetError:
-            print(f"{method:<8} {'budget exceeded':>40}")
+            print(f"{method:<8} {'budget exceeded':>{len(' '.join(SIZE_COLUMNS))}}")
             continue
         c = cnf_stats(pipeline.cnf)
-        print(
-            f"{method:<8} {c['vars']:>8} {c['clauses']:>11} "
-            f"{n['nodes']:>9} {n['edges']:>9}"
-        )
+        sizes = (c["vars"], c["clauses"], n["nodes"], n["edges"])
+        print(f"{method:<8}", *(f"{v:>{len(col)}}" for col, v in zip(SIZE_COLUMNS, sizes)))
     return EXIT_OK
 
 
@@ -307,10 +304,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (CompileBudgetError, SizeGuardError) as exc:
-        print(f"posskc: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (CompileBudgetError, SizeGuardError, OSError) as exc:
         print(f"posskc: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except PosskcError as exc:

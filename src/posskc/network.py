@@ -412,11 +412,6 @@ def serialize_network(net: PossNetwork) -> str:
             out.append("parents " + v.name + " " + " ".join(net.parents[v.name]))
     for v in net.variables:
         out.append("cpt " + v.name)
-        for cfg in net.parent_configs(v.name):
-            for val in v.domain:
-                d = net.cpt[v.name][(val, cfg)]
-                if cfg:
-                    out.append(f"{val} | {' '.join(cfg)} : {d}")
-                else:
-                    out.append(f"{val} : {d}")
+        for (val, cfg), d in net.cpt[v.name].items():  # in table order
+            out.append(f"{val} | {' '.join(cfg)} : {d}" if cfg else f"{val} : {d}")
     return "\n".join(out) + "\n"

@@ -339,8 +339,9 @@ class ProgramPipeline:
     The constructor builds the DAG's program under the fixed weights once
     (``max_min_program``) and keeps, per term item, the leaf slots it
     zeroes (``refutes``: the given literals that have a leaf in the DAG)
-    and, once a query has used it, their ``cone`` (``cones``).  A pass
-    copies the base run and runs each item's cone in turn.  The evidence
+    and, once a query has used it, their ``cone``: ``cones`` holds at most
+    one cone per term item with a leaf, each no longer than the program.
+    A pass copies the base run and runs each item's cone in turn.  The evidence
     memo keeps the values of the Pi(e) pass, and a query's joint differs
     from it only at the target's items, so it runs only their cones on a
     copy of those values.  A subclass encodes and compiles, and says which

@@ -284,6 +284,38 @@ class TestRunComparison:
         means = [l for l in lines if l.startswith("# mean ")]
         assert len(means) == len(aggregates)
 
+    def test_csv_text_is_pinned(self):
+        """The header and the mean comments, literally: the row text is
+        derived from ``SIZE_COLUMNS`` and ``ComparisonRow``."""
+        buf = io.StringIO()
+        run_comparison([3], per_size=2, seed=9, out=buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[2] == CSV_HEADER == (
+            "seed,n_nodes,method,cnf_vars,cnf_clauses,nnf_nodes,nnf_edges,"
+            "compile_ms,query_ms,status"
+        )
+        assert [l for l in lines if l.startswith("# mean ")] == [
+            "# mean n_nodes=3 method=logical count=2 cnf_vars=7.00 cnf_clauses=4.00"
+            " nnf_nodes=21.00 nnf_edges=22.00",
+            "# mean n_nodes=3 method=pf count=2 cnf_vars=10.00 cnf_clauses=10.00"
+            " nnf_nodes=33.00 nnf_edges=35.00",
+            "# mean n_nodes=3 method=pkb count=2 cnf_vars=7.00 cnf_clauses=4.00"
+            " nnf_nodes=21.00 nnf_edges=22.00",
+        ]
+        assert lines[3].startswith("12587370737594032228,3,pf,10,10,33,35,")
+
+    @pytest.mark.parametrize(
+        "k,note",
+        [(3, "{0.25,0.5,0.75}"), (13, "{0.071428571..0.928571428 (13 values)}")],
+    )
+    def test_pool_note(self, k, note):
+        buf = io.StringIO()
+        run_comparison([3], per_size=1, seed=9, degree_pool=even_pool(k), out=buf)
+        assert buf.getvalue().splitlines()[1] == (
+            f"# config: seed=9 sizes=[3] per_size=1 max_parents=3 degree_pool={note}"
+            " binary_only=True node_budget=1000000"
+        )
+
     def test_csv_to_path(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_comparison([3], per_size=1, seed=2, out=str(out))
@@ -299,6 +331,28 @@ class TestAggregateMeans:
         assert agg[(5, "pf")]["count"] == 2
         assert agg[(5, "pf")]["cnf_vars"] == 15.0
         assert agg[(5, "pf")]["nnf_nodes"] == 50.0
+
+    def test_keys_and_row_text_are_pinned(self):
+        rows = [
+            ComparisonRow(1, 3, "pf", 10, 10, 33, 35, 0.5734, 0.0926),
+            ComparisonRow(2, 3, "pf", 11, 13, 40, 44, 12.0, 0.0, "budget"),
+        ]
+        assert [r.csv_line() for r in rows] == [
+            "1,3,pf,10,10,33,35,0.573,0.093,ok",
+            "2,3,pf,11,13,40,44,12.000,0.000,budget",
+        ]
+        assert aggregate_means(rows) == {
+            (3, "pf"): {
+                "cnf_vars": 10.0,
+                "cnf_clauses": 10.0,
+                "nnf_nodes": 33.0,
+                "nnf_edges": 35.0,
+                "count": 1,
+            }
+        }
+        assert list(aggregate_means(rows)[(3, "pf")]) == [
+            "cnf_vars", "cnf_clauses", "nnf_nodes", "nnf_edges", "count",
+        ]
 
 
 class TestCrossValidate:

@@ -14,7 +14,7 @@ from posskc.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, pars
 from posskc.cnf import stratified_levels
 from posskc.errors import QueryError
 from posskc.network import serialize_network
-from posskc.nnf import write_nnf
+from posskc.nnf import NnfDag, write_nnf
 from posskc.pkb import PkbPipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,6 +291,18 @@ class TestEncodeAndCompile:
         assert code == EXIT_RUNTIME
         assert "budget" in err
 
+    def test_assert_deterministic_refuses_a_nondeterministic_dag(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """An Or labelled 1 over the leaves 1 and 2 does not split on 1."""
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1 2 0\n")
+        dag = NnfDag((("L", 1, ()), ("L", 2, ()), ("O", 1, (0, 1))), 2, 2)
+        monkeypatch.setattr(cli, "compile_cnf", lambda f, node_budget: dag)
+        assert run(capsys, "compile", str(cnf)) == (EXIT_OK, write_nnf(dag), "")
+        code, out, err = run(capsys, "compile", str(cnf), "--assert-deterministic")
+        assert (code, out, err) == (EXIT_RUNTIME, "", "compiled DAG is not deterministic\n")
+
 
 class TestStats:
     def test_table_lists_all_methods(self, capsys):
@@ -320,6 +332,38 @@ class TestStats:
             ["logical", "7", "6", "27", "34"],
             ["pkb", "7", "6", "27", "34"],
         ]
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (
+                (ALARM,),
+                "method   cnf_vars cnf_clauses nnf_nodes nnf_edges\n"
+                "pf             12          12        47        61\n"
+                "logical         7           6        27        34\n"
+                "pkb             7           6        27        34\n",
+            ),
+            (
+                (ALARM, "--node-budget", "40"),
+                "method   cnf_vars cnf_clauses nnf_nodes nnf_edges\n"
+                "pf                                budget exceeded\n"
+                "logical         7           6        27        34\n"
+                "pkb             7           6        27        34\n",
+            ),
+            (
+                (TRIAGE,),
+                "method   cnf_vars cnf_clauses nnf_nodes nnf_edges\n"
+                "pf             20          22        85       124\n"
+                "logical        13          16        61        90\n"
+                "pkb            13          16        61        90\n",
+            ),
+        ],
+        ids=["alarm", "alarm-budget-40", "triage"],
+    )
+    def test_table_text_is_pinned(self, capsys, argv, text):
+        """The exact table, widths included: each size column is as wide
+        as its name, and a budget row right-aligns its note under them."""
+        assert run(capsys, "stats", *argv) == (EXIT_OK, text, "")
 
 
 class TestBenchAndCheck:

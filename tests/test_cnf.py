@@ -272,6 +272,47 @@ class TestDimacs:
         with pytest.raises(FormatError):
             parse_dimacs("p cnf 2 1\n1 2\n")
 
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            ("p cnf x 1\n", "line 1: malformed header: 'p cnf x 1'", 1),
+            ("p cnf 2 -1\n", "line 1: malformed header: 'p cnf 2 -1'", 1),
+            ("p cnf -1 1\n", "line 1: malformed header: 'p cnf -1 1'", 1),
+            ("c only a comment\n", "missing 'p cnf' header", None),
+            ("", "missing 'p cnf' header", None),
+            ("p cnf 2 1\n1 x 0\n", "line 2: bad literal token 'x'", 2),
+            (
+                "c var 1 parameter A 1.5\np cnf 1 0\n",
+                "line 1: bad role annotation 'parameter A 1.5': degree literal '1.5' outside [0, 1]",
+                1,
+            ),
+            ("c var 1 bogus A a\np cnf 1 0\n", "line 1: bad role annotation 'bogus A a'", 1),
+            ("c var 1 level 1\np cnf 1 0\n", "line 1: bad role annotation 'level 1'", 1),
+        ],
+        ids=[
+            "header-not-integer",
+            "header-negative-clauses",
+            "header-negative-vars",
+            "header-missing",
+            "empty",
+            "bad-literal-token",
+            "role-with-bad-value",
+            "role-of-unknown-kind",
+            "role-with-missing-field",
+        ],
+    )
+    def test_text_checks(self, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+        assert exc.value.line == line
+
+    def test_blank_lines_accepted(self):
+        plain = parse_dimacs("c var 1 level 1 0.5\np cnf 2 2\n1 2 0\n-1 0\n")
+        spaced = parse_dimacs("\nc var 1 level 1 0.5\n\np cnf 2 2\n  \n1 2 0\n\n-1 0\n\n")
+        assert spaced == plain
+        assert to_dimacs(spaced) == to_dimacs(plain)
+
     def test_comments_ignored(self):
         f = parse_dimacs("c free-form comment\np cnf 2 1\nc another\n1 2 0\n")
         assert f.num_clauses == 1

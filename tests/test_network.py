@@ -1,8 +1,12 @@
 """Network model: PNET parsing/validation, the min-based chain rule, and
 the brute-force oracle anchors on the golden fixture."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from posskc.bench import GenConfig, even_pool, random_network
 from posskc.degrees import ONE, parse_degree
 from posskc.errors import FormatError, NetworkValidationError, QueryError
 from posskc.network import (
@@ -17,6 +21,53 @@ from posskc.network import (
 )
 
 D = parse_degree
+TRIAGE = Path(__file__).resolve().parent.parent / "fixtures" / "triage.pnet"
+
+SMALL = [
+    "network n",
+    "var X x1 x2",
+    "var Y y1 y2",
+    "parents Y X",
+    "cpt X",
+    "x1 : 1",
+    "x2 : 0.5",
+    "cpt Y",
+    "y1 | x1 : 1",
+    "y2 | x1 : 0.2",
+    "y1 | x2 : 0.3",
+    "y2 | x2 : 1",
+]
+"""A valid two-variable network, one line per entry; cases edit lines."""
+
+VAR_X, VAR_Y = NetVariable("X", ("x1", "x2")), NetVariable("Y", ("y1", "y2"))
+
+
+def edited(index: int, *lines: str, drop: int = 0) -> str:
+    """SMALL with ``lines`` put in at ``index``, replacing ``drop`` lines."""
+    return "\n".join(SMALL[:index] + list(lines) + SMALL[index + drop :]) + "\n"
+
+
+def table_order_text(net: PossNetwork) -> str:
+    """The PNET text of ``net`` written from ``parent_configs`` times each
+    domain, the reference for ``serialize_network``."""
+    out = [f"network {net.name}"]
+    out += [f"var {v.name} {' '.join(v.domain)}" for v in net.variables]
+    out += [f"parents {n} {' '.join(ps)}" for n, ps in net.parents.items() if ps]
+    for v in net.variables:
+        out.append(f"cpt {v.name}")
+        for cfg in net.parent_configs(v.name):
+            bar = f" | {' '.join(cfg)}" if cfg else ""
+            out += [f"{val}{bar} : {net.cpt[v.name][(val, cfg)]}" for val in v.domain]
+    return "\n".join(out) + "\n"
+
+
+def line_of(exc: Exception) -> int | None:
+    """The input line an error names: FormatError's ``line``, or the
+    ``(line N)`` that ends a NetworkValidationError raised by the parser."""
+    if isinstance(exc, FormatError):
+        return exc.line
+    found = re.search(r"\(line (\d+)\)$", str(exc))
+    return int(found.group(1)) if found else None
 
 
 class TestParsing:
@@ -86,6 +137,154 @@ class TestParsing:
     def test_entry_outside_block(self):
         with pytest.raises(FormatError):
             parse_network("network n\nvar X x1 x2\nx1 : 1\n")
+
+
+class TestSerialization:
+    def test_triage_round_trip_is_byte_exact(self):
+        text = TRIAGE.read_text()
+        bare = "".join(l for l in text.splitlines(True) if not l.startswith("#"))
+        net = parse_network(text)
+        assert serialize_network(net) == bare
+        assert table_order_text(net) == bare
+        assert parse_network(bare) == net
+
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_generated_round_trips_are_byte_exact(self, binary_only):
+        for seed in range(30):
+            cfg = GenConfig(2 + seed % 7, seed=seed, binary_only=binary_only, degree_pool=even_pool(9))
+            net = random_network(cfg)
+            text = serialize_network(net)
+            assert text == table_order_text(net)
+            assert parse_network(text) == net
+            assert serialize_network(parse_network(text)) == text
+
+
+class TestInputChecks:
+    """Each check of the network model and the PNET reader, by the
+    exception class, the exact message and the line it names."""
+
+    def test_unedited_text_is_valid(self):
+        assert parse_network(edited(0)).var_names == ("X", "Y")
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: NetVariable("1X", ("a", "b")), "bad variable name '1X'"),
+            (lambda: NetVariable("X", ("a",)), "variable X needs at least 2 values"),
+            (lambda: NetVariable("X", ("a", "a")), "variable X has duplicate values"),
+            (lambda: NetVariable("X", ("a", "b-c")), "bad value name 'b-c' for variable X"),
+            (lambda: parse_network(edited(0)).variable("Z"), "unknown variable 'Z'"),
+            (lambda: PossNetwork("1n", [VAR_X], {}, {}), "bad network name '1n'"),
+            (lambda: parse_network(edited(0, "network 1n", drop=1)), "bad network name '1n'"),
+            (
+                lambda: PossNetwork("n", [VAR_X, VAR_X], {}, {}),
+                "duplicate variable X",
+            ),
+            (
+                lambda: PossNetwork("n", [VAR_X, VAR_Y], {"Y": ("X", "X")}, {}),
+                "duplicate parent in Y's parent list",
+            ),
+            (
+                lambda: PossNetwork("n", [VAR_X, VAR_Y], {"Y": ("Z",)}, {}),
+                "unknown parent 'Z' of Y",
+            ),
+            (
+                lambda: PossNetwork("n", [VAR_X, VAR_Y], {"Y": ("Y",)}, {}),
+                "variable Y cannot be its own parent",
+            ),
+        ],
+        ids=[
+            "bad-variable-name",
+            "one-value",
+            "duplicate-values",
+            "bad-value-name",
+            "unknown-variable",
+            "bad-network-name",
+            "bad-network-name-parsed",
+            "duplicate-variable",
+            "duplicate-parent",
+            "unknown-parent",
+            "own-parent",
+        ],
+    )
+    def test_model_checks(self, build, message):
+        with pytest.raises(NetworkValidationError) as exc:
+            build()
+        assert type(exc.value) is NetworkValidationError
+        assert str(exc.value) == message
+        assert line_of(exc.value) is None
+
+    @pytest.mark.parametrize(
+        "text,error,message,line",
+        [
+            (edited(2, "network m"), FormatError, "line 3: duplicate 'network' line", 3),
+            (edited(0, "network a b", drop=1), FormatError, "line 1: expected 'network <name>'", 1),
+            (edited(2, "var X x1 x2"), NetworkValidationError, "duplicate variable X (line 3)", 3),
+            (edited(3, "var Z z1 z1"), FormatError, "line 4: variable Z has duplicate values", 4),
+            (
+                edited(3, "parents Y", drop=1),
+                FormatError,
+                "line 4: expected 'parents <var> <p1> ...'",
+                4,
+            ),
+            (
+                edited(3, "parents Z X"),
+                NetworkValidationError,
+                "parents for unknown variable 'Z' (line 4)",
+                4,
+            ),
+            (
+                edited(4, "parents Y X"),
+                NetworkValidationError,
+                "duplicate parents line for Y (line 5)",
+                5,
+            ),
+            (edited(4, "cpt", drop=1), FormatError, "line 5: expected 'cpt <var>'", 5),
+            (edited(4, "cpt X Y", drop=1), FormatError, "line 5: expected 'cpt <var>'", 5),
+            (edited(4, "cpt Z"), NetworkValidationError, "cpt for unknown variable 'Z' (line 5)", 5),
+            (edited(7, "cpt X", drop=1), NetworkValidationError, "duplicate cpt block for X (line 8)", 8),
+            (
+                edited(6, "x2 : 1.5", drop=1),
+                FormatError,
+                "line 7: degree literal '1.5' outside [0, 1]",
+                7,
+            ),
+            (
+                edited(6, "x2 x1 : 0.5", drop=1),
+                FormatError,
+                "line 7: cpt entry needs exactly one own value: 'x2 x1 : 0.5'",
+                7,
+            ),
+            (
+                edited(8, "| x1 : 1", drop=1),
+                FormatError,
+                "line 9: cpt entry needs exactly one own value: '| x1 : 1'",
+                9,
+            ),
+        ],
+        ids=[
+            "second-network-line",
+            "malformed-network-line",
+            "duplicate-var",
+            "variable-error-with-line",
+            "malformed-parents-line",
+            "undeclared-parents",
+            "repeated-parents",
+            "cpt-without-name",
+            "cpt-with-two-names",
+            "undeclared-cpt",
+            "repeated-cpt",
+            "bad-degree-with-line",
+            "two-own-values",
+            "no-own-value",
+        ],
+    )
+    def test_reader_checks(self, text, error, message, line):
+        with pytest.raises(error) as exc:
+            parse_network(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert line_of(exc.value) == line
 
 
 class TestConstruction:

@@ -393,6 +393,22 @@ class TestSerialization:
             with pytest.raises(FormatError, match=message):
                 parse_nnf(head + line + "\n")
 
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            ("nnf x 0 1\nA 0\n", "line 1: malformed NNF header: 'nnf x 0 1'", 1),
+            ("nnf 0 0 0\n", "line 1: NNF must declare at least one node", 1),
+            ("nnf 2 0 1\nA 0\n", "header declares 2 nodes, found 1", None),
+            ("nnf 1 0 1\nX 0\n", "line 2: malformed NNF node line: 'X 0'", 2),
+        ],
+        ids=["header-not-integer", "zero-nodes", "node-count-mismatch", "unknown-op"],
+    )
+    def test_text_checks(self, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            parse_nnf(text)
+        assert str(exc.value) == message
+        assert exc.value.line == line
+
 
 class TestValidateProperties:
     def test_compiled_output_flags(self):
@@ -408,6 +424,18 @@ class TestValidateProperties:
             nodes=(("L", 1, ()), ("L", -1, ()), ("A", 0, (0, 1))), root=2, num_vars=1
         )
         assert not structural_properties(d)["decomposable"]
+
+    def test_decision_whose_branches_do_not_split_is_not_deterministic(self):
+        """An Or labelled 1 over the leaves 1 and 2: only one branch
+        mentions variable 1, so the label does not make it deterministic."""
+        d = NnfDag(nodes=(("L", 1, ()), ("L", 2, ()), ("O", 1, (0, 1))), root=2, num_vars=2)
+        assert structural_properties(d) == {
+            "decomposable": True,
+            "deterministic": False,
+            "smooth": False,
+        }
+        split = NnfDag(nodes=(("L", 1, ()), ("L", -1, ()), ("O", 1, (0, 1))), root=2, num_vars=1)
+        assert structural_properties(split)["deterministic"]
 
     def test_or_without_decision_not_deterministic(self):
         b = NnfBuilder()

@@ -25,8 +25,12 @@ and logical joints that run the target's cones on the memoised evidence
 run are checked against ``possibility`` and the oracle.  A program's slots
 hold ranks in its table of distinct degrees (``slot_nums`` reads them as
 numerators); a table past CPython's cached small ints is checked against
-the kernel on every single refuted leaf.
+the kernel on every single refuted leaf.  On both fixtures, after every
+term of 0-2 variables, a pipeline keeps one cone per term item with a
+leaf, and none longer than its program.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -688,6 +692,24 @@ def test_joint_that_refutes_the_only_leaf(text):
             for e in every_term(net, 0) + every_term(net, 1):
                 assert pipeline.query(x, e) == oracle_conditional(net, x, e)
     assert pf.cones and not any(c.out for c in pf.cones.values())
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("fixture", ["alarm", "triage"])
+def test_cones_are_bounded_by_the_items_and_the_program(fixture):
+    """A pipeline keeps at most one cone per term item with a leaf, and no
+    cone is longer than its program: after every term of 0-2 variables,
+    the kept cones are exactly the items with leaves."""
+    net = parse_network((FIXTURES / f"{fixture}.pnet").read_text())
+    for pipeline in (PfPipeline(net), LogicalPipeline(net)):
+        for term in (t for size in range(3) for t in every_term(net, size)):
+            pipeline.possibility(term)
+        cones, refutes = pipeline.cones, pipeline.refutes
+        assert set(cones) <= set(refutes)
+        assert set(cones) == {item for item, slots in refutes.items() if slots}
+        assert all(len(c.out) <= len(pipeline.program.out) for c in cones.values())
 
 
 def impossible_evidence(net: PossNetwork) -> dict | None:
