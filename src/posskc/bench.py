@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from statistics import fmean
 from typing import IO, Callable, Iterable, Protocol, Sequence
 
@@ -327,20 +327,13 @@ def run_comparison(
     each, written as CSV (config in a header comment, per-size means in a
     trailing comment block) when out is given."""
     seeder = SplitMix64(seed)
+    shape = GenConfig(1, max_parents, degree_pool, binary_only=binary_only)  # n_nodes, seed per draw
     rows: list[ComparisonRow] = []
     for n in sizes:
         for _ in range(per_size):
             inst_seed = seeder.next_u64()
-            cfg = GenConfig(
-                n_nodes=n,
-                max_parents=max_parents,
-                degree_pool=degree_pool,
-                seed=inst_seed,
-                binary_only=binary_only,
-            )
-            rows.extend(
-                compare_network(random_network(cfg), seed=inst_seed, node_budget=node_budget)
-            )
+            net = random_network(replace(shape, n_nodes=n, seed=inst_seed))
+            rows.extend(compare_network(net, seed=inst_seed, node_budget=node_budget))
     aggregates = aggregate_means(rows)
     if out is not None:
         ordered = _ordered_pool(degree_pool)
@@ -392,19 +385,13 @@ def cross_validate(
     if nets < 1 or queries < 1:
         raise ValueError(f"nets and queries must be at least 1, got {nets} and {queries}")
     seeder = SplitMix64(seed)
+    shape = GenConfig(1, max_parents, degree_pool, binary_only=binary_only)  # n_nodes, seed per draw
     mismatches: list[str] = []
     total = 0
     for _ in range(nets):
         inst_seed = seeder.next_u64()
         n = 2 + SplitMix64(inst_seed ^ 0xA5A5).next_below(max_vars - 1)
-        cfg = GenConfig(
-            n_nodes=n,
-            max_parents=max_parents,
-            degree_pool=degree_pool,
-            seed=inst_seed,
-            binary_only=binary_only,
-        )
-        net = random_network(cfg)
+        net = random_network(replace(shape, n_nodes=n, seed=inst_seed))
         pipelines = {m: build(net) for m, (build, _) in METHODS.items()}
         qrng = SplitMix64(inst_seed ^ _QUERY_SALT)
         for qi in range(queries):

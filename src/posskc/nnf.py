@@ -565,28 +565,30 @@ def parse_nnf(text: str) -> NnfDag:
     Nodes are kept exactly as written (no simplification) so stats
     round-trip.
     """
-    lines = [l.strip() for l in text.splitlines()]
-    lines = [l for l in lines if l and not l.startswith("c")]
+    # (file line number, text) of every line that is neither blank nor a comment
+    lines = [(ln, l.strip()) for ln, l in enumerate(text.splitlines(), 1)]
+    lines = [(ln, l) for ln, l in lines if l and not l.startswith("c")]
     if not lines:
         raise FormatError("empty NNF file")
-    head = lines[0].split()
+    head_ln, header = lines[0]
+    head = header.split()
     if len(head) != 4 or head[0] != "nnf":
-        raise FormatError(f"malformed NNF header: {lines[0]!r}", 1)
+        raise FormatError(f"malformed NNF header: {header!r}", head_ln)
     try:
         n_nodes, n_edges, n_vars = int(head[1]), int(head[2]), int(head[3])
     except ValueError as exc:
-        raise FormatError(f"malformed NNF header: {lines[0]!r}", 1) from exc
+        raise FormatError(f"malformed NNF header: {header!r}", head_ln) from exc
     if min(n_nodes, n_edges, n_vars) < 0:
-        raise FormatError(f"malformed NNF header: {lines[0]!r}", 1)
+        raise FormatError(f"malformed NNF header: {header!r}", head_ln)
     if n_nodes < 1:
-        raise FormatError("NNF must declare at least one node", 1)
+        raise FormatError("NNF must declare at least one node", head_ln)
     if len(lines) - 1 != n_nodes:
         raise FormatError(
             f"header declares {n_nodes} nodes, found {len(lines) - 1}"
         )
     nodes: list[Node] = []
     edges = 0
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         toks = line.split()
         idx = len(nodes)
         op = toks[0]

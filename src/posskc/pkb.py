@@ -16,10 +16,11 @@ reads two strata off one check, whether strata 1..k refute a term
 (stratum 0 is the hard knowledge alone): the evidence stratum i, the
 least k that refutes the evidence, found by bisection once per evidence
 term, and the target stratum j, the least k below i that refutes the
-target and the evidence, found strongest first.  Pi(x|e) is one minus
-w_j when j < i, else 1.  Each check is one entailment pass over the
-compiled DAG, with the level variables of strata 1..k added to the
-checked clause; the DAG is never rebuilt.
+target and the evidence, found strongest first.  Pi(term) is the degree
+of its least refuting stratum (0 for k = 0, one minus w_k, 1 when none
+refutes it), and Pi(x|e) min-conditions j's degree on i's.  Each check is
+one entailment pass over the compiled DAG, with the level variables of
+strata 1..k added to the checked clause; the DAG is never rebuilt.
 
 When the levels span several clauses each (a stratified base,
 ``cnf.stratified``), the CNF also chains the level variables into a
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .cnf import CnfFormula, Level, stratified
 from .compiler import DEFAULT_NODE_BUDGET, compile_cnf
-from .degrees import SCALE, Degree, ONE, ZERO, complement
+from .degrees import SCALE, Degree, ONE, ZERO, complement, min_condition
 from .encodings import InstanceMap, instance_map, table_entries
 from .network import EventTerm, EvidenceMemo, PossNetwork, World, check_event
 # condition, is_consistent: unused, kept for perfbench's hooks (tests/test_perfbench_hooks.py)
@@ -219,29 +220,34 @@ class PkbPipeline:
             range(len(self.level_vars) + 1), True, key=lambda k: self._refuted(not_e, k)
         )
 
+    def _degree(self, k: int) -> Degree:
+        """Stratum k's degree: 0 for k = 0, 1 - w_k for 1 <= k <= L, 1 for k = L + 1."""
+        if k == 0:
+            return ZERO
+        return complement(self.level_vars[k - 1][1]) if k <= len(self.level_vars) else ONE
+
     def query_detail(self, x: EventTerm, e: EventTerm) -> tuple[Degree, int]:
         """Pi(x|e) plus the number of level iterations performed.
 
         With i the evidence stratum (read from the memo), the target
-        stratum j is the least k below i whose strata refute x and e.  The
-        answer is one minus w_j when j < i (0 when j = 0), after j
-        iterations, and 1 otherwise, after min(i, L).  Impossible evidence
-        (i = 0) leaves no k to try, and conflicting terms are refuted at
-        j = 0: binary ones by a tautological clause, without a pass,
-        multi-valued ones by the exactly-one clauses.
+        stratum j is the least k below i whose strata refute x and e, and
+        i when none does, after min(j, L) iterations.  The answer
+        min-conditions the degree of j on the degree of i.  Impossible
+        evidence (i = 0) leaves no k to try, and conflicting terms are
+        refuted at j = 0: binary ones by a tautological clause, without a
+        pass, multi-valued ones by the exactly-one clauses.
         """
         check_event(self.net, x)
         check_event(self.net, e)
         i = self.evidence(e, self.evidence_stratum)
         not_ex = [-l for l in (*self.imap.term_literals(e), *self.imap.term_literals(x))]
         j = next((k for k in range(i) if self._refuted(not_ex, k)), i)
-        if j == i:
-            return ONE, min(i, len(self.level_vars))
-        return (ZERO if j == 0 else complement(self.level_vars[j - 1][1])), j
+        return min_condition(self._degree(j), self._degree(i)), min(j, len(self.level_vars))
 
     def query(self, x: EventTerm, e: EventTerm) -> Degree:
         return self.query_detail(x, e)[0]
 
     def possibility(self, term: EventTerm) -> Degree:
-        """Pi(term), as the conditional against empty evidence."""
-        return self.query_detail(term, {})[0]
+        """Pi(term): the degree of the term's evidence stratum."""
+        check_event(self.net, term)
+        return self._degree(self.evidence_stratum(term))

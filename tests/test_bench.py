@@ -57,6 +57,11 @@ class TestSplitMix64:
         assert sorted(xs) == items
         assert SplitMix64(5).choice(items) == SplitMix64(5).choice(items)
 
+    def test_empty_range_is_refused(self):
+        for draw in (lambda rng: rng.next_below(0), lambda rng: rng.choice([])):
+            with pytest.raises(ValueError, match="^next_below needs a positive bound$"):
+                draw(SplitMix64(5))
+
 
 class TestEvenPool:
     def test_nine_degree_scale(self):

@@ -405,6 +405,14 @@ class TestBenchAndCheck:
         assert code == EXIT_USAGE
         assert "size" in err
 
+    def test_bench_range_of_four_fields(self, capsys):
+        code, _, err = run(capsys, "bench", "--sizes", "1:2:3:4")
+        assert code == EXIT_USAGE == 64
+        assert (
+            "argument --sizes: bad sizes '1:2:3:4': expected start:stop[:step]"
+            " or a comma list, each size at least 1"
+        ) in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -224,6 +224,12 @@ class TestDimacs:
         assert g == f
         assert to_dimacs(g) == to_dimacs(f)
 
+    def test_unknown_role_type(self):
+        f = CnfFormula()
+        f.new_var(("F", "f1"))
+        with pytest.raises(TypeError, match=r"^unknown role \('F', 'f1'\)$"):
+            to_dimacs(f)
+
     def test_tautological_clause(self):
         """The line and the message name the clause in canonical order,
         by variable with -v before +v."""

@@ -105,3 +105,8 @@ class TestOrderAlgebra:
             Degree(-1)
         with pytest.raises(DegreeError):
             Degree(SCALE + 1)
+
+    @pytest.mark.parametrize("num, kind", [(0.5, "float"), ("1", "str")])
+    def test_non_int_numerator(self, num, kind):
+        with pytest.raises(DegreeError, match=f"^degree numerator must be int, got {kind}$"):
+            Degree(num)

@@ -374,6 +374,83 @@ class TestEvidenceStratum:
         assert hard and none
 
 
+def fixture_net(name: str) -> PossNetwork:
+    return parse_network((FIXTURES / f"{name}.pnet").read_text())
+
+
+def single_items(net: PossNetwork) -> list[dict]:
+    return [{v.name: x} for v in net.variables for x in v.domain]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every ``entails_clause`` pass a pkb pipeline makes, in call order."""
+    calls = []
+    original = pkb.entails_clause
+    monkeypatch.setattr(pkb, "entails_clause", lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+class TestPassCounts:
+    """The passes of the two stratum searches, pinned on the fixtures."""
+
+    @pytest.mark.parametrize("name, count", [("alarm", 153), ("triage", 502)])
+    def test_query_detail_passes(self, passes, name, count):
+        """Every single-item target against the empty evidence and against
+        every single-item evidence, evidence by evidence, on one pipeline."""
+        net = fixture_net(name)
+        kb = PkbPipeline(net)
+        items = single_items(net)
+        asked = [(x, e) for e in [{}, *items] for x in items]
+        got = [kb.query_detail(x, e) for x, e in asked]
+        assert len(passes) == count
+        assert got == [reference_query_detail(kb, x, e) for x, e in asked]
+
+    @pytest.mark.parametrize("name, count", [("alarm", 14), ("triage", 27)])
+    def test_possibility_passes(self, passes, name, count):
+        """Pi(term) is read off the term's bisected stratum alone."""
+        net = fixture_net(name)
+        kb = PkbPipeline(net)
+        for term in single_items(net):
+            kb.possibility(term)
+        assert len(passes) == count
+
+
+class TestPossibility:
+    @staticmethod
+    def assert_oracle(net: PossNetwork) -> None:
+        kb = PkbPipeline(net)
+        for term in terms_up_to_two(net):
+            assert kb.possibility(term) == oracle_possibility(net, term), term
+
+    @pytest.mark.parametrize("name", ["alarm", "triage"])
+    def test_fixtures_match_the_oracle(self, name):
+        self.assert_oracle(fixture_net(name))
+
+    @pytest.mark.parametrize("binary_only", [True, False], ids=["binary", "multivalued"])
+    def test_random_networks_match_the_oracle(self, binary_only):
+        """Binary networks on the fine pool, multi-valued ones on nine levels."""
+        pool = None if binary_only else even_pool(9)
+        for i in range(20):
+            self.assert_oracle(
+                random_network(
+                    GenConfig(
+                        n_nodes=3 + i % 4,
+                        degree_pool=pool,
+                        seed=8200 + i,
+                        binary_only=binary_only,
+                    )
+                )
+            )
+
+    def test_leaves_the_evidence_memo_alone(self, alarm):
+        kb = PkbPipeline(alarm)
+        kb.query({"F": "f2"}, {"D": "d1"})
+        held = kb.evidence.entry
+        assert kb.possibility({"B": "b2"}) == D("0.4")
+        assert kb.evidence.entry is held
+
+
 class TestCompiledBaseEntailment:
     def test_level_one_clause_not_entailed(self, alarm):
         kb = PkbPipeline(alarm)

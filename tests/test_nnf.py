@@ -52,6 +52,10 @@ class TestBuilder:
         d = b.freeze(b.disj([]), num_vars=0)
         assert pi_evaluate(d, {}) == ZERO
 
+    def test_zero_is_not_a_literal(self):
+        with pytest.raises(ValueError, match="^0 is not a literal$"):
+            NnfBuilder().literal(0)
+
     def test_absorption(self):
         b = NnfBuilder()
         x = b.literal(1)
@@ -404,6 +408,23 @@ class TestSerialization:
         ids=["header-not-integer", "zero-nodes", "node-count-mismatch", "unknown-op"],
     )
     def test_text_checks(self, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            parse_nnf(text)
+        assert str(exc.value) == message
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            ("c note\n\nnnf 1 0 1\nL 5\n", "line 4: literal 5 out of range", 4),
+            ("c note\nnnf x 0 1\nA 0\n", "line 2: malformed NNF header: 'nnf x 0 1'", 2),
+            ("\nnnf 0 0 0\n", "line 2: NNF must declare at least one node", 2),
+            ("nnf 2 1 1\nL 1\nc mid-file\n\nA 1 5\n", "line 5: And child out of range: 'A 1 5'", 5),
+        ],
+        ids=["comment-and-blank-then-node", "comment-then-header", "blank-then-header", "mid-file"],
+    )
+    def test_errors_name_the_file_line(self, text, message, line):
+        """Comments and blank lines count toward the line an error names."""
         with pytest.raises(FormatError) as exc:
             parse_nnf(text)
         assert str(exc.value) == message
